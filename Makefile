@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race bench bench-micro bench-batch check staticcheck metrics-demo logs-demo chaos fuzz serve-smoke serve-crash loadtest
+.PHONY: all vet build test race bench bench-micro check staticcheck metrics-demo logs-demo chaos fuzz serve-smoke serve-crash loadtest
 
 all: check
 
@@ -29,13 +29,6 @@ race:
 # (see EXPERIMENTS.md "Benchmark trajectory").
 bench:
 	$(GO) run ./cmd/bench -workload table1-small
-
-# Batch-engine micro-benchmark: K lockstep transients through the shared
-# trunk vs the same K cases run scalar, with allocation counts — the
-# batched steady state must beat scalar on both time/op and allocs/op
-# (see EXPERIMENTS.md "Batched lockstep solving").
-bench-batch:
-	$(GO) test -run XXX -bench BenchmarkBatchRun -benchtime 2s -benchmem ./internal/spice/
 
 # Go micro/scaling benchmarks: the parallel sweep engine and the crossing
 # scan on the arrival-measurement hot path.

@@ -10,28 +10,16 @@ import (
 // regression hunt needs rides along with the wall time: throughput, the
 // Newton-iteration count (the solver's real unit of work — a wall-time
 // regression with flat iterations is scheduling, one with rising
-// iterations is numerics), the replay-cache hit rate and the allocation
-// volume.
+// iterations is numerics), the LU reuse rate and the allocation volume.
 type RunResult struct {
-	Workers int `json:"workers"`
-	// Batch is the lockstep batch size of the run (0 = scalar path). A
-	// workload may record both scalar and batched runs; compare matches
-	// runs by (workers, batch).
-	Batch            int     `json:"batch,omitempty"`
+	Workers          int     `json:"workers"`
 	WallSeconds      float64 `json:"wall_seconds"`
 	Cases            int64   `json:"cases"`
 	CasesPerSec      float64 `json:"cases_per_sec"`
 	NewtonIterations int64   `json:"newton_iterations"`
-	// CacheHitRate is the Γeff replay cache (core.replay_hits/misses). On
-	// the sweep workloads it is genuinely 0 — every alignment case carries
-	// a distinct noisy waveform, so the cache can never hit; the field only
-	// moves on workloads that replay identical inputs. LUReuseRate below is
-	// the solver-cache figure that regresses meaningfully on sweeps.
-	CacheHitRate float64 `json:"cache_hit_rate"`
 	// LUReuseRate is the fraction of fast-path Newton solves served by a
-	// reused LU factorization: lu_reuses / (lu_reuses + refactors). The
-	// fast path's reuse policy and the batch engine's shared trunk both
-	// push it up; a drop means the solver is refactoring more.
+	// reused LU factorization: lu_reuses / (lu_reuses + refactors). A drop
+	// means the solver is refactoring more.
 	LUReuseRate float64 `json:"lu_reuse_rate"`
 	AllocBytes  uint64  `json:"alloc_bytes"`
 }
@@ -57,32 +45,31 @@ func loadBenchmark(path string) (Benchmark, error) {
 	return b, nil
 }
 
-// compareBenchmarks gates cur against old: every (workers, batch) run
-// present in both must not regress wall time by more than threshold (0.20 =
-// 20% slower fails) nor allocation volume by more than allocThreshold. It
+// compareBenchmarks gates cur against old: every (workers) run present in
+// both must not regress wall time by more than threshold (0.20 = 20%
+// slower fails) nor allocation volume by more than allocThreshold. It
 // returns human-readable regression lines; an empty slice means the gate
 // passes. Runs only present on one side are ignored — adding a worker count
-// or a batch size must not fail old baselines.
+// must not fail old baselines.
 func compareBenchmarks(old, cur Benchmark, threshold, allocThreshold float64) []string {
 	if old.Workload != cur.Workload {
 		return []string{fmt.Sprintf("workload mismatch: baseline %q vs current %q", old.Workload, cur.Workload)}
 	}
-	type key struct{ workers, batch int }
-	byRun := make(map[key]RunResult, len(old.Runs))
+	byWorkers := make(map[int]RunResult, len(old.Runs))
 	for _, r := range old.Runs {
-		byRun[key{r.Workers, r.Batch}] = r
+		byWorkers[r.Workers] = r
 	}
 	var regressions []string
 	for _, cr := range cur.Runs {
-		or, ok := byRun[key{cr.Workers, cr.Batch}]
+		or, ok := byWorkers[cr.Workers]
 		if !ok || or.WallSeconds <= 0 {
 			continue
 		}
 		ratio := cr.WallSeconds / or.WallSeconds
 		if ratio > 1+threshold {
 			regressions = append(regressions, fmt.Sprintf(
-				"%s @%d workers batch %d: wall %.3fs -> %.3fs (%.0f%% > %.0f%% budget)",
-				cur.Workload, cr.Workers, cr.Batch, or.WallSeconds, cr.WallSeconds,
+				"%s @%d workers: wall %.3fs -> %.3fs (%.0f%% > %.0f%% budget)",
+				cur.Workload, cr.Workers, or.WallSeconds, cr.WallSeconds,
 				(ratio-1)*100, threshold*100))
 		}
 		// Allocation volume gates with its own (looser) budget: it is
@@ -92,8 +79,8 @@ func compareBenchmarks(old, cur Benchmark, threshold, allocThreshold float64) []
 			aratio := float64(cr.AllocBytes) / float64(or.AllocBytes)
 			if aratio > 1+allocThreshold {
 				regressions = append(regressions, fmt.Sprintf(
-					"%s @%d workers batch %d: alloc %.1f MB -> %.1f MB (%.0f%% > %.0f%% budget)",
-					cur.Workload, cr.Workers, cr.Batch,
+					"%s @%d workers: alloc %.1f MB -> %.1f MB (%.0f%% > %.0f%% budget)",
+					cur.Workload, cr.Workers,
 					float64(or.AllocBytes)/(1<<20), float64(cr.AllocBytes)/(1<<20),
 					(aratio-1)*100, allocThreshold*100))
 			}

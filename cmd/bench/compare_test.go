@@ -59,29 +59,6 @@ func TestCompareIgnoresUnmatchedWorkerCounts(t *testing.T) {
 	}
 }
 
-// Runs are matched by (workers, batch): a batched run never gates against
-// the scalar run at the same worker count, and a baseline without batched
-// runs never gates a current file that adds them.
-func TestCompareMatchesByBatch(t *testing.T) {
-	old := baseBench()
-	old.Runs = append(old.Runs, RunResult{Workers: 1, Batch: 8, WallSeconds: 2.0, Cases: 8})
-	cur := baseBench()
-	cur.Runs = append(cur.Runs, RunResult{Workers: 1, Batch: 8, WallSeconds: 5.0, Cases: 8})
-	regs := compareBenchmarks(old, cur, 0.20, 0.30)
-	if len(regs) != 1 {
-		t.Fatalf("regressions = %v, want exactly the batched run", regs)
-	}
-	if !strings.Contains(regs[0], "batch 8") {
-		t.Errorf("regression line does not name the batch: %q", regs[0])
-	}
-
-	// Baseline without the batched run: the new run is ignored.
-	old = baseBench()
-	if regs := compareBenchmarks(old, cur, 0.20, 0.30); len(regs) != 0 {
-		t.Errorf("unmatched batch sizes must not gate: %v", regs)
-	}
-}
-
 // An allocation-volume blowup fails the gate even when wall time holds,
 // and allocThreshold = 0 disables the alloc gate entirely.
 func TestCompareGatesAllocBytes(t *testing.T) {
@@ -118,7 +95,7 @@ func TestBenchmarkRoundTrip(t *testing.T) {
 }
 
 func TestFindWorkload(t *testing.T) {
-	for _, name := range []string{"table1-small", "table1-full", "pushout", "spice-batch"} {
+	for _, name := range []string{"table1-small", "table1-full", "pushout", "spice-micro"} {
 		if _, err := findWorkload(name); err != nil {
 			t.Errorf("findWorkload(%q): %v", name, err)
 		}

@@ -1,5 +1,5 @@
 // Command bench is the benchmark trajectory harness: it runs pinned sweep
-// workloads, records wall time, throughput, Newton iterations, cache hit
+// workloads, records wall time, throughput, Newton iterations, LU reuse
 // rate and allocations into BENCH_<workload>.json, and gates the current
 // numbers against a saved baseline.
 //
@@ -63,26 +63,16 @@ func main() {
 	if parallel > 1 {
 		counts = append(counts, parallel)
 	}
-	// Every workload runs scalar (batch 0); batch-capable workloads add a
-	// run per pinned batch size so the JSON tracks both paths and compare
-	// can gate them independently.
-	type combo struct{ workers, batch int }
-	var combos []combo
-	for _, b := range append([]int{0}, w.batches...) {
-		for _, n := range counts {
-			combos = append(combos, combo{n, b})
-		}
-	}
 
 	bench := Benchmark{Workload: w.name, About: w.about}
-	for _, c := range combos {
-		r, err := measure(w, c.workers, c.batch)
+	for _, n := range counts {
+		r, err := measure(w, n)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %s @%d workers batch %d: %v\n", w.name, c.workers, c.batch, err)
+			fmt.Fprintf(os.Stderr, "bench: %s @%d workers: %v\n", w.name, n, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "bench: %s @%d workers batch %d: %.3fs wall, %.2f cases/s, %d NR iters, %.0f%% LU reuse, %.1f MB alloc\n",
-			w.name, c.workers, c.batch, r.WallSeconds, r.CasesPerSec, r.NewtonIterations,
+		fmt.Fprintf(os.Stderr, "bench: %s @%d workers: %.3fs wall, %.2f cases/s, %d NR iters, %.0f%% LU reuse, %.1f MB alloc\n",
+			w.name, n, r.WallSeconds, r.CasesPerSec, r.NewtonIterations,
 			r.LUReuseRate*100, float64(r.AllocBytes)/(1<<20))
 		bench.Runs = append(bench.Runs, r)
 	}
@@ -115,7 +105,7 @@ func main() {
 // and Newton iterations come from telemetry (identical accounting on the
 // sequential and parallel paths), the allocation volume from the
 // runtime's total-alloc delta.
-func measure(w workload, workers, batch int) (RunResult, error) {
+func measure(w workload, workers int) (RunResult, error) {
 	reg := telemetry.New()
 	if w.setup != nil {
 		if err := w.setup(context.Background()); err != nil {
@@ -126,7 +116,7 @@ func measure(w workload, workers, batch int) (RunResult, error) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	if err := w.run(context.Background(), reg, workers, batch); err != nil {
+	if err := w.run(context.Background(), reg, workers); err != nil {
 		return RunResult{}, err
 	}
 	wall := time.Since(start).Seconds()
@@ -135,7 +125,6 @@ func measure(w workload, workers, batch int) (RunResult, error) {
 	snap := reg.Snapshot()
 	r := RunResult{
 		Workers:          workers,
-		Batch:            batch,
 		WallSeconds:      wall,
 		Cases:            snap.Counters["sweep.cases_completed"],
 		NewtonIterations: snap.Counters["spice.newton_iterations"],
@@ -147,17 +136,12 @@ func measure(w workload, workers, batch int) (RunResult, error) {
 		r.Cases = snap.Counters["sta.gates_timed"]
 	}
 	if r.Cases == 0 {
-		// Bare batched-solver workloads bypass the sweep engine; count the
-		// batch engine's delivered cases.
-		r.Cases = snap.Counters["spice.batch.cases"]
+		// Bare-solver workloads bypass the sweep engine; count their
+		// transients.
+		r.Cases = snap.Counters["spice.transients"]
 	}
 	if wall > 0 {
 		r.CasesPerSec = float64(r.Cases) / wall
-	}
-	hits := snap.Counters["core.replay_hits"]
-	misses := snap.Counters["core.replay_misses"]
-	if hits+misses > 0 {
-		r.CacheHitRate = float64(hits) / float64(hits+misses)
 	}
 	reuses := snap.Counters["spice.fastpath.lu_reuses"]
 	refactors := snap.Counters["spice.fastpath.refactors"]

@@ -27,12 +27,7 @@ type workload struct {
 	// (e.g. generating a benchmark netlist) so fixture construction never
 	// pollutes the wall time.
 	setup func(ctx context.Context) error
-	// run executes the workload; batch is the lockstep batch size (0 =
-	// scalar path) and is ignored by workloads without a batched mode.
-	run func(ctx context.Context, reg *telemetry.Registry, workers, batch int) error
-	// batches lists extra pinned batch sizes to measure on top of the
-	// always-measured scalar run.
-	batches []int
+	run   func(ctx context.Context, reg *telemetry.Registry, workers int) error
 }
 
 // workloads returns the pinned scenarios, cheapest first.
@@ -73,7 +68,7 @@ func workloads() []workload {
 		{
 			name:  "spice-micro",
 			about: "bare solver: 60 gate-replay transients, one reused simulator",
-			run: func(ctx context.Context, reg *telemetry.Registry, workers, batch int) error {
+			run: func(ctx context.Context, reg *telemetry.Registry, workers int) error {
 				_ = workers // single simulator; the solver path has no parallelism
 				tech := device.Default130()
 				ckt := circuit.New()
@@ -107,7 +102,7 @@ func workloads() []workload {
 			name:  "sta-mesh",
 			about: "full-chip STA: 1e5-gate mesh, Elmore wires; 1 worker = legacy map walk",
 			setup: meshSetup,
-			run: func(ctx context.Context, reg *telemetry.Registry, workers, batch int) error {
+			run: func(ctx context.Context, reg *telemetry.Registry, workers int) error {
 				timer := sta.New(netgen.SyntheticLibrary(), meshDesign)
 				timer.Wire = sta.ElmoreWire
 				timer.Telemetry = reg
@@ -122,98 +117,46 @@ func workloads() []workload {
 		{
 			name:  "table1-small",
 			about: "Table 1, config I, 8 cases, P=15, coarse step",
-			run: func(ctx context.Context, reg *telemetry.Registry, workers, batch int) error {
+			run: func(ctx context.Context, reg *telemetry.Registry, workers int) error {
 				cfg := xtalk.ConfigurationI(device.Default130())
 				cfg.Step = 2e-12
 				_, err := experiments.RunTable1(cfg, experiments.Table1Options{
 					Cases: 8, Range: 1e-9, P: 15,
 					SweepOptions: experiments.SweepOptions{
-						Workers: workers, Batch: batch, Ctx: ctx, Telemetry: reg,
+						Workers: workers, Ctx: ctx, Telemetry: reg,
 					},
 				})
 				return err
 			},
-			batches: []int{8},
 		},
 		{
 			name:  "table1-full",
 			about: "Table 1, config I, 200 cases, P=35, paper step",
-			run: func(ctx context.Context, reg *telemetry.Registry, workers, batch int) error {
+			run: func(ctx context.Context, reg *telemetry.Registry, workers int) error {
 				cfg := xtalk.ConfigurationI(device.Default130())
 				_, err := experiments.RunTable1(cfg, experiments.Table1Options{
 					Cases: 200, Range: 1e-9, P: 35,
 					SweepOptions: experiments.SweepOptions{
-						Workers: workers, Batch: batch, Ctx: ctx, Telemetry: reg,
+						Workers: workers, Ctx: ctx, Telemetry: reg,
 					},
 				})
 				return err
 			},
-			batches: []int{8},
 		},
 		{
 			name:  "pushout",
 			about: "delay-noise distribution, config I, 100 cases",
-			run: func(ctx context.Context, reg *telemetry.Registry, workers, batch int) error {
+			run: func(ctx context.Context, reg *telemetry.Registry, workers int) error {
 				cfg := xtalk.ConfigurationI(device.Default130())
 				cfg.Step = 2e-12
 				_, err := experiments.RunPushout(cfg, experiments.PushoutOptions{
 					Cases: 100, Range: 1e-9,
 					SweepOptions: experiments.SweepOptions{
-						Workers: workers, Batch: batch, Ctx: ctx, Telemetry: reg,
+						Workers: workers, Ctx: ctx, Telemetry: reg,
 					},
 				})
 				return err
 			},
-			batches: []int{8},
-		},
-		{
-			name:  "spice-batch",
-			about: "bare batch engine: 64 lockstep transients, config I, one reused bench",
-			run: func(ctx context.Context, reg *telemetry.Registry, workers, batch int) error {
-				_ = workers // single bench; the batch engine has no parallelism
-				cfg := xtalk.ConfigurationI(device.Default130())
-				cfg.Step = 2e-12
-				// A 1 ns tail after the last edge keeps the per-case window
-				// pinned near 2.5 ns with the aggressor edge at ~60% of it, so
-				// the shared trunk covers a realistic late-alignment fraction
-				// of the run rather than a sliver.
-				cfg.Window = 1.0e-9
-				cfg.Telemetry = reg
-				b, err := xtalk.NewBench(cfg)
-				if err != nil {
-					return err
-				}
-				// 64 cases in groups of k. The scalar row (batch 0) runs the
-				// same cases as K=1 batches — the engine's degenerate mode,
-				// bit-identical to the scalar path — so both rows count cases
-				// through spice.batch.cases and the JSON tracks the lockstep
-				// speedup directly. Aggressor edges land well after the victim
-				// edge so batched groups share a long trunk.
-				k := batch
-				if k <= 1 {
-					k = 1
-				}
-				const total, victimStart = 64, 0.3e-9
-				for lo := 0; lo < total; lo += k {
-					hi := lo + k
-					if hi > total {
-						hi = total
-					}
-					aggStarts := make([][]float64, hi-lo)
-					for i := range aggStarts {
-						aggStarts[i] = []float64{victimStart + 1.2e-9 + float64(lo+i)*5e-12}
-					}
-					err := b.RunBatchReportCtx(ctx, victimStart, aggStarts,
-						func(i int, in, out *wave.Waveform, rec spice.RecoveryReport, err error) error {
-							return err
-						})
-					if err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-			batches: []int{8},
 		},
 	}
 }

@@ -18,13 +18,6 @@
 // simulator — the spice engine is single-threaded — and the statistics are
 // bit-identical for any worker count.
 //
-// -batch K (default 8) solves K sweep cases in lockstep through one shared
-// transient trunk; -no-batch (= -batch 1) restores the scalar path. Like
-// -workers, batching changes only wall clock: results are bit-identical at
-// any workers × batch combination, with unshareable cases peeling off to
-// scalar runs automatically (see EXPERIMENTS.md "Batched lockstep
-// solving").
-//
 // Observability and run control:
 //
 //	-metrics text|json   dump the telemetry snapshot (spice engine counters,
@@ -120,9 +113,6 @@ func main() {
 		keepGoing  = flag.Bool("keep-going", false, "quarantine failing sweep cases instead of aborting the run")
 		caseTO     = flag.Duration("case-timeout", 0, "per-case deadline for sweep cases (0 = no limit)")
 		chaos      = flag.Int64("chaos", 0, "fault-injection seed: exercise recovery/quarantine paths deterministically (0 = off)")
-		noFastPath = flag.Bool("no-fastpath", false, "disable the spice solver fast path (full restamp + LU per Newton iteration)")
-		batch      = flag.Int("batch", 8, "lockstep batch size: sweep cases solved per shared transient trunk (1 = scalar)")
-		noBatch    = flag.Bool("no-batch", false, "disable batched lockstep solving (same as -batch 1)")
 		logLevel   = flag.String("log", "off", "structured-log level on stderr: debug | info | warn | error | off")
 		logFormat  = flag.String("log-format", "human", "structured-log format: human | json | text")
 	)
@@ -190,15 +180,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "repro: status server on http://"+ln.Addr().String())
 	}
 
-	if *noBatch {
-		*batch = 1
-	}
 	e := env{
 		ctx: ctx, reg: reg, tracer: tracer, progress: progress,
 		config: *config, cases: *cases, p: *p,
 		workers: *workers, out: *out, quiet: *quiet,
 		keepGoing: *keepGoing, caseTimeout: *caseTO, inject: inject,
-		noFastPath: *noFastPath, batch: *batch,
 	}
 	if *artifacts != "" {
 		e.failures = make(map[string]*sweep.FailureReport)
@@ -248,8 +234,6 @@ type env struct {
 	keepGoing   bool
 	caseTimeout time.Duration
 	inject      *faultinject.Injector
-	noFastPath  bool
-	batch       int
 	// failures collects each sweep's failure report for the run-artifact
 	// directory; nil when -artifacts is off.
 	failures map[string]*sweep.FailureReport
@@ -263,7 +247,6 @@ func (e env) sweepOpts() experiments.SweepOptions {
 		Workers: e.workers, Ctx: e.ctx, Telemetry: e.reg, Tracer: e.tracer,
 		Progress:  e.progress.Hook(nil),
 		KeepGoing: e.keepGoing, CaseTimeout: e.caseTimeout, Inject: e.inject,
-		NoFastPath: e.noFastPath, Batch: e.batch,
 	}
 }
 
@@ -290,8 +273,6 @@ func writeArtifacts(dir string, e env, experiment string) error {
 		"keep_going":   e.keepGoing,
 		"case_timeout": e.caseTimeout.String(),
 		"chaos":        e.inject != nil,
-		"no_fastpath":  e.noFastPath,
-		"batch":        e.batch,
 	}
 	if err := a.WriteConfig(cfg); err != nil {
 		return err

@@ -4,7 +4,6 @@
 // Usage:
 //
 //	serve [-addr :9090] [-workers 0] [-shards 4] [-runners 1]
-//	      [-batch 8] [-no-batch] [-no-fastpath]
 //	      [-backlog 64] [-quota 8] [-artifacts DIR]
 //	      [-data DIR] [-drain-timeout 30s] [-recover requeue|interrupt]
 //	      [-log info] [-log-format human]
@@ -72,9 +71,6 @@ func main() {
 		addr         = flag.String("addr", ":9090", "listen address")
 		workers      = flag.Int("workers", 0, "sweep workers per job (0 = all cores)")
 		shards       = flag.Int("shards", 4, "consistent-hash shards per sweep job")
-		batch        = flag.Int("batch", 8, "lockstep batch size for sweep jobs (1 = scalar; ignored when shards > 1)")
-		noBatch      = flag.Bool("no-batch", false, "disable batched lockstep solving (same as -batch 1)")
-		noFastPath   = flag.Bool("no-fastpath", false, "disable the spice solver fast path in every job")
 		runners      = flag.Int("runners", 1, "jobs executed concurrently")
 		backlog      = flag.Int("backlog", 64, "max queued jobs before 429")
 		quota        = flag.Int("quota", 8, "max queued+running jobs per tenant before 429")
@@ -111,13 +107,9 @@ func main() {
 		return
 	}
 
-	if *noBatch {
-		*batch = 1
-	}
 	opts := jobs.Options{
 		Backlog: *backlog, TenantQuota: *quota, Runners: *runners,
 		Workers: *workers, Shards: *shards,
-		NoFastPath: *noFastPath, Batch: *batch,
 		ArtifactsDir: *artifacts,
 		DataDir:      *data, Recover: policy,
 	}

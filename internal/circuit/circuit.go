@@ -283,22 +283,6 @@ type Dynamic interface {
 	InitState(a *Assembler)
 }
 
-// DynState is implemented by Dynamic elements whose internal state can be
-// captured and replayed. The batch engine relies on it to fork per-case
-// trajectories off a shared trunk: saving every dynamic element's state at
-// the fork point and reloading it before each case's continuation makes the
-// continuation bitwise identical to a scalar run that reached the same
-// point. Elements that keep hidden state without implementing DynState
-// cannot participate in batching (the engine falls back to scalar runs).
-type DynState interface {
-	Dynamic
-	// AppendDynState appends the element's full internal state to dst.
-	AppendDynState(dst []float64) []float64
-	// LoadDynState restores state previously appended, returning how many
-	// values were consumed.
-	LoadDynState(src []float64) int
-}
-
 // IntegrationCoeffs communicates the integrator's companion-model
 // coefficients to capacitive elements: i_{n+1} = Geq·(v_{n+1} − v_n) + Ihist
 // with Ihist = HistI·i_n (HistI = −1 for trapezoidal, 0 for backward Euler).

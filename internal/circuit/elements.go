@@ -83,17 +83,6 @@ func (cp *Capacitor) InitState(a *Assembler) {
 	cp.iPrev = 0
 }
 
-// AppendDynState implements DynState.
-func (cp *Capacitor) AppendDynState(dst []float64) []float64 {
-	return append(dst, cp.geq, cp.hist, cp.vPrev, cp.iPrev)
-}
-
-// LoadDynState implements DynState.
-func (cp *Capacitor) LoadDynState(src []float64) int {
-	cp.geq, cp.hist, cp.vPrev, cp.iPrev = src[0], src[1], src[2], src[3]
-	return 4
-}
-
 // VSource is an ideal voltage source with a time-varying value.
 type VSource struct {
 	Name   string

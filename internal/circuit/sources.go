@@ -1,7 +1,6 @@
 package circuit
 
 import (
-	"math"
 	"sort"
 
 	"noisewave/internal/wave"
@@ -73,62 +72,6 @@ func SlewRamp(t0, slew1090, vdd float64, dir wave.Edge) PWL {
 		return RampSource(t0, full, 0, vdd)
 	}
 	return RampSource(t0, full, vdd, 0)
-}
-
-// SourceDivergeTime returns a conservative lower bound on the first time at
-// which sources a and b can produce different values: both are guaranteed
-// identical on (−∞, T). It returns +Inf when the sources are provably equal
-// everywhere and 0 when nothing can be proven (unknown source types). The
-// batch engine uses the minimum over a circuit's source pairs as the shared
-// trunk horizon: two sweep cases whose sources agree before T follow
-// bitwise-identical trajectories there.
-func SourceDivergeTime(a, b Source) float64 {
-	pa, aOK := asPWL(a)
-	pb, bOK := asPWL(b)
-	if !aOK || !bOK {
-		return 0
-	}
-	return pwlDivergeTime(pa, pb)
-}
-
-// asPWL views the source as a piecewise-linear function when its type
-// admits an exact conversion.
-func asPWL(s Source) (PWL, bool) {
-	switch v := s.(type) {
-	case DCSource:
-		return PWL{T: []float64{0}, V: []float64{float64(v)}}, true
-	case PWL:
-		if len(v.T) == 0 {
-			return PWL{T: []float64{0}, V: []float64{0}}, true
-		}
-		return v, true
-	case *PWL:
-		return asPWL(*v)
-	}
-	return PWL{}, false
-}
-
-// pwlDivergeTime bounds the first divergence of two clamped PWLs. Both
-// functions are linear between consecutive knots of the merged knot list,
-// so they agree on a segment iff they agree at its endpoints; the walk
-// stops at the last knot before the first disagreeing endpoint.
-func pwlDivergeTime(a, b PWL) float64 {
-	ts := make([]float64, 0, len(a.T)+len(b.T))
-	ts = append(ts, a.T...)
-	ts = append(ts, b.T...)
-	sort.Float64s(ts)
-	// Left of the earliest knot both sources clamp to their first values,
-	// which equal their values at that knot.
-	if a.At(ts[0]) != b.At(ts[0]) {
-		return 0
-	}
-	for j := 0; j+1 < len(ts); j++ {
-		if a.At(ts[j+1]) != b.At(ts[j+1]) {
-			return ts[j]
-		}
-	}
-	// Right of the last knot both clamp to their (equal) final values.
-	return math.Inf(1)
 }
 
 // WaveSource adapts a sampled waveform into a source, enabling replay of

@@ -44,7 +44,8 @@ type GateSim struct {
 	Inject *faultinject.Injector
 
 	// NoFastPath threads Options.NoFastPath into every replay simulator
-	// (the solver fast path's escape hatch; see internal/spice).
+	// (the slow reference path of the fast-path equivalence tests; see
+	// internal/spice).
 	NoFastPath bool
 
 	// rec accumulates the recovery-ladder reports of every replay since

@@ -60,17 +60,6 @@ type CompareOptions struct {
 	Telemetry *telemetry.Registry
 }
 
-// CompareTechniques computes Γeff with every technique, replays each Γeff
-// through the gate backend, and scores the predicted output arrival
-// against the reference noisy output.
-//
-// Deprecated: use CompareTechniquesWith, which adds cancellation and
-// telemetry; this wrapper forwards to it with background context and no
-// registry and is kept for source compatibility.
-func CompareTechniques(gate *GateSim, in eqwave.Input, trueOut *wave.Waveform, techs []eqwave.Technique) (*Comparison, error) {
-	return CompareTechniquesWith(gate, in, trueOut, CompareOptions{Techniques: techs})
-}
-
 // CompareTechniquesWith computes Γeff with every configured technique,
 // replays each Γeff through the gate backend, and scores the predicted
 // output arrival against the reference noisy output.

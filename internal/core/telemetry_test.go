@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 
 	"noisewave/internal/device"
@@ -112,25 +111,6 @@ func TestCompareTechniquesWithCancel(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("error %v does not match context.Canceled", err)
-	}
-}
-
-// TestCompareTechniquesWrapperEquivalence: the deprecated positional
-// wrapper must produce a bit-identical Comparison to the options-struct
-// path it forwards to.
-func TestCompareTechniquesWrapperEquivalence(t *testing.T) {
-	gate, in, trueOut, techs := compareFixture(t)
-	//lint:ignore SA1019 the deprecated wrapper is the subject under test.
-	old, err := CompareTechniques(gate, in, trueOut, techs)
-	if err != nil {
-		t.Fatalf("CompareTechniques: %v", err)
-	}
-	neu, err := CompareTechniquesWith(gate, in, trueOut, CompareOptions{Techniques: techs})
-	if err != nil {
-		t.Fatalf("CompareTechniquesWith: %v", err)
-	}
-	if !reflect.DeepEqual(old, neu) {
-		t.Errorf("deprecated wrapper and options path differ:\nold %+v\nnew %+v", old, neu)
 	}
 }
 

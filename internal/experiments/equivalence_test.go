@@ -2,8 +2,7 @@ package experiments
 
 // Experiment-level equivalence of the solver fast path: the Table 1 and
 // pushout sweeps must produce the same statistics with the fast path on
-// (the default) and off (SweepOptions.NoFastPath, cmd/repro -no-fastpath),
-// at any worker count.
+// (the default) and off (SweepOptions.noFastPath), at any worker count.
 //
 // The two solver paths agree to a fraction of the Newton tolerance on the
 // raw waveforms (see internal/spice's equivalence suite), not bitwise; the
@@ -28,9 +27,9 @@ import (
 // up on arrival-derived numbers at the ~1e-14 s scale (observed ≤7e-15 s).
 // 1e-13 s keeps an order of margin over that while still sitting an order
 // below the ~1 ps differences that would signal a real divergence — and
-// well below the paper-table resolution. Within one path (including the
-// batched engine), results remain bit-identical at any worker or batch
-// size; this tolerance is only about fast-vs-slow.
+// well below the paper-table resolution. Within one path, results remain
+// bit-identical at any worker count; this tolerance is only about
+// fast-vs-slow.
 const statTol = 1e-13
 
 func closeStat(a, b float64) bool {
@@ -45,7 +44,7 @@ func TestTable1FastPathEquivalence(t *testing.T) {
 	cases := sweepCases(t, 6)
 	opts := Table1Options{
 		Cases: cases, Range: 1e-9, P: 15,
-		SweepOptions: SweepOptions{Workers: 1, NoFastPath: true},
+		SweepOptions: SweepOptions{Workers: 1, noFastPath: true},
 	}
 	slow, err := RunTable1(cfg, opts)
 	if err != nil {
@@ -96,7 +95,7 @@ func TestPushoutFastPathEquivalence(t *testing.T) {
 	cases := sweepCases(t, 6)
 	opts := PushoutOptions{
 		Cases: cases, Range: 1e-9,
-		SweepOptions: SweepOptions{Workers: 1, NoFastPath: true},
+		SweepOptions: SweepOptions{Workers: 1, noFastPath: true},
 	}
 	slow, err := RunPushout(cfg, opts)
 	if err != nil {

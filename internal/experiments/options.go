@@ -78,17 +78,10 @@ type SweepOptions struct {
 	// the sweep and into every worker's spice engine — the backbone of
 	// cmd/repro's -chaos mode.
 	Inject *faultinject.Injector
-	// NoFastPath disables the spice solver fast path in every transient the
-	// sweep runs (cmd/repro's -no-fastpath; see spice.Options.NoFastPath).
-	NoFastPath bool
-	// Batch sets the lockstep group size for batch-capable sweeps: contiguous
-	// groups of up to Batch cases go to the spice batch engine, which shares
-	// one DC operating point and one transient trunk across the group (see
-	// spice.Simulator.RunBatch). Results are bit-identical to the scalar path
-	// at any Workers × Batch combination. <= 1 disables batching; ignored
-	// when Shards > 1 (a shard's case indices are not contiguous, so its
-	// groups would not share alignment structure).
-	Batch int
+	// noFastPath disables the spice solver fast path in every transient the
+	// sweep runs (see spice.Options.NoFastPath). Only the fast-path
+	// equivalence tests set it: the slow path is their reference.
+	noFastPath bool
 }
 
 // ctx returns the configured context, defaulting to Background.
@@ -121,29 +114,6 @@ func runSweep[W, R any](so SweepOptions, n int,
 		return sweep.SequentialPartial(so.ctx(), n, opts, newWorker, do)
 	}
 	return sweep.RunPartial(so.ctx(), n, opts, newWorker, do)
-}
-
-// runSweepBatched is runSweep for batch-capable experiments: when Batch > 1
-// (and the sweep is not sharded) contiguous case groups are offered to
-// doGroup through sweep.RunBatchedPartial, with do as the scalar fallback
-// for anything a group cannot settle; otherwise it degenerates to runSweep.
-// Workers == 1 with batching runs the groups in index order on a one-worker
-// pool — still bit-identical to the sequential oracle.
-func runSweepBatched[W, R any](so SweepOptions, n int,
-	newWorker func(int) (W, error),
-	doGroup sweep.GroupFunc[W, R],
-	do func(context.Context, int, W) (R, error)) ([]R, []bool, *sweep.FailureReport, error) {
-
-	if so.Batch <= 1 || so.Shards > 1 {
-		return runSweep(so, n, newWorker, do)
-	}
-	opts := sweep.Options{
-		Workers: so.Workers, Progress: so.Progress, Telemetry: so.Telemetry,
-		Tracer:    so.Tracer,
-		KeepGoing: so.KeepGoing, CaseTimeout: so.CaseTimeout, CaseRetries: so.CaseRetries,
-		Inject: so.Inject,
-	}
-	return sweep.RunBatchedPartial(so.ctx(), n, so.Batch, opts, newWorker, doGroup, do)
 }
 
 // canceled reports whether err is a cancellation (and so partial results

@@ -8,10 +8,8 @@ import (
 	"sort"
 
 	"noisewave/internal/core"
-	"noisewave/internal/spice"
 	"noisewave/internal/sweep"
 	"noisewave/internal/trace"
-	"noisewave/internal/wave"
 	"noisewave/internal/xtalk"
 )
 
@@ -78,7 +76,7 @@ func RunPushout(cfg xtalk.Config, opts PushoutOptions) (*PushoutStats, error) {
 	defer opts.Telemetry.Timer("experiments.pushout.seconds").Start()()
 	cfg.Telemetry = opts.Telemetry
 	cfg.Inject = opts.Inject
-	cfg.NoFastPath = opts.NoFastPath
+	cfg.NoFastPath = opts.noFastPath
 
 	const victimStart = 0.3e-9
 	// The quiet baseline runs once, outside any case; give it a run-level
@@ -112,21 +110,16 @@ func RunPushout(cfg xtalk.Config, opts PushoutOptions) (*PushoutStats, error) {
 	// Each worker owns a private reusable testbench (the simulator inside
 	// is not safe for concurrent use).
 	newWorker := func(int) (*xtalk.Bench, error) { return xtalk.NewBench(cfg) }
-	caseStarts := func(i int) []float64 {
+	do := func(ctx context.Context, i int, bench *xtalk.Bench) (float64, error) {
+		caseSpan := trace.SpanOf(ctx)
+		caseSpan.SetAttr(trace.String("config", cfg.Name), trace.Floats("offsets", offsets[i]))
 		starts := make([]float64, cfg.Aggressors)
 		for k := range starts {
 			starts[k] = victimStart + offsets[i][k]
 		}
-		return starts
-	}
-	// score turns one case's transient outcome into its pushout — shared by
-	// the scalar path and the batched delivery callback so both modes score
-	// with identical code (see RunTable1 for the pattern).
-	score := func(ctx context.Context, i int, out *wave.Waveform, runErr error) (float64, error) {
-		caseSpan := trace.SpanOf(ctx)
-		caseSpan.SetAttr(trace.String("config", cfg.Name), trace.Floats("offsets", offsets[i]))
-		if runErr != nil {
-			return 0, fmt.Errorf("experiments: pushout case %d: %w", i, runErr)
+		_, out, err := bench.RunCtx(ctx, victimStart, starts)
+		if err != nil {
+			return 0, fmt.Errorf("experiments: pushout case %d: %w", i, err)
 		}
 		arr, err := core.ArrivalAt(out, cfg.Tech.Vdd)
 		if err != nil {
@@ -135,32 +128,7 @@ func RunPushout(cfg xtalk.Config, opts PushoutOptions) (*PushoutStats, error) {
 		caseSpan.SetAttr(trace.Float("pushout_s", arr-quietArr))
 		return arr - quietArr, nil
 	}
-	do := func(ctx context.Context, i int, bench *xtalk.Bench) (float64, error) {
-		_, out, _, err := bench.RunReportCtx(ctx, victimStart, caseStarts(i))
-		if err != nil {
-			out = nil // match RunCtx: no salvaged prefix reaches scoring
-		}
-		return score(ctx, i, out, err)
-	}
-	doGroup := func(ctx context.Context, lo, hi int, bench *xtalk.Bench, deliver sweep.DeliverFunc[float64]) error {
-		aggStarts := make([][]float64, hi-lo)
-		for j := range aggStarts {
-			aggStarts[j] = caseStarts(lo + j)
-		}
-		return bench.RunBatchReportCtx(ctx, victimStart, aggStarts,
-			func(j int, _, out *wave.Waveform, _ spice.RecoveryReport, runErr error) error {
-				if runErr != nil {
-					out = nil
-				}
-				p, serr := score(ctx, lo+j, out, runErr)
-				if serr != nil && canceled(serr) {
-					return serr
-				}
-				deliver(lo+j, p, serr)
-				return nil
-			})
-	}
-	pushouts, completed, report, err := runSweepBatched(opts.SweepOptions, opts.Cases, newWorker, doGroup, do)
+	pushouts, completed, report, err := runSweep(opts.SweepOptions, opts.Cases, newWorker, do)
 	if err != nil && !canceled(err) {
 		return nil, err
 	}

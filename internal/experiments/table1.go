@@ -15,7 +15,6 @@ import (
 	"noisewave/internal/core"
 	"noisewave/internal/device"
 	"noisewave/internal/eqwave"
-	"noisewave/internal/spice"
 	"noisewave/internal/sweep"
 	"noisewave/internal/trace"
 	"noisewave/internal/wave"
@@ -169,7 +168,7 @@ func RunTable1(cfg xtalk.Config, opts Table1Options) (*Table1Result, error) {
 	defer opts.Telemetry.Timer("experiments.table1.seconds").Start()()
 	cfg.Telemetry = opts.Telemetry
 	cfg.Inject = opts.Inject
-	cfg.NoFastPath = opts.NoFastPath
+	cfg.NoFastPath = opts.noFastPath
 
 	const victimStart = 0.3e-9
 	// The noiseless reference runs once, outside any case; it gets its own
@@ -195,36 +194,26 @@ func RunTable1(cfg xtalk.Config, opts Table1Options) (*Table1Result, error) {
 			[]float64{cfg.ReceiverDrive, cfg.Load1Drive, cfg.Load2Drive}, cfg.Step)
 		gate.Telemetry = opts.Telemetry
 		gate.Inject = opts.Inject
-		gate.NoFastPath = opts.NoFastPath
+		gate.NoFastPath = opts.noFastPath
 		bench, err := xtalk.NewBench(cfg)
 		if err != nil {
 			return nil, err
 		}
 		return &table1Worker{gate: gate, bench: bench}, nil
 	}
-	// caseStarts maps a case index to its aggressor edge times.
-	caseStarts := func(i int) []float64 {
-		offsets := caseOffsets(i, cfg.Aggressors, opts.Cases, opts.Range)
-		starts := make([]float64, cfg.Aggressors)
-		for k := range starts {
-			starts[k] = victimStart + offsets[k]
-		}
-		return starts
-	}
-	// score turns one case's transient outcome into a table1Case. It is the
-	// whole of the per-case work past the golden transient, shared verbatim
-	// by the scalar path (which ran the transient itself) and the batched
-	// path (where the batch engine ran it and delivers the outcome), so both
-	// modes score with identical code and identical rounding.
-	score := func(ctx context.Context, i int, w *table1Worker,
-		nIn, nOut *wave.Waveform, rec spice.RecoveryReport, runErr error) (table1Case, error) {
-
+	do := func(ctx context.Context, i int, w *table1Worker) (table1Case, error) {
 		gate := w.gate
+		defer opts.Telemetry.Timer("experiments.table1.case_seconds").Start()()
 		gate.TakeRecovery() // discard any carry-over from a prior case
 		offsets := caseOffsets(i, cfg.Aggressors, opts.Cases, opts.Range)
 		caseSpan := trace.SpanOf(ctx)
 		caseSpan.SetAttr(trace.String("config", cfg.Name), trace.Floats("offsets", offsets))
-		if err := runErr; err != nil {
+		starts := make([]float64, cfg.Aggressors)
+		for k := range starts {
+			starts[k] = victimStart + offsets[k]
+		}
+		nIn, nOut, rec, err := w.bench.RunReportCtx(ctx, victimStart, starts)
+		if err != nil {
 			if canceled(err) {
 				return table1Case{}, fmt.Errorf("experiments: case %d (offsets %v): %w", i, offsets, err)
 			}
@@ -273,36 +262,8 @@ func RunTable1(cfg xtalk.Config, opts Table1Options) (*Table1Result, error) {
 		}
 		return c, nil
 	}
-	do := func(ctx context.Context, i int, w *table1Worker) (table1Case, error) {
-		defer opts.Telemetry.Timer("experiments.table1.case_seconds").Start()()
-		nIn, nOut, rec, err := w.bench.RunReportCtx(ctx, victimStart, caseStarts(i))
-		return score(ctx, i, w, nIn, nOut, rec, err)
-	}
-	// doGroup runs a contiguous case group through the spice batch engine:
-	// one DC solve and one shared transient trunk cover the group up to the
-	// first aggressor divergence, then each case's continuation delivers the
-	// same waveforms the scalar path would have produced (bit-identical —
-	// the engine's contract). Scoring happens inside the delivery callback,
-	// in delivery order; a case whose scoring fails is handed back to the
-	// sweep for the scalar retry/quarantine path.
-	doGroup := func(ctx context.Context, lo, hi int, w *table1Worker, deliver sweep.DeliverFunc[table1Case]) error {
-		aggStarts := make([][]float64, hi-lo)
-		for j := range aggStarts {
-			aggStarts[j] = caseStarts(lo + j)
-		}
-		return w.bench.RunBatchReportCtx(ctx, victimStart, aggStarts,
-			func(j int, nIn, nOut *wave.Waveform, rec spice.RecoveryReport, runErr error) error {
-				defer opts.Telemetry.Timer("experiments.table1.case_seconds").Start()()
-				c, serr := score(ctx, lo+j, w, nIn, nOut, rec, runErr)
-				if serr != nil && canceled(serr) {
-					return serr // abort the batch; the sweep fails promptly
-				}
-				deliver(lo+j, c, serr)
-				return nil
-			})
-	}
 
-	cases, completed, report, err := runSweepBatched(opts.SweepOptions, opts.Cases, newWorker, doGroup, do)
+	cases, completed, report, err := runSweep(opts.SweepOptions, opts.Cases, newWorker, do)
 	if err != nil && !canceled(err) {
 		return nil, err
 	}

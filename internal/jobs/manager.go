@@ -35,16 +35,6 @@ type Options struct {
 	// shards (sweep.ShardOf); like Workers it never changes the numbers.
 	// <= 1 runs unsharded.
 	Shards int
-	// NoFastPath disables the spice solver fast path in every transient
-	// the jobs run (cmd/serve -no-fastpath). An execution knob like
-	// Workers/Shards: results agree to solver tolerance either way, and it
-	// is not part of job identity or the content address.
-	NoFastPath bool
-	// Batch is the lockstep batch size for sweep jobs (cmd/serve -batch;
-	// see experiments.SweepOptions.Batch). Also an execution knob outside
-	// job identity: any Workers × Batch combination is bit-identical.
-	// <= 1 runs the scalar path.
-	Batch int
 	// Telemetry observes the service (jobs.* metrics) and every solve the
 	// jobs run (spice.*, sweep.*, sta.* …). The httpserver /metrics page
 	// typically shares this registry.

@@ -158,14 +158,12 @@ func errString(err error) string {
 // registry and the per-job tracer, plus a progress hook updating the job.
 func (m *Manager) sweepOptions(ctx context.Context, j *Job, tracer *trace.Tracer, keepGoing bool) experiments.SweepOptions {
 	return experiments.SweepOptions{
-		Workers:    m.opts.Workers,
-		Shards:     m.opts.Shards,
-		NoFastPath: m.opts.NoFastPath,
-		Batch:      m.opts.Batch,
-		Ctx:        ctx,
-		Telemetry:  m.reg,
-		Tracer:     tracer,
-		KeepGoing:  keepGoing,
+		Workers:   m.opts.Workers,
+		Shards:    m.opts.Shards,
+		Ctx:       ctx,
+		Telemetry: m.reg,
+		Tracer:    tracer,
+		KeepGoing: keepGoing,
 		Progress: func(done, total int) {
 			j.mu.Lock()
 			j.done, j.total = done, total

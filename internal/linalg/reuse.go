@@ -167,107 +167,6 @@ func (c *CachedLU[K]) SolveInto(dst, b []float64) error {
 	return c.lu.SolveInto(dst, b)
 }
 
-// SolveMany solves against the cached factorization for every row of b
-// into dst (see LU.SolveMany).
-func (c *CachedLU[K]) SolveMany(dst, b *Block) error {
-	if !c.valid {
-		return ErrNoFactorization
-	}
-	if c.sparse {
-		return c.slu.SolveMany(dst, b)
-	}
-	return c.lu.SolveMany(dst, b)
-}
-
-// CachedLUState is a deep snapshot of a CachedLU's factorization, used by
-// the batch engine to fork per-case solver state from a shared trunk: the
-// continuation of each case must see exactly the factorization — and the
-// sparse-vs-dense routing — the scalar path would have at that point, byte
-// for byte. The armed pattern is part of the snapshot because a scalar run
-// interleaved between two continuations (a peeled-off case) clears it;
-// without restoring it the next continuation would refactor densely where
-// the scalar path refactors sparsely, and the two factorizations round
-// differently. Counters are not part of the snapshot (telemetry reflects
-// work actually performed). The symbolic object is shared, which is safe
-// because it is immutable once built.
-type CachedLUState[K comparable] struct {
-	valid  bool
-	key    K
-	sparse bool
-
-	n     int
-	dense []float64
-	piv   []int
-	sign  int
-
-	patRowPtr []int32
-	patCols   []int32
-	sym       *SparseSymbolic
-	svals     []float64
-	spFails   int
-}
-
-// SaveState deep-copies the cache's factorization into dst, reusing dst's
-// buffers when they fit.
-func (c *CachedLU[K]) SaveState(dst *CachedLUState[K]) {
-	dst.valid = c.valid
-	dst.key = c.key
-	dst.sparse = c.sparse
-	dst.spFails = c.spFails
-	dst.patRowPtr = append(dst.patRowPtr[:0], c.patRowPtr...)
-	dst.patCols = append(dst.patCols[:0], c.patCols...)
-	dst.sym = c.sym
-	if c.lu != nil {
-		dst.n = c.lu.n
-		dst.dense = append(dst.dense[:0], c.lu.lu.Data...)
-		dst.piv = append(dst.piv[:0], c.lu.piv...)
-		dst.sign = c.lu.sign
-	} else {
-		dst.n = 0
-		dst.dense = dst.dense[:0]
-		dst.piv = dst.piv[:0]
-		dst.sign = 0
-	}
-	if c.slu != nil {
-		dst.svals = append(dst.svals[:0], c.slu.vals...)
-	} else {
-		dst.svals = dst.svals[:0]
-	}
-}
-
-// RestoreState restores a snapshot taken by SaveState, including the armed
-// pattern and seeded symbolic state.
-func (c *CachedLU[K]) RestoreState(st *CachedLUState[K]) {
-	c.valid = st.valid
-	c.key = st.key
-	c.sparse = st.sparse
-	c.spFails = st.spFails
-	c.patRowPtr = append(c.patRowPtr[:0], st.patRowPtr...)
-	if len(c.patRowPtr) == 0 {
-		c.patRowPtr = nil
-	}
-	c.patCols = append(c.patCols[:0], st.patCols...)
-	c.sym = st.sym
-	if st.n > 0 {
-		if c.lu == nil || c.lu.n != st.n {
-			c.lu = &LU{n: st.n, lu: NewMatrix(st.n, st.n), piv: make([]int, st.n)}
-		}
-		copy(c.lu.lu.Data, st.dense)
-		copy(c.lu.piv, st.piv)
-		c.lu.sign = st.sign
-	} else {
-		c.lu = nil
-	}
-	if st.sym == nil {
-		c.slu = nil
-	} else {
-		if c.slu == nil || c.slu.sym != st.sym {
-			c.slu = NewSparseLU(st.sym)
-		}
-		copy(c.slu.vals, st.svals)
-	}
-}
-
 // ReusePolicy holds the modified-Newton heuristics that decide when a
 // stale factorization must be replaced by a true refactor, and when a
 // converged iterate computed against one may be accepted without a

@@ -24,8 +24,7 @@ const sparsePivotTau = 1e-3
 // order stays stable across thousands of refactors, each of which then costs
 // O(nnz(L+U)) instead of O(n³).
 //
-// A SparseSymbolic is immutable once built and may be shared across
-// factorizations (the batch engine's fork snapshots share one).
+// A SparseSymbolic is immutable once built.
 type SparseSymbolic struct {
 	n    int
 	perm []int // perm[k] = original row eliminated at step k
@@ -212,20 +211,6 @@ func (s *SparseLU) SolveInto(dst, b []float64) error {
 			sum -= uv[p] * dst[c]
 		}
 		dst[k] = sum / s.vals[dp]
-	}
-	return nil
-}
-
-// SolveMany solves against the sparse factors for every row of b into dst,
-// sharing the factorization across all K right-hand sides.
-func (s *SparseLU) SolveMany(dst, b *Block) error {
-	if dst.K != b.K || dst.N != b.N {
-		return fmt.Errorf("linalg: sparse SolveMany shape mismatch: dst %dx%d vs b %dx%d", dst.K, dst.N, b.K, b.N)
-	}
-	for r := 0; r < b.K; r++ {
-		if err := s.SolveInto(dst.Row(r), b.Row(r)); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -106,49 +106,6 @@ func TestSparseLUMatchesDense(t *testing.T) {
 	}
 }
 
-func TestSolveManyMatchesSolveInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const n, k = 23, 7
-	a, rowPtr, cols := randSparseSPD(t, n, rng)
-	dense, err := NewLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sym, err := NewSparseSymbolic(n, rowPtr, cols, dense.piv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slu := NewSparseLU(sym)
-	if err := slu.Refactor(a); err != nil {
-		t.Fatal(err)
-	}
-	b := NewBlock(k, n)
-	for i := range b.Data {
-		b.Data[i] = rng.Float64() - 0.5
-	}
-	for name, solver := range map[string]interface {
-		SolveInto(dst, b []float64) error
-		SolveMany(dst, b *Block) error
-	}{"dense": dense, "sparse": slu} {
-		many := NewBlock(k, n)
-		if err := solver.SolveMany(many, b); err != nil {
-			t.Fatalf("%s SolveMany: %v", name, err)
-		}
-		one := make([]float64, n)
-		for r := 0; r < k; r++ {
-			if err := solver.SolveInto(one, b.Row(r)); err != nil {
-				t.Fatalf("%s SolveInto: %v", name, err)
-			}
-			for i := range one {
-				if one[i] != many.Row(r)[i] {
-					t.Fatalf("%s row %d: SolveMany diverges from SolveInto at %d: %g vs %g",
-						name, r, i, many.Row(r)[i], one[i])
-				}
-			}
-		}
-	}
-}
-
 func TestSparsePivotDriftFallsBackDense(t *testing.T) {
 	// Factor a matrix whose pivot order works, then refactor values that
 	// make the frozen order unstable: the guard must fire, and CachedLU
@@ -229,55 +186,5 @@ func TestCachedLUSparseSteadyState(t *testing.T) {
 	clu.ClearPattern()
 	if clu.sym != nil || clu.Sparse() {
 		t.Error("ClearPattern left sparse state armed")
-	}
-}
-
-func TestCachedLUSaveRestoreState(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const n = 25
-	a, rowPtr, cols := randSparseSPD(t, n, rng)
-	var clu CachedLU[int]
-	clu.SetPattern(n, rowPtr, cols)
-	for key := 0; key < 3; key++ {
-		if _, err := clu.Ensure(a, key, key > 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.Float64()
-	}
-	want := make([]float64, n)
-	if err := clu.SolveInto(want, b); err != nil {
-		t.Fatal(err)
-	}
-
-	var st CachedLUState[int]
-	clu.SaveState(&st)
-	// Mutate the cache past the snapshot: new values, forced refactors.
-	for i := range a.Data {
-		if a.Data[i] != 0 {
-			a.Data[i] *= 1.5
-		}
-	}
-	if _, err := clu.Ensure(a, 99, true); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float64, n)
-	if err := clu.SolveInto(got, b); err != nil {
-		t.Fatal(err)
-	}
-	if MaxAbsDiff(got, want) == 0 {
-		t.Fatal("mutation did not change the solve; test is vacuous")
-	}
-
-	clu.RestoreState(&st)
-	if err := clu.SolveInto(got, b); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("restored solve differs at %d: %g vs %g", i, got[i], want[i])
-		}
 	}
 }

@@ -7,7 +7,6 @@ package spice
 // recycled afterwards). Run via `make bench-micro`.
 
 import (
-	"context"
 	"testing"
 
 	"noisewave/internal/circuit"
@@ -167,51 +166,4 @@ func BenchmarkTransientStep(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkBatchRun pins the batch engine's claim: K transients solved in
-// lockstep through one DC operating point and one shared trunk beat K
-// scalar RunWindow calls of the same cases, and the steady-state batch loop
-// allocates no more per case than the scalar loop. Cases differ only in a
-// late aggressor edge, so the trunk covers most of the window — the shape
-// the alignment sweeps produce. Run via `make bench-batch`.
-func BenchmarkBatchRun(b *testing.B) {
-	const stop = 1.2e-9
-	starts := make([]float64, 8)
-	for i := range starts {
-		starts[i] = 0.7e-9 + float64(i)*10e-12
-	}
-	b.Run("scalar", func(b *testing.B) {
-		bb := newBatchBench()
-		s := New(bb.ckt, Options{Stop: stop, Step: 1e-12, ReuseResult: true})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, t0 := range starts {
-				bb.retarget(t0)
-				if _, err := s.RunWindow(context.Background(), 0, stop); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("batch8", func(b *testing.B) {
-		bb := newBatchBench()
-		s := New(bb.ckt, Options{Stop: stop, Step: 1e-12, ReuseResult: true})
-		share := aggShare(bb, starts)
-		cases := make([]BatchCase, len(starts))
-		for i, t0 := range starts {
-			t0 := t0
-			cases[i] = BatchCase{Stop: stop, Retarget: func() { bb.retarget(t0) }}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			err := s.RunBatch(context.Background(), 0, share, cases,
-				func(_ int, _ *Result, err error) error { return err })
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -50,8 +50,7 @@ type Simulator struct {
 	// loop allocates nothing.
 	tr       transient
 	probeIDs []circuit.NodeID
-	res      *Result     // previous run's result, recycled under Options.ReuseResult
-	bs       *batchState // fork snapshot + buffers of RunBatch (see batch.go)
+	res      *Result // previous run's result, recycled under Options.ReuseResult
 
 	// stats accumulates engine counters for the current solve; they are
 	// flushed to Options.Telemetry once per Run/OperatingPoint call so the
@@ -141,7 +140,7 @@ func (s *Simulator) flushTelemetry(runCounter, wallTimer string) {
 		reg.Counter("spice.recovery.exhausted").Add(s.stats.exhausted)
 		reg.Counter("spice.rejected_nonfinite").Add(s.stats.nonFinite)
 		// The fast-path counters only appear once the fast path ran, so a
-		// -no-fastpath run's snapshot matches the pre-fast-path engine.
+		// NoFastPath run's snapshot matches the pre-fast-path engine.
 		if s.stats.baselineBuilds > 0 || s.stats.refactors > 0 || s.stats.luReuses > 0 {
 			reg.Counter("spice.fastpath.baseline_builds").Add(s.stats.baselineBuilds)
 			reg.Counter("spice.fastpath.rhs_rebuilds").Add(s.stats.rhsRebuilds)

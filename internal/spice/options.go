@@ -87,7 +87,7 @@ type Options struct {
 	// Newton iteration. The fast path is equivalent to solver tolerance
 	// (waveforms agree to a fraction of VTol on identical step grids — see
 	// the equivalence suite) but not bitwise identical; this switch exists
-	// as the escape hatch and as the reference for that suite.
+	// as the reference for that suite.
 	NoFastPath bool
 
 	// ReuseResult recycles the previous Run's Result storage (sample

@@ -62,55 +62,6 @@ func TestChaosWorkerPanicQuarantines(t *testing.T) {
 	}
 }
 
-// TestChaosDisablesBatching: an armed fault injector forces RunBatchedPartial
-// onto the scalar path — group dispatch would route around the per-case
-// injection points (stalls, worker panics) in the scalar worker loop, so
-// chaos drills must behave identically at any batch size.
-func TestChaosDisablesBatching(t *testing.T) {
-	const n = 24
-	inj := faultinject.New(faultinject.Config{Seed: 3, PanicEvery: 5, PanicMax: 2})
-	reg := telemetry.New()
-	var groupCalls atomic.Int64
-	results, completed, report, err := RunBatchedPartial(context.Background(), n, 4,
-		Options{Workers: 4, KeepGoing: true, Inject: inj, Telemetry: reg}, noState,
-		func(ctx context.Context, lo, hi int, _ struct{}, deliver DeliverFunc[int]) error {
-			groupCalls.Add(1)
-			for i := lo; i < hi; i++ {
-				deliver(i, i*i, nil)
-			}
-			return nil
-		},
-		func(ctx context.Context, i int, _ struct{}) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatalf("KeepGoing batched sweep errored: %v", err)
-	}
-	if groupCalls.Load() != 0 {
-		t.Errorf("group function called %d times with chaos armed, want 0", groupCalls.Load())
-	}
-	if got := report.Quarantined(); got != 2 {
-		t.Fatalf("quarantined %d cases, want 2 (same as the scalar drill): %v", got, report)
-	}
-	nDone := 0
-	for i, ok := range completed {
-		if ok {
-			nDone++
-			if results[i] != i*i {
-				t.Errorf("results[%d] = %d, want %d", i, results[i], i*i)
-			}
-		}
-	}
-	if nDone != n-2 {
-		t.Errorf("%d cases completed, want %d", nDone, n-2)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["sweep.worker_panics"] != 2 {
-		t.Errorf("sweep.worker_panics = %d, want 2", snap.Counters["sweep.worker_panics"])
-	}
-	if snap.Counters["sweep.batch.groups"] != 0 {
-		t.Errorf("sweep.batch.groups = %d, want 0 with chaos armed", snap.Counters["sweep.batch.groups"])
-	}
-}
-
 // TestChaosPanicRetryRebuildsWorker: a case that panics once succeeds on
 // its retry, and the worker state is rebuilt through the factory before
 // the retry runs.

@@ -76,8 +76,8 @@ type Config struct {
 	Inject *faultinject.Injector
 
 	// NoFastPath threads Options.NoFastPath into every transient the
-	// testbench runs (the solver fast path's escape hatch; see
-	// internal/spice).
+	// testbench runs (the slow reference path of the fast-path
+	// equivalence tests; see internal/spice).
 	NoFastPath bool
 }
 
@@ -341,101 +341,6 @@ func (b *Bench) RunReportCtx(ctx context.Context, victimStart float64, aggStart 
 		return nil, nil, rec, err
 	}
 	return in, out, rec, nil
-}
-
-// RunBatchReportCtx runs K alignment cases of this bench through the spice
-// batch engine: one DC operating point and one shared transient trunk cover
-// every case up to the earliest time any case's aggressor sources diverge
-// from case 0's, then each case continues independently. Results are
-// bit-identical to K calls of RunReportCtx (the engine's contract), just
-// cheaper. The victim edge is fixed at victimStart for every case;
-// aggStarts[i] gives case i's aggressor edge times (Quiet for
-// non-switching).
-//
-// deliver is called once per case in order with the same values
-// RunReportCtx would return for it — including salvaged waveform prefixes
-// alongside a non-nil error. The waveforms are fresh copies, safe to retain.
-// A non-nil error from deliver aborts the batch, as does cancellation; other
-// per-case errors are reported through deliver and the remaining cases
-// continue.
-func (b *Bench) RunBatchReportCtx(ctx context.Context, victimStart float64, aggStarts [][]float64,
-	deliver func(i int, in, out *wave.Waveform, rec spice.RecoveryReport, err error) error) error {
-
-	cfg := b.cfg
-	for i, as := range aggStarts {
-		if len(as) != cfg.Aggressors {
-			return fmt.Errorf("xtalk: case %d: %d aggressor start times for %d aggressors", i, len(as), cfg.Aggressors)
-		}
-	}
-	if len(aggStarts) == 0 {
-		return nil
-	}
-	ctx, span := trace.Start(ctx, "xtalk.batch_transient",
-		trace.String("config", cfg.Name),
-		trace.Int("cases", len(aggStarts)),
-		trace.Float("victim_start_s", victimStart))
-	defer span.End()
-
-	t := cfg.Tech
-	b.vsrc.Value = edgeSource(victimStart, cfg.VictimSlew, t.Vdd, cfg.VictimEdge)
-	aggEdge := cfg.VictimEdge.Opposite()
-
-	// Precompute each case's aggressor sources and the share horizon: the
-	// trunk is valid up to the earliest time any case's source set provably
-	// diverges from case 0's (pairwise vs case 0 suffices — sources equal on
-	// (-inf, T) to a common reference are equal to each other there).
-	srcs := make([][]circuit.Source, len(aggStarts))
-	share := math.Inf(1)
-	for i, as := range aggStarts {
-		srcs[i] = make([]circuit.Source, cfg.Aggressors)
-		for k := range as {
-			srcs[i][k] = edgeSource(as[k], cfg.AggressorSlew, t.Vdd, aggEdge)
-			if i > 0 {
-				if d := circuit.SourceDivergeTime(srcs[0][k], srcs[i][k]); d < share {
-					share = d
-				}
-			}
-		}
-	}
-	span.SetAttr(trace.Float("share_until_s", share))
-
-	cases := make([]spice.BatchCase, len(aggStarts))
-	for i := range aggStarts {
-		i := i
-		cases[i] = spice.BatchCase{
-			Stop: cfg.simWindow(victimStart, aggStarts[i]),
-			Retarget: func() {
-				for k, src := range srcs[i] {
-					b.asrc[k].Value = src
-				}
-			},
-		}
-	}
-	return b.sim.RunBatch(ctx, 0, share, cases, func(i int, res *spice.Result, runErr error) error {
-		// The Result is recycled after this callback returns; Waveform()
-		// copies, so the extracted waveforms are safe to hand out. Salvage
-		// semantics mirror RunReportCtx exactly.
-		var rec spice.RecoveryReport
-		var in, out *wave.Waveform
-		if res != nil {
-			rec = res.Recovery
-		}
-		if runErr != nil {
-			if res != nil && res.Steps() >= 2 {
-				in, _ = res.Waveform(NodeVictimFar)
-				out, _ = res.Waveform(NodeGateOut)
-			}
-			return deliver(i, in, out, rec, fmt.Errorf("xtalk: config %s: %w", cfg.Name, runErr))
-		}
-		var err error
-		if in, err = res.Waveform(NodeVictimFar); err != nil {
-			return deliver(i, nil, nil, rec, err)
-		}
-		if out, err = res.Waveform(NodeGateOut); err != nil {
-			return deliver(i, nil, nil, rec, err)
-		}
-		return deliver(i, in, out, rec, nil)
-	})
 }
 
 // RunNoiseless simulates with all aggressors quiet and returns the

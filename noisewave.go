@@ -189,17 +189,6 @@ func CompareTechniquesWith(gate *GateSim, in TechniqueInput, trueOut *Waveform, 
 	return core.CompareTechniquesWith(gate, in, trueOut, opts)
 }
 
-// CompareTechniques runs all techniques on one noisy case and scores the
-// predicted output arrivals against the reference output.
-//
-// Deprecated: use CompareTechniquesWith, which adds cancellation and
-// telemetry through an options struct. CompareTechniques(gate, in, out,
-// techs) is equivalent to CompareTechniquesWith(gate, in, out,
-// CompareTechniquesOpts{Techniques: techs}).
-func CompareTechniques(gate *GateSim, in TechniqueInput, trueOut *Waveform, techs []Technique) (*Comparison, error) {
-	return core.CompareTechniquesWith(gate, in, trueOut, core.CompareOptions{Techniques: techs})
-}
-
 // GateDelay measures the 50%-to-50% delay between two waveforms.
 func GateDelay(in, out *Waveform, vdd float64) (float64, error) {
 	return core.GateDelay(in, out, vdd)
