@@ -30,12 +30,15 @@ race:
 bench:
 	$(GO) run ./cmd/bench -workload table1-small
 
-# Go micro/scaling benchmarks: the parallel sweep engine and the crossing
-# scan on the arrival-measurement hot path.
+# Go micro/scaling benchmarks: the parallel sweep engine, the crossing
+# scan on the arrival-measurement hot path, and the 10⁴-gate rows of the
+# full-chip timer (clean and noisy, so noise set-up that stops scaling
+# linearly shows as a gap between the two).
 bench-micro:
 	$(GO) test -run XXX -bench BenchmarkTable1ParallelSweep -benchtime 3x .
 	$(GO) test -run XXX -bench BenchmarkCrossings ./internal/wave/
 	$(GO) test -run XXX -bench 'BenchmarkAssemble|BenchmarkNewtonIteration|BenchmarkTransientStep' ./internal/spice/
+	$(GO) test -run XXX -bench 'BenchmarkMesh/.*/gates=10000$$' ./internal/sta/
 
 # Fault-injection suite under the race detector: every chaos test drives the
 # recovery ladder, the quarantine path or the degraded fallback through the

@@ -42,10 +42,9 @@ type workload struct {
 //     one reused simulator, no sweep engine, no technique fits. Isolates
 //     the Newton/assembly/LU hot path the solver fast path optimizes.
 //   - sta-mesh: full-chip static timing on a pinned 10⁵-gate synthetic
-//     mesh. The 1-worker run uses the pre-levelized sequential map walk
-//     (sta.Timer.RunReference) as the baseline; the parallel run uses the
-//     levelized engine at the requested worker count. Throughput is
-//     gates/s via the sta.gates_timed counter.
+//     mesh through the levelized timer (sta.Timer.RunCtx) at every worker
+//     count, 1 included. Throughput is gates/s via the sta.gates_timed
+//     counter.
 func workloads() []workload {
 	// sta-mesh fixture, built once per process by the workload's setup hook
 	// (generation is excluded from the measured wall time).
@@ -100,17 +99,12 @@ func workloads() []workload {
 		},
 		{
 			name:  "sta-mesh",
-			about: "full-chip STA: 1e5-gate mesh, Elmore wires; 1 worker = legacy map walk",
+			about: "full-chip STA: 1e5-gate mesh, Elmore wires, levelized timer at each worker count",
 			setup: meshSetup,
 			run: func(ctx context.Context, reg *telemetry.Registry, workers int) error {
 				timer := sta.New(netgen.SyntheticLibrary(), meshDesign)
 				timer.Wire = sta.ElmoreWire
-				timer.Telemetry = reg
-				if workers == 1 {
-					_, err := timer.RunReference()
-					return err
-				}
-				_, err := timer.RunCtx(ctx, sta.RunOptions{Workers: workers})
+				_, err := timer.RunCtx(ctx, sta.RunOptions{Workers: workers, Telemetry: reg})
 				return err
 			},
 		},

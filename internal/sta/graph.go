@@ -28,8 +28,8 @@ type compactGraph struct {
 	netID   map[string]int32
 	netName []string
 
-	// Per-net electrical state, indexed by net ID. load and pinCap mirror
-	// Timer.netLoads exactly (same summation order), so arc lookups see
+	// Per-net electrical state, indexed by net ID. load and pinCap repeat
+	// Timer.netLoads' summation order exactly, so arc lookups see
 	// bit-identical values on both engines.
 	load    []float64
 	pinCap  []float64
@@ -37,15 +37,21 @@ type compactGraph struct {
 	wireRes []float64
 
 	// Per-gate topology. Inputs are CSR: gate g's fanin arcs live at
-	// inNet/inArc[inStart[g]:inStart[g+1]], in cell InputPins order —
-	// the same arc iteration order as the sequential walk, which keeps
-	// worst-arrival tie-breaking identical.
+	// inNet/inArc/inCap[inStart[g]:inStart[g+1]], in cell InputPins order
+	// — the same arc iteration order as the sequential walk, which keeps
+	// worst-arrival tie-breaking identical. inCap is the receiving pin's
+	// capacitance.
 	gateName []string
 	cellOf   []*liberty.Cell
 	gateOut  []int32
 	inStart  []int32
 	inNet    []int32
 	inArc    []*liberty.Arc
+	inCap    []float64
+
+	// driverOf[id] is the gate driving net id, -1 when no gate does
+	// (primary inputs, undriven nets).
+	driverOf []int32
 
 	// Levelization: levelOrder holds gate indices level-major (ascending
 	// gate index within a level); level l spans
@@ -71,10 +77,32 @@ func (g *compactGraph) intern(name string) int32 {
 	return id
 }
 
+// cellInputs is one library cell's input side, resolved once per build
+// rather than once per gate: input pins in InputPins order, the arc from
+// each (nil when the cell has none) and each pin's capacitance.
+type cellInputs struct {
+	cell *liberty.Cell
+	pins []string
+	arcs []*liberty.Arc
+	caps []float64
+}
+
+func resolveInputs(cell *liberty.Cell) *cellInputs {
+	ci := &cellInputs{cell: cell, pins: cell.InputPins()}
+	for _, pin := range ci.pins {
+		arc, _ := cell.ArcTo(pin)
+		p, _ := cell.Pin(pin)
+		ci.arcs = append(ci.arcs, arc)
+		ci.caps = append(ci.caps, p.Cap)
+	}
+	return ci
+}
+
 // buildGraph compiles the timer's design and library into the compact
 // levelized form. All structural errors — unknown cells, unconnected or
 // missing pins, undriven nets, multi-driver nets, combinational loops —
-// surface here, before any timing math runs.
+// surface here, before any timing math runs. Its cost is linear in the
+// design size.
 func (t *Timer) buildGraph() (*compactGraph, error) {
 	d := t.Design
 	n := len(d.Gates)
@@ -101,14 +129,20 @@ func (t *Timer) buildGraph() (*compactGraph, error) {
 		}
 		return driverOf[net]
 	}
+	cells := make(map[string]*cellInputs)
 	for gi := range d.Gates {
 		gate := &d.Gates[gi]
 		g.gateName[gi] = gate.Name
-		cell, err := t.Lib.Cell(gate.Cell)
-		if err != nil {
-			return nil, fmt.Errorf("sta: gate %s: %w", gate.Name, err)
+		ci, ok := cells[gate.Cell]
+		if !ok {
+			cell, err := t.Lib.Cell(gate.Cell)
+			if err != nil {
+				return nil, fmt.Errorf("sta: gate %s: %w", gate.Name, err)
+			}
+			ci = resolveInputs(cell)
+			cells[gate.Cell] = ci
 		}
-		g.cellOf[gi] = cell
+		g.cellOf[gi] = ci.cell
 		outNet, ok := gate.Pins["Y"]
 		if !ok {
 			return nil, fmt.Errorf("sta: gate %s has no output pin Y", gate.Name)
@@ -120,23 +154,24 @@ func (t *Timer) buildGraph() (*compactGraph, error) {
 		driverOf[out] = int32(gi)
 		g.gateOut[gi] = out
 
-		for _, inPin := range cell.InputPins() {
+		for p, inPin := range ci.pins {
 			inNet, ok := gate.Pins[inPin]
 			if !ok {
 				return nil, fmt.Errorf("sta: gate %s pin %s unconnected", gate.Name, inPin)
 			}
-			arc, ok := cell.ArcTo(inPin)
-			if !ok {
-				return nil, fmt.Errorf("sta: cell %s has no arc %s->Y", cell.Name, inPin)
+			if ci.arcs[p] == nil {
+				return nil, fmt.Errorf("sta: cell %s has no arc %s->Y", ci.cell.Name, inPin)
 			}
 			g.inNet = append(g.inNet, g.intern(inNet))
-			g.inArc = append(g.inArc, arc)
+			g.inArc = append(g.inArc, ci.arcs[p])
+			g.inCap = append(g.inCap, ci.caps[p])
 		}
 		g.inStart[gi+1] = int32(len(g.inNet))
 	}
 	for int32(len(driverOf)) < int32(len(g.netName)) {
 		driverOf = append(driverOf, -1)
 	}
+	g.driverOf = driverOf
 
 	primary := make([]bool, len(g.netName))
 	for _, id := range g.primaryNet {
@@ -230,25 +265,33 @@ func (t *Timer) buildGraph() (*compactGraph, error) {
 	}
 	g.gateLevel = level
 
-	// Electrical state, computed by the same netLoads the sequential walk
-	// uses (identical summation order → identical float values), then
-	// flattened into arrays.
-	loads, pinCaps, err := t.netLoads()
-	if err != nil {
-		return nil, err
-	}
+	// Electrical state, summed per net in netLoads' order — wire cap, then
+	// couplings in declaration order, then receiver pin caps in gate and
+	// InputPins order (the fanin arc order) — so every value is
+	// bit-identical to the sequential walk's.
 	nn := len(g.netName)
 	g.load = make([]float64, nn)
 	g.pinCap = make([]float64, nn)
 	g.wireCap = make([]float64, nn)
 	g.wireRes = make([]float64, nn)
 	for id, name := range g.netName {
-		g.load[id] = loads[name]
-		g.pinCap[id] = pinCaps[name]
 		g.wireCap[id] = d.NetCaps[name]
+		g.load[id] += g.wireCap[id]
 		if d.NetRes != nil {
 			g.wireRes[id] = d.NetRes[name]
 		}
+	}
+	for _, cp := range d.Couplings {
+		if id, ok := g.netID[cp.A]; ok {
+			g.load[id] += cp.Cap
+		}
+		if id, ok := g.netID[cp.B]; ok {
+			g.load[id] += cp.Cap
+		}
+	}
+	for k, net := range g.inNet {
+		g.load[net] += g.inCap[k]
+		g.pinCap[net] += g.inCap[k]
 	}
 	return g, nil
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"noisewave/internal/liberty"
 	"noisewave/internal/telemetry"
 	"noisewave/internal/trace"
 	"noisewave/internal/wave"
@@ -34,8 +33,9 @@ type RunOptions struct {
 	// sta.run_seconds wall timer.
 	Telemetry *telemetry.Registry
 	// Tracer, if non-nil, records hierarchical spans for the run: one
-	// sta.run root with sta.build and sta.propagate children, plus one
-	// event per noise conversion. Tracing never changes the numbers.
+	// sta.run root with sta.build (graph compile and noise binding, with a
+	// noise_sites attribute) and sta.propagate children, plus one event
+	// per noise conversion. Tracing never changes the numbers.
 	Tracer *trace.Tracer
 	// Wire, if non-nil, overrides Timer.Wire for this run (take the
 	// address of an IdealWire/ElmoreWire constant). nil uses the Timer's
@@ -60,8 +60,8 @@ const checkEvery = 4096
 // first lookup, so the propagation loop performs no map access and no
 // per-net allocation.
 //
-// The result is bit-identical to the retained sequential reference walk
-// (RunReference) at any worker count: each output net is written only by
+// The result is bit-identical to the sequential map-based walk the tests
+// keep as an oracle, at any worker count: each output net is written only by
 // its single driver gate, per-gate arc iteration order matches the
 // sequential walk, and noise conversions run at deterministic level
 // boundaries.
@@ -98,17 +98,14 @@ func (t *Timer) RunCtx(ctx context.Context, opts RunOptions) (*Result, error) {
 		trace.Int("workers", workers))
 	defer span.End()
 
+	// sta.build covers compiling the graph and binding the annotation
+	// snapshot to it.
 	build := span.Child("sta.build")
 	g, err := t.buildGraph()
 	if err != nil {
 		build.End()
 		return nil, err
 	}
-	build.End()
-	reg.Gauge("sta.levels").Set(float64(g.levels()))
-	reg.Gauge("sta.nets").Set(float64(len(g.netName)))
-	span.SetAttr(trace.Int("levels", g.levels()), trace.Int("nets", len(g.netName)))
-
 	e := &engine{
 		timer: t, graph: g, wire: wire, reg: reg,
 		state: make([]NetTiming, len(g.netName)),
@@ -117,7 +114,11 @@ func (t *Timer) RunCtx(ctx context.Context, opts RunOptions) (*Result, error) {
 			noiseConv: make(map[noiseKey]noiseVal),
 		},
 	}
-	e.bindNoise(noise)
+	build.SetAttr(trace.Int("noise_sites", e.bindNoise(noise)))
+	build.End()
+	reg.Gauge("sta.levels").Set(float64(g.levels()))
+	reg.Gauge("sta.nets").Set(float64(len(g.netName)))
+	span.SetAttr(trace.Int("levels", g.levels()), trace.Int("nets", len(g.netName)))
 
 	prop := span.Child("sta.propagate")
 	err = e.propagate(ctx, workers, prop)
@@ -159,14 +160,13 @@ func (t *Timer) snapshotNoise() map[string]*NoiseAnnotation {
 // noiseSite is one annotated net prepared for the levelized engine: the
 // conversion runs once, at the level boundary where the net's timing
 // becomes final, using the first consuming gate (lowest level, then lowest
-// gate index) as the receiving-cell context for library reconstruction.
+// gate index, then its first pin on the net) as the receiving-cell context
+// for library reconstruction.
 type noiseSite struct {
 	net      int32
 	ann      *NoiseAnnotation
-	ready    int32 // level after which the net's timing is final
 	recvGate int32
-	recvCell *liberty.Cell
-	recvArc  *liberty.Arc
+	recvArc  int32 // the receiver's fanin arc index (into inNet/inArc)
 }
 
 // engine is the state of one RunCtx invocation.
@@ -178,63 +178,65 @@ type engine struct {
 	state []NetTiming // flat arena, indexed by net ID
 	res   *Result
 
-	sites map[int32][]*noiseSite // noise sites keyed by ready level
+	// sites[l+1] lists the noise sites whose net is final once level l is
+	// complete (l = -1: before level 0), in ascending net ID.
+	sites [][]noiseSite
 
 	failed atomic.Bool
 	errMu  sync.Mutex
 	err    error
 }
 
-// bindNoise resolves the annotation snapshot against the graph. Annotated
-// nets that no gate consumes are skipped — exactly like the sequential
-// walk, which converts lazily at the first consuming gate.
-func (e *engine) bindNoise(noise map[string]*NoiseAnnotation) {
-	if len(noise) == 0 {
-		return
-	}
+// bindNoise resolves the annotation snapshot against the graph in one pass
+// over the fanin arcs and returns the number of sites bound. Annotated nets
+// that no gate consumes are skipped — exactly like the sequential walk,
+// which converts lazily at the first consuming gate.
+func (e *engine) bindNoise(noise map[string]*NoiseAnnotation) int {
 	g := e.graph
-	e.sites = make(map[int32][]*noiseSite)
+	e.sites = make([][]noiseSite, g.levels()+1)
+	if len(noise) == 0 {
+		return 0
+	}
+	found := make([]noiseSite, 0, len(noise))
+	slot := make([]int32, len(g.netName)) // net ID -> 1 + index into found, 0 = none
 	for name, ann := range noise {
-		id, ok := g.netID[name]
-		if !ok {
-			continue
+		if id, ok := g.netID[name]; ok {
+			found = append(found, noiseSite{net: id, ann: ann, recvGate: -1})
+			slot[id] = int32(len(found))
 		}
-		site := &noiseSite{net: id, ann: ann, recvGate: -1}
-		for gi := 0; gi < len(g.gateName); gi++ {
-			for k := g.inStart[gi]; k < g.inStart[gi+1]; k++ {
-				if g.inNet[k] != id {
-					continue
-				}
-				if site.recvGate < 0 || g.gateLevel[int32(gi)] < g.gateLevel[site.recvGate] {
-					site.recvGate = int32(gi)
-					site.recvCell = g.cellOf[gi]
-					site.recvArc = g.inArc[k]
-				}
-				break
+	}
+	// Gates in ascending index, arcs in pin order: a strict < on level
+	// keeps the lowest gate index among equal levels and that gate's first
+	// pin on the net.
+	for gi := int32(0); gi < int32(len(g.gateName)); gi++ {
+		for k := g.inStart[gi]; k < g.inStart[gi+1]; k++ {
+			s := slot[g.inNet[k]]
+			if s == 0 {
+				continue
+			}
+			site := &found[s-1]
+			if site.recvGate < 0 || g.gateLevel[gi] < g.gateLevel[site.recvGate] {
+				site.recvGate, site.recvArc = gi, k
 			}
 		}
-		if site.recvGate < 0 {
+	}
+	// Ascending net ID, so each boundary's conversion order is
+	// deterministic. The net is final after its driver's level; primary
+	// or undriven nets are final before level 0.
+	bound := 0
+	for _, s := range slot {
+		if s == 0 || found[s-1].recvGate < 0 {
 			continue // no consumer: never converted, matching the walk
 		}
-		// The net is final after its driver's level; primary or undriven
-		// nets are final before level 0.
-		site.ready = -1
-		for gi := range g.gateName {
-			if g.gateOut[gi] == id {
-				site.ready = g.gateLevel[gi]
-				break
-			}
+		site := found[s-1]
+		ready := int32(-1)
+		if drv := g.driverOf[site.net]; drv >= 0 {
+			ready = g.gateLevel[drv]
 		}
-		e.sites[site.ready] = append(e.sites[site.ready], site)
+		e.sites[ready+1] = append(e.sites[ready+1], site)
+		bound++
 	}
-	// Deterministic conversion order within one boundary.
-	for _, list := range e.sites {
-		for i := 1; i < len(list); i++ {
-			for j := i; j > 0 && list[j].net < list[j-1].net; j-- {
-				list[j], list[j-1] = list[j-1], list[j]
-			}
-		}
-	}
+	return bound
 }
 
 // propagate seeds the primary inputs and times the graph level by level.
@@ -286,12 +288,12 @@ func (e *engine) propagate(ctx context.Context, workers int, span *trace.Span) e
 // equivalent of the sequential walk's first-consumer conversion plus
 // result stamping.
 func (e *engine) convertSites(l int32, span *trace.Span) error {
-	sites := e.sites[l]
-	for _, s := range sites {
-		g := e.graph
+	g := e.graph
+	for _, s := range e.sites[l+1] {
 		base := &e.state[s.net]
 		load := g.load[g.gateOut[s.recvGate]]
-		arr, tt, err := e.timer.convertNoise(e.res, e.reg, g.netName[s.net], s.ann, base, s.recvCell, s.recvArc, load)
+		arr, tt, err := e.timer.convertNoise(e.res, e.reg, g.netName[s.net], s.ann, base,
+			g.cellOf[s.recvGate], g.inArc[s.recvArc], load)
 		if err != nil {
 			return fmt.Errorf("sta: gate %s input %s: %w", g.gateName[s.recvGate], g.netName[s.net], err)
 		}

@@ -435,8 +435,10 @@ func TestConcurrentAnnotateAndRun(t *testing.T) {
 	}
 }
 
-// benchMesh times one full arrival propagation over a pinned mesh.
-func benchMesh(b *testing.B, gates, workers int, reference bool) {
+// benchMesh times one full arrival propagation over a pinned mesh, with
+// noiseFrac of its nets SGDP-annotated the way perfbench's sta-noisy
+// workload does it (0 = clean).
+func benchMesh(b *testing.B, gates, workers int, reference bool, noiseFrac float64) {
 	cfg := netgen.DefaultConfig(gates)
 	cfg.Seed = 1
 	d, err := netgen.Generate(cfg)
@@ -445,6 +447,11 @@ func benchMesh(b *testing.B, gates, workers int, reference bool) {
 	}
 	tm := New(netgen.SyntheticLibrary(), d)
 	tm.Wire = ElmoreWire
+	for _, s := range netgen.NoiseSites(cfg, d, tm.Lib.Vdd, noiseFrac) {
+		tm.Annotate(s.Net, &NoiseAnnotation{
+			Noisy: s.Noisy, Noiseless: s.Noiseless, NoiselessOut: s.NoiselessOut, Edge: s.Edge,
+		})
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if reference {
@@ -460,15 +467,20 @@ func benchMesh(b *testing.B, gates, workers int, reference bool) {
 
 // BenchmarkMesh is the gates-vs-wall scaling matrix behind EXPERIMENTS.md
 // "Full-chip STA at scale": the legacy map walk versus the levelized
-// engine at 1 and 4 workers, for 10³–10⁵ gates.
+// engine at 1 and 4 workers, clean and with 1% of nets noise-annotated,
+// for 10³–10⁵ gates. A noisy row far above its clean row means noise set-up
+// has stopped being linear in the design size.
 func BenchmarkMesh(b *testing.B) {
 	for _, gates := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("reference/gates=%d", gates), func(b *testing.B) {
-			benchMesh(b, gates, 1, true)
+			benchMesh(b, gates, 1, true, 0)
 		})
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("levelized/gates=%d/workers=%d", gates, workers), func(b *testing.B) {
-				benchMesh(b, gates, workers, false)
+				benchMesh(b, gates, workers, false, 0)
+			})
+			b.Run(fmt.Sprintf("noisy/gates=%d/workers=%d", gates, workers), func(b *testing.B) {
+				benchMesh(b, gates, workers, false, 0.01)
 			})
 		}
 	}
