@@ -122,9 +122,9 @@ func TestNoiseReceiverRule(t *testing.T) {
 		}
 		arc, _ := cell.ArcTo(pin)
 		base := *clean.Nets[net]
-		arr, tt, err = tm.convertNoise(&Result{}, nil, net, tm.Noise[net], &base, cell, arc, loads[g.Pins["Y"]])
+		arr, tt, err = tm.convert(net, tm.Noise[net], &base, cell, arc, loads[g.Pins["Y"]])
 		if err != nil {
-			t.Fatalf("convertNoise(%s via %s.%s): %v", net, gate, pin, err)
+			t.Fatalf("convert(%s via %s.%s): %v", net, gate, pin, err)
 		}
 		return arr, tt
 	}
@@ -164,7 +164,7 @@ func TestNoiseReceiverRule(t *testing.T) {
 	}
 
 	// The bound sites name the receiving gate and its first pin on the net.
-	g, err := tm.buildGraph()
+	g, err := compile(tm.Design, tm.Lib, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

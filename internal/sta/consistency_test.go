@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -14,7 +15,9 @@ import (
 // internal net, the backward required-time pass must charge the same wire
 // delay and look up arc delays at the same wire-degraded transitions as the
 // forward pass, so slack is identical (±1 fs) at every net along the
-// reported critical path.
+// reported critical path. Elmore is selected both on the timer and, on an
+// IdealWire timer, by RunOptions.Wire: the backward pass must follow the
+// run's model, not the timer's.
 func TestSlackConstantAlongPathElmore(t *testing.T) {
 	d := mustParse(t, `
 design elchain
@@ -30,39 +33,49 @@ netres n1 350
 netcap n2 80fF
 netres n2 200
 `)
-	timer := New(testLib(), d)
-	timer.Wire = ElmoreWire
-	res, err := timer.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := timer.ComputeRequired(res, map[string]float64{"y": 500e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, edge, _, err := res.WorstOutput([]string{"y"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, err := res.CriticalPath(net, edge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(path) < 4 {
-		t.Fatalf("path too short: %d steps", len(path))
-	}
-	end, ok := req.Slack(res, net, edge)
-	if !ok {
-		t.Fatal("no endpoint slack")
-	}
-	for _, step := range path {
-		s, ok := req.Slack(res, step.Net, step.Edge)
-		if !ok {
-			t.Fatalf("no slack at %s (%v)", step.Net, step.Edge)
+	elmore := ElmoreWire
+	for _, tc := range []struct {
+		name  string
+		timer WireModel
+		run   *WireModel
+	}{
+		{"timer", ElmoreWire, nil},
+		{"run-override", IdealWire, &elmore},
+	} {
+		timer := New(testLib(), d)
+		timer.Wire = tc.timer
+		res, err := timer.RunCtx(context.Background(), RunOptions{Workers: 1, Wire: tc.run})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if math.Abs(s-end) > 1e-15 {
-			t.Errorf("slack not constant under ElmoreWire: %s (%v) = %g, endpoint = %g (Δ %g fs)",
-				step.Net, step.Edge, s, end, (s-end)*1e15)
+		req, err := timer.ComputeRequired(res, map[string]float64{"y": 500e-12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, edge, _, err := res.WorstOutput([]string{"y"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path, err := res.CriticalPath(net, edge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(path) < 4 {
+			t.Fatalf("%s: path too short: %d steps", tc.name, len(path))
+		}
+		end, ok := req.Slack(res, net, edge)
+		if !ok {
+			t.Fatalf("%s: no endpoint slack", tc.name)
+		}
+		for _, step := range path {
+			s, ok := req.Slack(res, step.Net, step.Edge)
+			if !ok {
+				t.Fatalf("%s: no slack at %s (%v)", tc.name, step.Net, step.Edge)
+			}
+			if math.Abs(s-end) > 1e-15 {
+				t.Errorf("%s: slack not constant under ElmoreWire: %s (%v) = %g, endpoint = %g (Δ %g fs)",
+					tc.name, step.Net, step.Edge, s, end, (s-end)*1e15)
+			}
 		}
 	}
 }
@@ -147,28 +160,42 @@ netres n1 400
 	}
 }
 
-// TestComputeRequiredNoOutputPin: the backward pass must reject a gate
-// without a Y pin with the same error Run reports, instead of silently
-// propagating requirements through an empty net name.
+// TestComputeRequiredNoOutputPin: a gate without a Y pin is rejected when
+// the design is compiled, with the message the map walk's backward pass
+// reported; and ComputeRequired answers from the run's own compiled graph,
+// so corrupting the design after the run leaves its answer unchanged.
 func TestComputeRequiredNoOutputPin(t *testing.T) {
-	good := mustParse(t, `
+	const src = `
 design ok
 input a
 output y
 gate u1 INV A=a Y=y
-`)
+`
+	bad := mustParse(t, src)
+	delete(bad.Gates[0].Pins, "Y")
+	if _, err := New(testLib(), bad).RunCtx(context.Background(), RunOptions{}); err == nil {
+		t.Fatal("RunCtx accepted a gate with no output pin Y")
+	} else if got, want := err.Error(), "sta: gate u1 has no output pin Y"; got != want {
+		t.Errorf("error = %q, want %q", got, want)
+	}
+
+	good := mustParse(t, src)
 	timer := New(testLib(), good)
 	res, err := timer.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the design after the forward pass: drop u1's output pin.
-	delete(good.Gates[0].Pins, "Y")
-	if _, err := timer.ComputeRequired(res, map[string]float64{"y": 100e-12}); err == nil {
-		t.Fatal("ComputeRequired accepted a gate with no output pin Y")
-	} else if !strings.Contains(err.Error(), "no output pin Y") {
-		t.Errorf("error = %v, want the Run-style no-output-pin message", err)
+	constraints := map[string]float64{"y": 100e-12}
+	want, err := timer.ComputeRequired(res, constraints)
+	if err != nil {
+		t.Fatal(err)
 	}
+	delete(good.Gates[0].Pins, "Y")
+	got, err := timer.ComputeRequired(res, constraints)
+	if err != nil {
+		t.Fatalf("ComputeRequired after the design changed: %v", err)
+	}
+	requireSameRequired(t, want, got)
 }
 
 // TestCriticalPathCycleErrors: a back-pointer walk that never reaches a
@@ -188,7 +215,7 @@ func TestCriticalPathCycleErrors(t *testing.T) {
 
 // TestNoiseConversionMemoized: the technique fit of an annotated net must
 // run once per (net, edge) within a Timer run — further fanouts and the
-// whole backward pass reuse the memoized (arrival, transition), so the
+// whole backward pass reuse the converted (arrival, transition), so the
 // sta.noise_conversions counter stays at one and slacks are consistent with
 // the forward arrivals.
 func TestNoiseConversionMemoized(t *testing.T) {
@@ -238,7 +265,7 @@ gate f1 BUF A=n1 Y=z
 		t.Fatal(err)
 	}
 	// The backward pass revisits the annotated net on every backward arc;
-	// all of them must be cache hits.
+	// it must read the converted timing, never refit.
 	if got := reg.Counter("sta.noise_conversions").Value(); got != 1 {
 		t.Errorf("forward+backward ran %d conversions, want 1 (backward pass must reuse the cache)", got)
 	}

@@ -2,8 +2,10 @@ package sta
 
 import (
 	"fmt"
+	"sync"
 
 	"noisewave/internal/liberty"
+	"noisewave/internal/netlist"
 )
 
 // MultiDriverError reports a net driven by more than one gate output. The
@@ -18,36 +20,35 @@ func (e *MultiDriverError) Error() string {
 	return fmt.Sprintf("sta: net %s driven by both %s and %s", e.Net, e.Driver1, e.Driver2)
 }
 
-// compactGraph is the levelized form of a design the parallel engine runs
-// on: net and gate names interned to dense int32 IDs, fanin arcs and fanout
+// compactGraph is the levelized form of a design the engine runs on: net
+// and gate names interned to dense int32 IDs, fanin arcs and fanout
 // dependency edges in CSR layout, gates bucketed by topological level, and
 // every per-net quantity (load, pin caps, wire parasitics) in flat arrays —
-// no map lookup survives into the propagation loop.
+// no map lookup survives into the propagation loop. Each run compiles its
+// own and hands it, read-only, to its Result.
 type compactGraph struct {
 	// Net interning. netName[id] inverts netID.
 	netID   map[string]int32
 	netName []string
 
 	// Per-net electrical state, indexed by net ID. load and pinCap repeat
-	// Timer.netLoads' summation order exactly, so arc lookups see
+	// the map walk's summation order exactly, so arc lookups see
 	// bit-identical values on both engines.
 	load    []float64
 	pinCap  []float64
 	wireCap []float64
 	wireRes []float64
 
-	// Per-gate topology. Inputs are CSR: gate g's fanin arcs live at
-	// inNet/inArc/inCap[inStart[g]:inStart[g+1]], in cell InputPins order
-	// — the same arc iteration order as the sequential walk, which keeps
-	// worst-arrival tie-breaking identical. inCap is the receiving pin's
-	// capacitance.
+	// Per-gate topology. Inputs are CSR: gate g's fanin nets live at
+	// inNet[inStart[g]:inStart[g+1]], in cell InputPins order — the same
+	// arc iteration order as the sequential walk, which keeps
+	// worst-arrival tie-breaking identical — and cellIn[g] holds the arc
+	// and pin cap of each, in the same order.
 	gateName []string
-	cellOf   []*liberty.Cell
+	cellIn   []*cellInputs
 	gateOut  []int32
 	inStart  []int32
 	inNet    []int32
-	inArc    []*liberty.Arc
-	inCap    []float64
 
 	// driverOf[id] is the gate driving net id, -1 when no gate does
 	// (primary inputs, undriven nets).
@@ -62,11 +63,19 @@ type compactGraph struct {
 	levelOrder []int32
 	gateLevel  []int32 // level of each gate index
 
-	// primaryNet[i] is the net ID of Design.Inputs[i].
-	primaryNet []int32
+	// inputs are the design's primary inputs as compiled. Their nets are
+	// interned first, so primary net IDs are the lowest.
+	inputs []primaryInput
 }
 
-// intern returns the ID for a net name, creating one on first sight.
+// primaryInput is one primary input's net and its seeded timing.
+type primaryInput struct {
+	net           int32
+	arrival, slew float64
+}
+
+// intern returns the ID for a net name, creating one (with no driver yet)
+// on first sight.
 func (g *compactGraph) intern(name string) int32 {
 	if id, ok := g.netID[name]; ok {
 		return id
@@ -74,6 +83,7 @@ func (g *compactGraph) intern(name string) int32 {
 	id := int32(len(g.netName))
 	g.netID[name] = id
 	g.netName = append(g.netName, name)
+	g.driverOf = append(g.driverOf, -1)
 	return id
 }
 
@@ -98,60 +108,63 @@ func resolveInputs(cell *liberty.Cell) *cellInputs {
 	return ci
 }
 
-// buildGraph compiles the timer's design and library into the compact
-// levelized form. All structural errors — unknown cells, unconnected or
-// missing pins, undriven nets, multi-driver nets, combinational loops —
-// surface here, before any timing math runs. Its cost is linear in the
-// design size.
-func (t *Timer) buildGraph() (*compactGraph, error) {
-	d := t.Design
+// compile builds the compact levelized form of a design against a
+// library. All structural errors — unknown cells, unconnected or missing
+// pins, undriven nets, multi-driver nets, combinational loops — surface
+// here, before any timing math runs. Its cost is linear in the design
+// size, and every array is sized up front: a valid design has at most one
+// net per primary input and gate output, and at most one fanin arc per
+// connected pin. With workers > 1 the wire parasitics are read beside the
+// levelization.
+func compile(d *netlist.Design, lib *liberty.Library, workers int) (*compactGraph, error) {
 	n := len(d.Gates)
+	nets := len(d.Inputs) + n
+	pins := 0
+	for gi := range d.Gates {
+		pins += len(d.Gates[gi].Pins)
+	}
 	g := &compactGraph{
-		netID:    make(map[string]int32, 2*n),
+		netID:    make(map[string]int32, nets),
+		netName:  make([]string, 0, nets),
 		gateName: make([]string, n),
-		cellOf:   make([]*liberty.Cell, n),
+		cellIn:   make([]*cellInputs, n),
 		gateOut:  make([]int32, n),
 		inStart:  make([]int32, n+1),
+		inNet:    make([]int32, 0, pins),
+		driverOf: make([]int32, 0, nets),
 	}
 
 	// Primary inputs first, so their IDs are dense and low.
-	g.primaryNet = make([]int32, len(d.Inputs))
+	g.inputs = make([]primaryInput, len(d.Inputs))
 	for i, p := range d.Inputs {
-		g.primaryNet[i] = g.intern(p.Name)
+		g.inputs[i] = primaryInput{net: g.intern(p.Name), arrival: p.Arrival, slew: p.Slew}
 	}
 
 	// Resolve every gate: cell, output net (multi-driver checked), fanin
-	// arcs in InputPins order.
-	driverOf := make([]int32, 0, 2*n) // net ID -> driving gate, -1 none
-	driver := func(net int32) int32 {
-		for int32(len(driverOf)) <= net {
-			driverOf = append(driverOf, -1)
-		}
-		return driverOf[net]
-	}
+	// nets in InputPins order.
 	cells := make(map[string]*cellInputs)
 	for gi := range d.Gates {
 		gate := &d.Gates[gi]
 		g.gateName[gi] = gate.Name
 		ci, ok := cells[gate.Cell]
 		if !ok {
-			cell, err := t.Lib.Cell(gate.Cell)
+			cell, err := lib.Cell(gate.Cell)
 			if err != nil {
 				return nil, fmt.Errorf("sta: gate %s: %w", gate.Name, err)
 			}
 			ci = resolveInputs(cell)
 			cells[gate.Cell] = ci
 		}
-		g.cellOf[gi] = ci.cell
+		g.cellIn[gi] = ci
 		outNet, ok := gate.Pins["Y"]
 		if !ok {
 			return nil, fmt.Errorf("sta: gate %s has no output pin Y", gate.Name)
 		}
 		out := g.intern(outNet)
-		if prev := driver(out); prev >= 0 {
+		if prev := g.driverOf[out]; prev >= 0 {
 			return nil, &MultiDriverError{Net: outNet, Driver1: g.gateName[prev], Driver2: gate.Name}
 		}
-		driverOf[out] = int32(gi)
+		g.driverOf[out] = int32(gi)
 		g.gateOut[gi] = out
 
 		for p, inPin := range ci.pins {
@@ -163,19 +176,39 @@ func (t *Timer) buildGraph() (*compactGraph, error) {
 				return nil, fmt.Errorf("sta: cell %s has no arc %s->Y", ci.cell.Name, inPin)
 			}
 			g.inNet = append(g.inNet, g.intern(inNet))
-			g.inArc = append(g.inArc, ci.arcs[p])
-			g.inCap = append(g.inCap, ci.caps[p])
 		}
 		g.inStart[gi+1] = int32(len(g.inNet))
 	}
-	for int32(len(driverOf)) < int32(len(g.netName)) {
-		driverOf = append(driverOf, -1)
+	driverOf := g.driverOf
+
+	// Wire parasitics are per-net reads of the design's maps, independent
+	// of the levelization below.
+	nn := len(g.netName)
+	g.wireCap = make([]float64, nn)
+	g.wireRes = make([]float64, nn)
+	wires := func() {
+		for id, name := range g.netName {
+			g.wireCap[id] = d.NetCaps[name]
+			if d.NetRes != nil {
+				g.wireRes[id] = d.NetRes[name]
+			}
+		}
 	}
-	g.driverOf = driverOf
+	var wired sync.WaitGroup
+	defer wired.Wait()
+	if workers > 1 {
+		wired.Add(1)
+		go func() {
+			defer wired.Done()
+			wires()
+		}()
+	} else {
+		wires()
+	}
 
 	primary := make([]bool, len(g.netName))
-	for _, id := range g.primaryNet {
-		primary[id] = true
+	for _, in := range g.inputs {
+		primary[in.net] = true
 	}
 
 	// Dependency edges (gate -> consuming gate) as fanout CSR, plus
@@ -217,9 +250,8 @@ func (t *Timer) buildGraph() (*compactGraph, error) {
 	// each gate: level(g) = 1 + max(level of fanin drivers).
 	level := make([]int32, n)
 	queue := make([]int32, 0, n)
-	remaining := append([]int32(nil), indeg...)
 	for gi := int32(0); gi < int32(n); gi++ {
-		if remaining[gi] == 0 {
+		if indeg[gi] == 0 {
 			queue = append(queue, gi)
 		}
 	}
@@ -237,8 +269,8 @@ func (t *Timer) buildGraph() (*compactGraph, error) {
 			if lv := level[gi] + 1; lv > level[s] {
 				level[s] = lv
 			}
-			remaining[s]--
-			if remaining[s] == 0 {
+			indeg[s]--
+			if indeg[s] == 0 {
 				queue = append(queue, s)
 			}
 		}
@@ -265,21 +297,15 @@ func (t *Timer) buildGraph() (*compactGraph, error) {
 	}
 	g.gateLevel = level
 
-	// Electrical state, summed per net in netLoads' order — wire cap, then
-	// couplings in declaration order, then receiver pin caps in gate and
-	// InputPins order (the fanin arc order) — so every value is
+	// Electrical state, summed per net in the map walk's order — wire cap,
+	// then couplings in declaration order, then receiver pin caps in gate
+	// and InputPins order (the fanin arc order) — so every value is
 	// bit-identical to the sequential walk's.
-	nn := len(g.netName)
+	wired.Wait()
 	g.load = make([]float64, nn)
 	g.pinCap = make([]float64, nn)
-	g.wireCap = make([]float64, nn)
-	g.wireRes = make([]float64, nn)
-	for id, name := range g.netName {
-		g.wireCap[id] = d.NetCaps[name]
-		g.load[id] += g.wireCap[id]
-		if d.NetRes != nil {
-			g.wireRes[id] = d.NetRes[name]
-		}
+	for id, c := range g.wireCap {
+		g.load[id] += c
 	}
 	for _, cp := range d.Couplings {
 		if id, ok := g.netID[cp.A]; ok {
@@ -289,9 +315,12 @@ func (t *Timer) buildGraph() (*compactGraph, error) {
 			g.load[id] += cp.Cap
 		}
 	}
-	for k, net := range g.inNet {
-		g.load[net] += g.inCap[k]
-		g.pinCap[net] += g.inCap[k]
+	for gi, ci := range g.cellIn {
+		for p, c := range ci.caps {
+			net := g.inNet[g.inStart[gi]+int32(p)]
+			g.load[net] += c
+			g.pinCap[net] += c
+		}
 	}
 	return g, nil
 }

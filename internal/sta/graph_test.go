@@ -9,8 +9,8 @@ import (
 )
 
 // The compiled graph sums each net's load and receiver pin caps itself; the
-// values must stay bit-identical to netLoads, which ComputeRequired and the
-// reference walk use.
+// values must stay bit-identical to netLoads, which the map-walk oracle
+// uses.
 func TestGraphLoadsMatchNetLoads(t *testing.T) {
 	cfg := netgen.DefaultConfig(3000)
 	cfg.Seed = 3
@@ -40,9 +40,9 @@ func TestGraphLoadsMatchNetLoads(t *testing.T) {
 	})
 
 	for name, tm := range map[string]*Timer{"mesh": mesh, "hand": hand} {
-		g, err := tm.buildGraph()
+		g, err := compile(tm.Design, tm.Lib, 1)
 		if err != nil {
-			t.Fatalf("%s: buildGraph: %v", name, err)
+			t.Fatalf("%s: compile: %v", name, err)
 		}
 		loads, pinCaps, err := tm.netLoads()
 		if err != nil {

@@ -25,8 +25,9 @@ type RunOptions struct {
 	Ctx context.Context
 	// Workers sizes the per-level worker pool: 1 runs the strictly
 	// sequential path, <= 0 uses all available cores, and any N > 1 fans
-	// each level's independent gates out over N workers. Arrivals, slacks
-	// and back-pointers are bit-identical at any worker count.
+	// each level's independent gates, and each level boundary's noise
+	// conversions, out over N workers. Arrivals, slacks and back-pointers
+	// are bit-identical at any worker count.
 	Workers int
 	// Telemetry, if non-nil, overrides Timer.Telemetry for this run: gate
 	// and arc counters, noise conversions, levels/nets gauges and the
@@ -58,7 +59,10 @@ const checkEvery = 4096
 // parallel across opts.Workers goroutines. Every per-arc quantity (loads,
 // parasitics, arcs, cell pointers) is resolved into flat arrays before the
 // first lookup, so the propagation loop performs no map access and no
-// per-net allocation.
+// per-net allocation. Each run compiles that graph from the timer's
+// current Design and Lib and hands it to its Result; with opts.Workers > 1
+// the compile's wire-parasitic reads and the Result's name-map fill run on
+// a goroutine of their own beside the rest of the work.
 //
 // The result is bit-identical to the sequential map-based walk the tests
 // keep as an oracle, at any worker count: each output net is written only by
@@ -101,7 +105,7 @@ func (t *Timer) RunCtx(ctx context.Context, opts RunOptions) (*Result, error) {
 	// sta.build covers compiling the graph and binding the annotation
 	// snapshot to it.
 	build := span.Child("sta.build")
-	g, err := t.buildGraph()
+	g, err := compile(t.Design, t.Lib, workers)
 	if err != nil {
 		build.End()
 		return nil, err
@@ -109,10 +113,12 @@ func (t *Timer) RunCtx(ctx context.Context, opts RunOptions) (*Result, error) {
 	e := &engine{
 		timer: t, graph: g, wire: wire, reg: reg,
 		state: make([]NetTiming, len(g.netName)),
-		res: &Result{
-			Nets:      make(map[string]*NetTiming, len(g.netName)),
-			noiseConv: make(map[noiseKey]noiseVal),
-		},
+	}
+	e.res = &Result{
+		Nets:  make(map[string]*NetTiming, len(g.netName)),
+		graph: g,
+		state: e.state,
+		wire:  wire,
 	}
 	build.SetAttr(trace.Int("noise_sites", e.bindNoise(noise)))
 	build.End()
@@ -120,25 +126,40 @@ func (t *Timer) RunCtx(ctx context.Context, opts RunOptions) (*Result, error) {
 	reg.Gauge("sta.nets").Set(float64(len(g.netName)))
 	span.SetAttr(trace.Int("levels", g.levels()), trace.Int("nets", len(g.netName)))
 
+	// Materialize the public Result view: the map's values point into the
+	// flat arena, so this is one map fill, not per-net allocations. It
+	// reads names and arena addresses but no timing, so with workers > 1
+	// it runs beside the propagation.
+	fin := span.Child("sta.materialize")
+	materialize := func() {
+		for id, name := range g.netName {
+			e.res.Nets[name] = &e.state[id]
+		}
+		e.res.Order = make([]string, len(g.levelOrder))
+		for i, gi := range g.levelOrder {
+			e.res.Order[i] = g.gateName[gi]
+		}
+		fin.End()
+	}
+	var materialized sync.WaitGroup
+	if workers > 1 {
+		materialized.Add(1)
+		go func() {
+			defer materialized.Done()
+			materialize()
+		}()
+	} else {
+		materialize()
+	}
+
 	prop := span.Child("sta.propagate")
 	err = e.propagate(ctx, workers, prop)
 	prop.End()
+	materialized.Wait()
 	if err != nil {
 		span.SetAttr(trace.String("error", err.Error()))
 		return nil, err
 	}
-
-	// Materialize the public Result view: the map's values point into the
-	// flat arena, so this is one map fill, not per-net allocations.
-	fin := span.Child("sta.materialize")
-	for id, name := range g.netName {
-		e.res.Nets[name] = &e.state[id]
-	}
-	e.res.Order = make([]string, len(g.levelOrder))
-	for i, gi := range g.levelOrder {
-		e.res.Order[i] = g.gateName[gi]
-	}
-	fin.End()
 	return e.res, nil
 }
 
@@ -166,7 +187,7 @@ type noiseSite struct {
 	net      int32
 	ann      *NoiseAnnotation
 	recvGate int32
-	recvArc  int32 // the receiver's fanin arc index (into inNet/inArc)
+	recvArc  int32 // the receiver's fanin arc index (into inNet)
 }
 
 // engine is the state of one RunCtx invocation.
@@ -242,40 +263,40 @@ func (e *engine) bindNoise(noise map[string]*NoiseAnnotation) int {
 // propagate seeds the primary inputs and times the graph level by level.
 func (e *engine) propagate(ctx context.Context, workers int, span *trace.Span) error {
 	g := e.graph
-	d := e.timer.Design
-	for i, p := range d.Inputs {
-		nt := &e.state[g.primaryNet[i]]
-		nt.Rise = PinTiming{Valid: true, Arrival: p.Arrival, Early: p.Arrival, Trans: p.Slew}
-		nt.Fall = PinTiming{Valid: true, Arrival: p.Arrival, Early: p.Arrival, Trans: p.Slew}
+	for _, in := range g.inputs {
+		nt := &e.state[in.net]
+		nt.Rise = PinTiming{Valid: true, Arrival: in.arrival, Early: in.arrival, Trans: in.slew}
+		nt.Fall = nt.Rise
 	}
-	if err := e.convertSites(-1, span); err != nil {
-		return err
-	}
-
-	gatesTimed := e.reg.Counter("sta.gates_timed")
-	levelSeconds := e.reg.Histogram("sta.level_seconds")
 	var pool *levelPool
 	if workers > 1 {
 		pool = newLevelPool(workers, e)
 		defer pool.close()
 	}
+	if err := e.convertSites(-1, pool, span); err != nil {
+		return err
+	}
+
+	gatesTimed := e.reg.Counter("sta.gates_timed")
+	levelSeconds := e.reg.Histogram("sta.level_seconds")
 	for l := 0; l < g.levels(); l++ {
 		if err := ctx.Err(); err != nil {
 			return telemetry.Canceled(ctx, "sta: propagation stopped at level %d/%d", l, g.levels())
 		}
 		lo, hi := g.levelStart[l], g.levelStart[l+1]
-		n := int(hi - lo)
 		stopLevel := levelSeconds.Start()
-		if pool == nil || n < minParallelLevel {
+		if pool == nil || hi-lo < minParallelLevel {
 			if err := e.timeRange(ctx, lo, hi); err != nil {
 				return err
 			}
-		} else if err := pool.runLevel(ctx, lo, hi); err != nil {
+		} else if err := pool.run(hi-lo, int32(workers), func(a, b int32) error {
+			return e.timeRange(ctx, lo+a, lo+b)
+		}); err != nil {
 			return err
 		}
 		stopLevel()
-		gatesTimed.Add(int64(n))
-		if err := e.convertSites(int32(l), span); err != nil {
+		gatesTimed.Add(int64(hi - lo))
+		if err := e.convertSites(int32(l), pool, span); err != nil {
 			return err
 		}
 	}
@@ -283,26 +304,48 @@ func (e *engine) propagate(ctx context.Context, workers int, span *trace.Span) e
 }
 
 // convertSites runs the noise conversions that become valid once level l
-// is complete, overwriting the annotated edge of each net in the arena so
-// every later consumer sees the converted timing — the levelized
-// equivalent of the sequential walk's first-consumer conversion plus
-// result stamping.
-func (e *engine) convertSites(l int32, span *trace.Span) error {
+// is complete — the levelized equivalent of the sequential walk's
+// first-consumer conversion. The fits fan out over the pool (when there is
+// one) into per-site slots; this goroutine then counts them and
+// overwrites the annotated edge of each net in the arena, so every later
+// consumer sees the converted timing, in ascending net ID. The lowest
+// site's error wins, so timing, counts and errors are the same at any
+// worker count.
+func (e *engine) convertSites(l int32, pool *levelPool, span *trace.Span) error {
+	sites := e.sites[l+1]
+	if len(sites) == 0 {
+		return nil
+	}
 	g := e.graph
-	for _, s := range e.sites[l+1] {
-		base := &e.state[s.net]
-		load := g.load[g.gateOut[s.recvGate]]
-		arr, tt, err := e.timer.convertNoise(e.res, e.reg, g.netName[s.net], s.ann, base,
-			g.cellOf[s.recvGate], g.inArc[s.recvArc], load)
-		if err != nil {
-			return fmt.Errorf("sta: gate %s input %s: %w", g.gateName[s.recvGate], g.netName[s.net], err)
+	fits := make([]noiseVal, len(sites))
+	errs := make([]error, len(sites))
+	fit := func(lo, hi int32) error {
+		for i := lo; i < hi; i++ {
+			s := sites[i]
+			ci := g.cellIn[s.recvGate]
+			fits[i].arrival, fits[i].trans, errs[i] = e.timer.convert(g.netName[s.net], s.ann, &e.state[s.net],
+				ci.cell, ci.arcs[s.recvArc-g.inStart[s.recvGate]], g.load[g.gateOut[s.recvGate]])
 		}
-		pt := base.timingFor(s.ann.Edge)
+		return nil
+	}
+	n := int32(len(sites))
+	if pool == nil || n < 2 {
+		fit(0, n)
+	} else if err := pool.run(n, n, fit); err != nil {
+		return err
+	}
+	conversions := e.reg.Counter("sta.noise_conversions")
+	for i, s := range sites {
+		if errs[i] != nil {
+			return fmt.Errorf("sta: gate %s input %s: %w", g.gateName[s.recvGate], g.netName[s.net], errs[i])
+		}
+		conversions.Inc()
+		pt := e.state[s.net].timingFor(s.ann.Edge)
 		pt.Valid = true
-		pt.Arrival, pt.Early, pt.Trans = arr, arr, tt
+		pt.Arrival, pt.Early, pt.Trans = fits[i].arrival, fits[i].arrival, fits[i].trans
 		span.Event("noise_conversion",
 			trace.String("net", g.netName[s.net]),
-			trace.Float("arrival", arr))
+			trace.Float("arrival", fits[i].arrival))
 	}
 	return nil
 }
@@ -335,9 +378,10 @@ func (e *engine) timeGate(gi int32) error {
 	outID := g.gateOut[gi]
 	out := &e.state[outID]
 	load := g.load[outID]
-	for k := g.inStart[gi]; k < g.inStart[gi+1]; k++ {
+	lo, arcs := g.inStart[gi], g.cellIn[gi].arcs
+	for k := lo; k < g.inStart[gi+1]; k++ {
 		inID := g.inNet[k]
-		arc := g.inArc[k]
+		arc := arcs[k-lo]
 		in := &e.state[inID]
 		for _, inEdge := range []wave.Edge{wave.Rising, wave.Falling} {
 			it := in.timingFor(inEdge)
@@ -380,18 +424,20 @@ func (e *engine) timeGate(gi int32) error {
 }
 
 // levelPool is the bounded worker pool the parallel path fans each level
-// out over: persistent goroutines, chunked gate ranges, a WaitGroup
-// barrier per level. Gates within a level write disjoint output nets, so
-// workers share the arena without synchronization beyond the barrier.
+// out over: persistent goroutines, chunked index ranges, a WaitGroup
+// barrier per batch. A level's gates write disjoint output nets and a
+// boundary's conversions write disjoint slots, so workers share the arena
+// without synchronization beyond the barrier.
 type levelPool struct {
 	e    *engine
 	jobs chan chunk
 	wg   sync.WaitGroup
 }
 
+// chunk is one worker job: fn over the index range [lo, hi).
 type chunk struct {
-	ctx    context.Context
 	lo, hi int32
+	fn     func(lo, hi int32) error
 }
 
 func newLevelPool(workers int, e *engine) *levelPool {
@@ -400,7 +446,7 @@ func newLevelPool(workers int, e *engine) *levelPool {
 		go func() {
 			for c := range p.jobs {
 				if !e.failed.Load() {
-					if err := e.timeRange(c.ctx, c.lo, c.hi); err != nil {
+					if err := c.fn(c.lo, c.hi); err != nil {
 						e.fail(err)
 					}
 				}
@@ -411,31 +457,20 @@ func newLevelPool(workers int, e *engine) *levelPool {
 	return p
 }
 
-// runLevel splits [lo,hi) into one chunk per worker and waits for the
-// barrier; the first worker error (or a cancellation) wins.
-func (p *levelPool) runLevel(ctx context.Context, lo, hi int32) error {
-	n := int(hi - lo)
-	chunks := cap(p.jobs)
-	if chunks > n {
-		chunks = n
-	}
+// run splits [0, n) into at most chunks ranges, runs fn over them on the
+// workers and waits for the barrier; the first worker error (or a
+// cancellation) wins.
+func (p *levelPool) run(n, chunks int32, fn func(lo, hi int32) error) error {
 	size := (n + chunks - 1) / chunks
-	for c := lo; c < hi; c += int32(size) {
-		end := c + int32(size)
-		if end > hi {
-			end = hi
-		}
+	for c := int32(0); c < n; c += size {
 		p.wg.Add(1)
-		p.jobs <- chunk{ctx: ctx, lo: c, hi: end}
+		p.jobs <- chunk{lo: c, hi: min(c+size, n), fn: fn}
 	}
 	p.wg.Wait()
-	p.errMu().Lock()
-	err := p.e.err
-	p.errMu().Unlock()
-	return err
+	p.e.errMu.Lock()
+	defer p.e.errMu.Unlock()
+	return p.e.err
 }
-
-func (p *levelPool) errMu() *sync.Mutex { return &p.e.errMu }
 
 func (p *levelPool) close() { close(p.jobs) }
 

@@ -83,7 +83,8 @@ func TestParallelMatchesReference(t *testing.T) {
 	}
 }
 
-// Slacks derived from either engine's result must agree exactly.
+// Slacks from the map walk (both passes) and from the compiled graph (both
+// passes) must agree exactly.
 func TestParallelSlacksMatchReference(t *testing.T) {
 	cfg := netgen.DefaultConfig(2000)
 	cfg.Seed = 5
@@ -97,7 +98,7 @@ func TestParallelSlacksMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refReq, err := tm.ComputeRequired(ref, constraints)
+	refReq, err := tm.computeRequiredReference(ref, constraints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,8 @@ func TestMultiDriverErrorTyped(t *testing.T) {
 	}
 }
 
-// An internal net no gate drives must fail levelization on both engines.
+// An internal net no gate drives must fail levelization on both engines,
+// at any worker count.
 func TestUndrivenNetError(t *testing.T) {
 	d := &netlist.Design{
 		Name:   "ghost",
@@ -281,8 +283,10 @@ func TestUndrivenNetError(t *testing.T) {
 	if _, err := tm.RunReference(); err == nil {
 		t.Fatal("reference accepted an undriven net")
 	}
-	if _, err := tm.RunCtx(context.Background(), RunOptions{}); err == nil {
-		t.Fatal("levelized engine accepted an undriven net")
+	for _, workers := range []int{1, 4} {
+		if _, err := tm.RunCtx(context.Background(), RunOptions{Workers: workers}); err == nil {
+			t.Fatalf("levelized engine accepted an undriven net at %d workers", workers)
+		}
 	}
 }
 
@@ -435,10 +439,12 @@ func TestConcurrentAnnotateAndRun(t *testing.T) {
 	}
 }
 
-// benchMesh times one full arrival propagation over a pinned mesh, with
-// noiseFrac of its nets SGDP-annotated the way perfbench's sta-noisy
-// workload does it (0 = clean).
-func benchMesh(b *testing.B, gates, workers int, reference bool, noiseFrac float64) {
+// benchMesh times one pass over a pinned mesh with noiseFrac of its nets
+// SGDP-annotated the way perfbench's sta-noisy workload does it (0 =
+// clean). mode picks the pass: "reference" is the map walk, "levelized" is
+// RunCtx (graph compile included) and "required" is ComputeRequired, all
+// outputs constrained, on the Result of one RunCtx.
+func benchMesh(b *testing.B, mode string, gates, workers int, noiseFrac float64) {
 	cfg := netgen.DefaultConfig(gates)
 	cfg.Seed = 1
 	d, err := netgen.Generate(cfg)
@@ -447,17 +453,27 @@ func benchMesh(b *testing.B, gates, workers int, reference bool, noiseFrac float
 	}
 	tm := New(netgen.SyntheticLibrary(), d)
 	tm.Wire = ElmoreWire
-	for _, s := range netgen.NoiseSites(cfg, d, tm.Lib.Vdd, noiseFrac) {
-		tm.Annotate(s.Net, &NoiseAnnotation{
-			Noisy: s.Noisy, Noiseless: s.Noiseless, NoiselessOut: s.NoiselessOut, Edge: s.Edge,
-		})
+	annotateSites(tm, netgen.NoiseSites(cfg, d, tm.Lib.Vdd, noiseFrac))
+	opts := RunOptions{Workers: workers}
+	var res *Result
+	if mode == "required" {
+		if res, err = tm.RunCtx(context.Background(), opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	constraints := make(map[string]float64, len(d.Outputs))
+	for _, o := range d.Outputs {
+		constraints[o] = 20e-9
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if reference {
+		switch mode {
+		case "reference":
 			_, err = tm.RunReference()
-		} else {
-			_, err = tm.RunCtx(context.Background(), RunOptions{Workers: workers})
+		case "required":
+			_, err = tm.ComputeRequired(res, constraints)
+		default:
+			_, err = tm.RunCtx(context.Background(), opts)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -468,20 +484,24 @@ func benchMesh(b *testing.B, gates, workers int, reference bool, noiseFrac float
 // BenchmarkMesh is the gates-vs-wall scaling matrix behind EXPERIMENTS.md
 // "Full-chip STA at scale": the legacy map walk versus the levelized
 // engine at 1 and 4 workers, clean and with 1% of nets noise-annotated,
-// for 10³–10⁵ gates. A noisy row far above its clean row means noise set-up
-// has stopped being linear in the design size.
+// for 10³–10⁵ gates, plus the backward pass on the noisy Result. A noisy
+// row far above its clean row means noise set-up has stopped being linear
+// in the design size.
 func BenchmarkMesh(b *testing.B) {
 	for _, gates := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("reference/gates=%d", gates), func(b *testing.B) {
-			benchMesh(b, gates, 1, true, 0)
+			benchMesh(b, "reference", gates, 1, 0)
 		})
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("levelized/gates=%d/workers=%d", gates, workers), func(b *testing.B) {
-				benchMesh(b, gates, workers, false, 0)
+				benchMesh(b, "levelized", gates, workers, 0)
 			})
 			b.Run(fmt.Sprintf("noisy/gates=%d/workers=%d", gates, workers), func(b *testing.B) {
-				benchMesh(b, gates, workers, false, 0.01)
+				benchMesh(b, "levelized", gates, workers, 0.01)
 			})
 		}
+		b.Run(fmt.Sprintf("required/gates=%d", gates), func(b *testing.B) {
+			benchMesh(b, "required", gates, 1, 0.01)
+		})
 	}
 }

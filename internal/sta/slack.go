@@ -1,10 +1,10 @@
 package sta
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
-	"noisewave/internal/netlist"
 	"noisewave/internal/wave"
 )
 
@@ -50,100 +50,87 @@ func (r *RequiredTimes) Slack(res *Result, net string, edge wave.Edge) (float64,
 
 // ComputeRequired propagates required times backward from per-output
 // constraints (seconds). Outputs missing from the map are unconstrained.
-// The forward Result must come from the same Timer.Run call so transitions
-// and loads match.
+// It walks res's own graph in reverse level order and reads the timing the
+// run stamped into its arena, converted noisy edges included, under the
+// run's wire model — so slack agrees with the arrivals res reports, however
+// the timer's fields or annotations change afterwards. res must come from
+// RunCtx or Run; it is only read, so concurrent calls on one Result are
+// safe.
 func (t *Timer) ComputeRequired(res *Result, constraints map[string]float64) (*RequiredTimes, error) {
-	d := t.Design
-	req := &RequiredTimes{Required: make(map[string]*NetRequired)}
-	get := func(net string) *NetRequired {
-		n, ok := req.Required[net]
-		if !ok {
-			n = &NetRequired{Rise: math.Inf(1), Fall: math.Inf(1)}
-			req.Required[net] = n
+	g := res.graph
+	if g == nil {
+		return nil, errors.New("sta: ComputeRequired needs a Result from RunCtx")
+	}
+	req := make([]NetRequired, len(g.netName))
+	for i := range req {
+		req[i] = NetRequired{Rise: math.Inf(1), Fall: math.Inf(1)}
+	}
+
+	// Report every net a gate reads or drives, plus every constrained name:
+	// a primary input no gate reads has no requirement unless constrained.
+	// Primary net IDs are the lowest, so read needs only that many entries.
+	read := make([]bool, len(g.inputs))
+	for _, id := range g.inNet {
+		if int(id) < len(read) {
+			read[id] = true
 		}
-		return n
 	}
-	for out, rt := range constraints {
-		n := get(out)
-		n.Rise, n.Fall = rt, rt
+	out := &RequiredTimes{Required: make(map[string]*NetRequired, len(req))}
+	for id, name := range g.netName {
+		if id >= len(read) || read[id] || g.driverOf[id] >= 0 {
+			out.Required[name] = &req[id]
+		}
 	}
-
-	order, err := t.levelize()
-	if err != nil {
-		return nil, err
-	}
-	loads, pinCaps, err := t.netLoads()
-	if err != nil {
-		return nil, err
-	}
-	gatesByName := make(map[string]*netlist.Gate, len(d.Gates))
-	for i := range d.Gates {
-		gatesByName[d.Gates[i].Name] = &d.Gates[i]
+	for name, rt := range constraints {
+		if id, ok := g.netID[name]; ok {
+			req[id] = NetRequired{Rise: rt, Fall: rt}
+			out.Required[name] = &req[id]
+		} else {
+			out.Required[name] = &NetRequired{Rise: rt, Fall: rt}
+		}
 	}
 
-	// Walk gates in reverse topological order: the output's requirement
-	// constrains each input through the arc delay evaluated at the same
+	// Every consumer of a gate's output sits at a higher level, so the
+	// output's requirement is final when the reverse walk reaches the gate.
+	// It constrains each input through the arc delay evaluated at the same
 	// conditions the forward pass used — including the ElmoreWire
 	// transform: the arc delay is looked up at the wire-degraded
 	// transition, and the wire delay itself is charged to the input net, so
-	// slack stays constant along a path whichever wire model is active.
-	for i := len(order) - 1; i >= 0; i-- {
-		g := gatesByName[order[i]]
-		cell, err := t.Lib.Cell(g.Cell)
-		if err != nil {
-			return nil, fmt.Errorf("sta: gate %s: %w", g.Name, err)
+	// slack stays constant along a path whichever wire model is active. An
+	// output unconstrained on both edges tightens nothing (∞ − delay never
+	// wins a min), so its gate is skipped.
+	for i := len(g.levelOrder) - 1; i >= 0; i-- {
+		gi := g.levelOrder[i]
+		outReq := &req[g.gateOut[gi]]
+		if math.IsInf(outReq.Rise, 1) && math.IsInf(outReq.Fall, 1) {
+			continue
 		}
-		outNet, ok := g.Pins["Y"]
-		if !ok {
-			return nil, fmt.Errorf("sta: gate %s has no output pin Y", g.Name)
-		}
-		outReq := get(outNet)
-		load := loads[outNet]
-		for _, inPin := range cell.InputPins() {
-			inNet := g.Pins[inPin]
-			arc, ok := cell.ArcTo(inPin)
-			if !ok {
-				continue
-			}
-			inTiming, err := t.inputTiming(res, resNet(res, inNet), inNet, cell, arc, load)
-			if err != nil {
-				return nil, err
-			}
-			inReq := get(inNet)
+		load := g.load[g.gateOut[gi]]
+		lo, arcs := g.inStart[gi], g.cellIn[gi].arcs
+		for k := lo; k < g.inStart[gi+1]; k++ {
+			inID := g.inNet[k]
 			for _, inEdge := range []wave.Edge{wave.Rising, wave.Falling} {
-				it := inTiming.timingFor(inEdge)
+				it := res.state[inID].timingFor(inEdge)
 				if !it.Valid {
 					continue
 				}
 				inTrans := it.Trans
 				wDelay := 0.0
-				if t.Wire == ElmoreWire {
-					var wTrans float64
-					wDelay, wTrans = wireDelay(netRes(d, inNet),
-						d.NetCaps[inNet], pinCaps[inNet], inTrans)
-					inTrans = wTrans
+				if res.wire == ElmoreWire {
+					wDelay, inTrans = wireDelay(g.wireRes[inID], g.wireCap[inID], g.pinCap[inID], inTrans)
 				}
-				delay, _, outEdge, err := arc.Delay(inEdge, inTrans, load)
+				delay, _, outEdge, err := arcs[k-lo].Delay(inEdge, inTrans, load)
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("sta: gate %s: %w", g.gateName[gi], err)
 				}
 				cand := *outReq.forEdge(outEdge) - delay - wDelay
-				slot := inReq.forEdge(inEdge)
-				if cand < *slot {
+				if slot := req[inID].forEdge(inEdge); cand < *slot {
 					*slot = cand
 				}
 			}
 		}
 	}
-	return req, nil
-}
-
-// resNet fetches (or creates an empty) net timing from a result.
-func resNet(res *Result, name string) *NetTiming {
-	if n, ok := res.Nets[name]; ok {
-		return n
-	}
-	return &NetTiming{}
+	return out, nil
 }
 
 // WorstSlack scans all constrained nets for the minimum slack. Ties —

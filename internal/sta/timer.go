@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"noisewave/internal/eqwave"
@@ -76,6 +75,12 @@ type NoiseAnnotation struct {
 // parallel, traced and metered, with annotations snapshotted at run start
 // so concurrent Annotate and RunCtx calls are defined behavior. Run is the
 // retained legacy surface (a bit-identical sequential wrapper).
+//
+// Each run compiles Design and Lib afresh into a levelized graph, which its
+// Result keeps for ComputeRequired, so a Design edited between runs is
+// timed as edited. With Workers > 1 the noise conversions of one level
+// boundary run concurrently, so Technique must then be safe for concurrent
+// use (every eqwave technique is).
 type Timer struct {
 	Lib    *liberty.Library
 	Design *netlist.Design
@@ -126,23 +131,16 @@ type Result struct {
 	// Order is the topological gate order used (diagnostics).
 	Order []string
 
-	// noiseConv memoizes the technique conversion of each annotated net,
-	// keyed by (net, edge): the forward pass converts each annotated net
-	// once, and the backward pass (ComputeRequired) reuses the stored
-	// (arrival, transition) instead of re-running the full technique fit
-	// per backward arc. The cache lives on the Result because required-time
-	// propagation is documented as valid only against the Result of the
-	// same Timer.Run call.
-	noiseConv map[noiseKey]noiseVal
+	// graph, state and wire are what the run timed on: the graph compiled
+	// for it, the flat timing arena Nets points into (converted noisy edges
+	// stamped in) and the wire model. ComputeRequired walks them backward,
+	// so slack matches arrival even after the timer or its design moves on.
+	graph *compactGraph
+	state []NetTiming
+	wire  WireModel
 }
 
-// noiseKey identifies one annotated (net, edge) conversion.
-type noiseKey struct {
-	net  string
-	edge wave.Edge
-}
-
-// noiseVal is the memoized outcome of one technique conversion.
+// noiseVal is the outcome of one technique conversion.
 type noiseVal struct {
 	arrival float64
 	trans   float64
@@ -161,56 +159,15 @@ func (t *Timer) Run() (*Result, error) {
 	return t.RunCtx(context.Background(), RunOptions{Workers: 1})
 }
 
-// inputTiming returns the effective timing of a net as seen by a receiving
-// gate: the propagated timing, unless the net carries a noise annotation —
-// in which case the annotation's noisy waveform is converted to Γeff by the
-// configured technique and its arrival/transition replace the propagated
-// values for the annotated edge. cell/arc/load describe the receiving gate
-// (used to reconstruct the noiseless pair from library waveforms when the
-// annotation does not carry it).
-//
-// The conversion is memoized per (net, edge) on the Result: the technique
-// fit runs once per annotated net and every later consumer — further
-// fanouts in the forward pass, every backward arc in ComputeRequired —
-// reuses the stored (arrival, transition). The sta.noise_conversions
-// counter therefore counts actual fits, not lookups.
-func (t *Timer) inputTiming(res *Result, base *NetTiming, net string, cell *liberty.Cell, arc *liberty.Arc, load float64) (*NetTiming, error) {
-	ann, ok := t.Noise[net]
-	if !ok {
-		return base, nil
-	}
-	arr, tt, err := t.convertNoise(res, t.Telemetry, net, ann, base, cell, arc, load)
-	if err != nil {
-		return nil, err
-	}
-	// Stamp the converted timing into the result's net entry (keeping the
-	// path back-pointers), so reported arrivals, critical paths and slacks
-	// agree with the timing downstream gates actually saw.
-	if nt, ok := res.Nets[net]; ok {
-		pt := nt.timingFor(ann.Edge)
-		pt.Valid = true
-		pt.Arrival, pt.Early, pt.Trans = arr, arr, tt
-	}
-	eff := *base
-	*eff.timingFor(ann.Edge) = PinTiming{Valid: true, Arrival: arr, Early: arr, Trans: tt}
-	return &eff, nil
-}
+// convert resolves one annotation to its equivalent-ramp arrival and
+// transition. base is the net's propagated timing and cell/arc/load
+// describe the receiving gate; both are used only to reconstruct the
+// noiseless pair from library waveforms when the annotation does not carry
+// it. convert writes nothing shared, so a level boundary's conversions can
+// run concurrently.
+func (t *Timer) convert(net string, ann *NoiseAnnotation, base *NetTiming,
+	cell *liberty.Cell, arc *liberty.Arc, load float64) (arr, tt float64, err error) {
 
-// convertNoise resolves one annotated (net, edge) to its equivalent-ramp
-// arrival and transition, memoized on the Result so the technique fit runs
-// once per annotated net regardless of which engine (map walk or levelized
-// parallel) or pass (forward or backward) asks. The caller stamps the
-// values wherever its own storage lives.
-func (t *Timer) convertNoise(res *Result, reg *telemetry.Registry, net string, ann *NoiseAnnotation,
-	base *NetTiming, cell *liberty.Cell, arc *liberty.Arc, load float64) (arr, tt float64, err error) {
-
-	if res.noiseConv == nil {
-		res.noiseConv = make(map[noiseKey]noiseVal)
-	}
-	key := noiseKey{net: net, edge: ann.Edge}
-	if v, ok := res.noiseConv[key]; ok {
-		return v.arrival, v.trans, nil
-	}
 	nl, nlOut := ann.Noiseless, ann.NoiselessOut
 	if nl == nil || nlOut == nil {
 		nl, nlOut, err = t.reconstructNoiseless(base, ann, cell, arc, load)
@@ -218,7 +175,6 @@ func (t *Timer) convertNoise(res *Result, reg *telemetry.Registry, net string, a
 			return 0, 0, fmt.Errorf("noise annotation on %s: %w", net, err)
 		}
 	}
-	reg.Counter("sta.noise_conversions").Inc()
 	gamma, err := t.Technique.Equivalent(eqwave.Input{
 		Noisy:        ann.Noisy,
 		Noiseless:    nl,
@@ -230,15 +186,12 @@ func (t *Timer) convertNoise(res *Result, reg *telemetry.Registry, net string, a
 	if err != nil {
 		return 0, 0, fmt.Errorf("noise conversion (%s): %w", t.Technique.Name(), err)
 	}
-	arr, err = gamma.Arrival()
-	if err != nil {
+	if arr, err = gamma.Arrival(); err != nil {
 		return 0, 0, err
 	}
-	tt, err = gamma.TransitionTime()
-	if err != nil {
+	if tt, err = gamma.TransitionTime(); err != nil {
 		return 0, 0, err
 	}
-	res.noiseConv[key] = noiseVal{arrival: arr, trans: tt}
 	return arr, tt, nil
 }
 
@@ -278,105 +231,6 @@ func (t *Timer) reconstructNoiseless(base *NetTiming, ann *NoiseAnnotation, cell
 	span := 2 * pt.Trans
 	nl = ramp.ToWaveform(pt.Arrival-span, pt.Arrival+span, 512)
 	return nl, nlOut, nil
-}
-
-// netLoads computes the capacitive load on every net — receiver pin caps +
-// annotated wire cap + declared coupling caps (grounded-aggressor
-// approximation) — and, separately, the sum of receiver pin caps per net,
-// which the Elmore wire model needs on its own (delay = ln2·R·(Cw/2 +
-// ΣCpins), so lumping the wire cap into the pin term would double-count).
-func (t *Timer) netLoads() (loads, pinCaps map[string]float64, err error) {
-	loads = make(map[string]float64)
-	pinCaps = make(map[string]float64)
-	for net, c := range t.Design.NetCaps {
-		loads[net] += c
-	}
-	for _, cp := range t.Design.Couplings {
-		loads[cp.A] += cp.Cap
-		loads[cp.B] += cp.Cap
-	}
-	for _, g := range t.Design.Gates {
-		cell, err := t.Lib.Cell(g.Cell)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sta: gate %s: %w", g.Name, err)
-		}
-		for _, pin := range cell.InputPins() {
-			net, ok := g.Pins[pin]
-			if !ok {
-				continue
-			}
-			p, _ := cell.Pin(pin)
-			loads[net] += p.Cap
-			pinCaps[net] += p.Cap
-		}
-	}
-	return loads, pinCaps, nil
-}
-
-// levelize returns gates in topological order (Kahn's algorithm over the
-// net dependency graph).
-func (t *Timer) levelize() ([]string, error) {
-	d := t.Design
-	driver := make(map[string]string) // net -> driving gate
-	for _, g := range d.Gates {
-		if out, ok := g.Pins["Y"]; ok {
-			if prev, dup := driver[out]; dup {
-				return nil, &MultiDriverError{Net: out, Driver1: prev, Driver2: g.Name}
-			}
-			driver[out] = g.Name
-		}
-	}
-	primary := make(map[string]bool)
-	for _, p := range d.Inputs {
-		primary[p.Name] = true
-	}
-	// Dependency edges: gate A -> gate B when A drives one of B's inputs.
-	indeg := make(map[string]int)
-	succ := make(map[string][]string)
-	for _, g := range d.Gates {
-		indeg[g.Name] = 0
-	}
-	for _, g := range d.Gates {
-		for pin, net := range g.Pins {
-			if pin == "Y" {
-				continue
-			}
-			if primary[net] {
-				continue
-			}
-			drv, ok := driver[net]
-			if !ok {
-				return nil, fmt.Errorf("sta: net %s (input of %s) has no driver", net, g.Name)
-			}
-			succ[drv] = append(succ[drv], g.Name)
-			indeg[g.Name]++
-		}
-	}
-	var queue []string
-	for name, deg := range indeg {
-		if deg == 0 {
-			queue = append(queue, name)
-		}
-	}
-	sort.Strings(queue) // deterministic order
-	var order []string
-	for len(queue) > 0 {
-		g := queue[0]
-		queue = queue[1:]
-		order = append(order, g)
-		next := succ[g]
-		sort.Strings(next)
-		for _, s := range next {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	if len(order) != len(d.Gates) {
-		return nil, ErrCombinationalLoop
-	}
-	return order, nil
 }
 
 // WorstOutput returns the latest-arriving (net, edge) among the design's

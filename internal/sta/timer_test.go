@@ -1,6 +1,8 @@
 package sta
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -192,6 +194,9 @@ gate u2 INV A=n1 Y=n2
 	_, err := New(testLib(), d).Run()
 	if err == nil {
 		t.Fatal("loop accepted")
+	}
+	if _, err := New(testLib(), d).RunCtx(context.Background(), RunOptions{Workers: 4}); !errors.Is(err, ErrCombinationalLoop) {
+		t.Fatalf("loop at 4 workers: err = %v, want ErrCombinationalLoop", err)
 	}
 }
 

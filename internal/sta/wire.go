@@ -1,10 +1,6 @@
 package sta
 
-import (
-	"math"
-
-	"noisewave/internal/netlist"
-)
+import "math"
 
 // WireModel selects how net (interconnect) delay is treated during
 // propagation.
@@ -24,16 +20,6 @@ const (
 	// apply the same transform, so slack stays constant along a path.
 	ElmoreWire
 )
-
-// NetRes returns the annotated wire resistance of a net (Ω), zero when the
-// netlist carries none. The netlist format annotates it with
-// "netres <net> <ohms>".
-func netRes(d *netlist.Design, net string) float64 {
-	if d.NetRes == nil {
-		return 0
-	}
-	return d.NetRes[net]
-}
 
 // wireDelay returns the Elmore 50% delay and the degraded transition for a
 // net with wire resistance r, wire capacitance cw, summed receiver pin
