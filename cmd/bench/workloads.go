@@ -110,7 +110,7 @@ func workloads() []workload {
 		},
 		{
 			name:  "table1-small",
-			about: "Table 1, config I, 8 cases, P=15, coarse step",
+			about: "Table 1, config I, 8 cases, P=15, coarse step; work counts are for amd64",
 			run: func(ctx context.Context, reg *telemetry.Registry, workers int) error {
 				cfg := xtalk.ConfigurationI(device.Default130())
 				cfg.Step = 2e-12
@@ -125,7 +125,7 @@ func workloads() []workload {
 		},
 		{
 			name:  "table1-full",
-			about: "Table 1, config I, 200 cases, P=35, paper step",
+			about: "Table 1, config I, 200 cases, P=35, paper step; work counts are for amd64",
 			run: func(ctx context.Context, reg *telemetry.Registry, workers int) error {
 				cfg := xtalk.ConfigurationI(device.Default130())
 				_, err := experiments.RunTable1(cfg, experiments.Table1Options{

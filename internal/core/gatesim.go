@@ -219,13 +219,17 @@ func GateDelay(in, out *wave.Waveform, vdd float64) (float64, error) {
 	return tOut - tIn, nil
 }
 
-// WindowFor picks a simulation window that covers a ramp's transition and
-// a reference record, with margin on both sides.
+// WindowFor picks the replay window for a ramp: from the earlier of the
+// reference record's start and margin before the ramp's transition [t0, t1],
+// to margin after t1. Past t1 the ramp is flat, so the window ends once the
+// driven gate has had margin to settle rather than at the reference's end;
+// a caller that needs the reference's full span takes max(stop, ref.End()).
+// A flat ramp, which has no transition, gets the reference's span.
 func WindowFor(r wave.Ramp, ref *wave.Waveform, margin float64) (start, stop float64) {
 	start, stop = ref.Start(), ref.End()
 	if t0, t1, err := r.Span(); err == nil {
 		start = math.Min(start, t0-margin)
-		stop = math.Max(stop, t1+margin)
+		stop = t1 + margin
 	}
 	return start, stop
 }

@@ -69,12 +69,22 @@ func TestGateDelayAndArrival(t *testing.T) {
 func TestWindowFor(t *testing.T) {
 	ref := wave.MustNew([]float64{1e-9, 2e-9}, []float64{0, 1})
 	r := wave.NewRamp(1.2/0.1e-9, -1.2*0.5e-9/0.1e-9, 0, 1.2) // spans 0.5..0.6 ns
-	start, stop := WindowFor(r, ref, 0.1e-9)
-	if start > 0.4e-9+1e-15 {
-		t.Errorf("start %g should cover the ramp with margin", start)
+	t0, t1, err := r.Span()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stop < 2e-9 {
-		t.Errorf("stop %g should cover the reference", stop)
+	// The start covers the ramp with margin (or the reference, whichever is
+	// earlier); the stop is margin past the ramp's end, not the reference's.
+	start, stop := WindowFor(r, ref, 0.1e-9)
+	if start != t0-0.1e-9 {
+		t.Errorf("start %g, want t0 - margin = %g", start, t0-0.1e-9)
+	}
+	if stop != t1+0.1e-9 {
+		t.Errorf("stop %g, want t1 + margin = %g", stop, t1+0.1e-9)
+	}
+	early := wave.MustNew([]float64{0, 2e-9}, []float64{0, 1})
+	if s, e := WindowFor(r, early, 0.1e-9); s != 0 || e != t1+0.1e-9 {
+		t.Errorf("reference starting at 0: window [%g, %g], want [0, %g]", s, e, t1+0.1e-9)
 	}
 	// Flat ramp: window falls back to the reference span.
 	flat := wave.NewRamp(0, 0.6, 0, 1.2)

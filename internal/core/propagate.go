@@ -54,9 +54,9 @@ type CompareOptions struct {
 	// Techniques to evaluate; nil selects eqwave.All().
 	Techniques []eqwave.Technique
 	// Telemetry, if non-nil, receives per-technique fit timers
-	// ("eqwave.fit_seconds.<name>"), the replay-cache hit/miss/eviction
-	// counters and the spice engine counters of the replays (via the
-	// gate's registry, which this call temporarily sets when unset).
+	// ("eqwave.fit_seconds.<name>"), the replay-cache hit/miss/eviction/
+	// extension counters and the spice engine counters of the replays (via
+	// the gate's registry, which this call temporarily sets when unset).
 	Telemetry *telemetry.Registry
 }
 
@@ -94,7 +94,7 @@ func CompareTechniquesWith(gate *GateSim, in eqwave.Input, trueOut *wave.Wavefor
 		return nil, fmt.Errorf("core: reference delay: %w", err)
 	}
 	cmp := &Comparison{TrueArrival: trueArr, TrueDelay: trueDelay}
-	cache := newReplayCache()
+	cache := newReplayCache(trueOut.End())
 	defer cache.publish(opts.Telemetry)
 	for _, tech := range techs {
 		if ctx.Err() != nil {

@@ -50,9 +50,12 @@ func makeReplayKey(r wave.Ramp, start, stop float64) (replayKey, bool) {
 // replayCache memoizes GateSim.OutputForRamp within one noise case. The
 // techniques frequently emit near-identical equivalent waveforms — e.g.
 // SGDP's safeguard falls back to the WLS5 fit, and P1/P2 coincide whenever
-// the noisy 10%/50%/90% crossings are collinear — so the dominant cost of
-// a case, the transistor-level replay transient, is simulated once per
-// distinct (quantized) ramp.
+// the noisy 10%/50%/90% crossings are collinear — so the transistor-level
+// replay transient, a case's largest cost after the golden transient, is
+// simulated once per distinct (quantized) ramp.
+//
+// Replays run over WindowFor's window, which ends margin after the ramp
+// saturates; replay reruns one whose output has not settled by then.
 //
 // A cache instance is confined to a single CompareTechniques call (one
 // case, one goroutine): sharing across cases would be unsound under the
@@ -68,9 +71,11 @@ type replayCache struct {
 	entries    map[replayKey]replayEntry
 	order      []replayKey // insertion order, for FIFO eviction
 	maxEntries int
+	refEnd     float64 // end of the case's reference record
 	hits       int
 	misses     int
 	evictions  int
+	extended   int // replays rerun to refEnd
 }
 
 type replayEntry struct {
@@ -83,28 +88,32 @@ type replayEntry struct {
 // six never evicts.
 const defaultReplayCap = 64
 
-func newReplayCache() *replayCache {
+// newReplayCache returns an empty cache for a case whose reference record
+// ends at refEnd.
+func newReplayCache(refEnd float64) *replayCache {
 	return &replayCache{
 		entries:    make(map[replayKey]replayEntry),
 		maxEntries: defaultReplayCap,
+		refEnd:     refEnd,
 	}
 }
 
-// outputForRamp returns the gate response for the ramp, replaying through
-// the simulator only on the first sight of a quantized key. Errors are
-// cached too: an unstable replay would fail identically on retry.
+// outputForRamp returns the gate response for the ramp over [start, stop],
+// replaying through the simulator only on the first sight of a quantized
+// key. Errors are cached too: an unstable replay would fail identically on
+// retry.
 func (c *replayCache) outputForRamp(ctx context.Context, gate *GateSim, r wave.Ramp, start, stop float64) (*wave.Waveform, error) {
 	key, ok := makeReplayKey(r, start, stop)
 	if !ok {
 		c.misses++
-		return gate.OutputForRampCtx(ctx, r, start, stop)
+		return c.replay(ctx, gate, r, start, stop)
 	}
 	if e, ok := c.entries[key]; ok {
 		c.hits++
 		return e.out, e.err
 	}
 	c.misses++
-	out, err := gate.OutputForRampCtx(ctx, r, start, stop)
+	out, err := c.replay(ctx, gate, r, start, stop)
 	if len(c.entries) >= c.maxEntries && c.maxEntries > 0 {
 		oldest := c.order[0]
 		c.order = c.order[1:]
@@ -116,6 +125,35 @@ func (c *replayCache) outputForRamp(ctx context.Context, gate *GateSim, r wave.R
 	return out, err
 }
 
+// replay runs one replay over [start, stop] and, when its output has not
+// settled and the reference record runs past stop, reruns it over
+// [start, c.refEnd]. Both runs share the start, DC point, step grid and
+// breakpoints, so the first run's samples are the second's up to its final
+// step; past stop the ramp is flat, so a settled output has no 0.5·Vdd
+// crossing left to add.
+func (c *replayCache) replay(ctx context.Context, gate *GateSim, r wave.Ramp, start, stop float64) (*wave.Waveform, error) {
+	out, err := gate.OutputForRampCtx(ctx, r, start, stop)
+	if err != nil || c.refEnd <= stop || settled(out, gate.Tech.Vdd) {
+		return out, err
+	}
+	c.extended++
+	return gate.OutputForRampCtx(ctx, r, start, c.refEnd)
+}
+
+// settled reports whether a replayed output has finished switching: its
+// last sample sits across 0.5·Vdd from its first and within 0.1·Vdd of a
+// rail.
+func settled(out *wave.Waveform, vdd float64) bool {
+	first, last := out.V[0], out.V[len(out.V)-1]
+	switch {
+	case first > 0.5*vdd:
+		return last <= 0.1*vdd
+	case first < 0.5*vdd:
+		return last >= 0.9*vdd
+	}
+	return false
+}
+
 // publish flushes the cache outcome counters to a registry (nil-safe).
 func (c *replayCache) publish(reg *telemetry.Registry) {
 	if reg == nil {
@@ -124,4 +162,5 @@ func (c *replayCache) publish(reg *telemetry.Registry) {
 	reg.Counter("core.replay_hits").Add(int64(c.hits))
 	reg.Counter("core.replay_misses").Add(int64(c.misses))
 	reg.Counter("core.replay_evictions").Add(int64(c.evictions))
+	reg.Counter("core.replay_extended").Add(int64(c.extended))
 }

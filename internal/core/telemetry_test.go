@@ -30,7 +30,7 @@ func TestReplayCacheEviction(t *testing.T) {
 	gate := NewInverterChainSim(tech, []float64{1}, 1e-12)
 	ctx := context.Background()
 
-	c := newReplayCache()
+	c := newReplayCache(2e-9)
 	c.maxEntries = 2
 	ramps := testRamps(tech.Vdd, 3)
 	for _, r := range ramps {
@@ -137,6 +137,10 @@ func TestCompareTechniquesWithTelemetry(t *testing.T) {
 	}
 	if got := snap.Counters["core.replay_misses"]; got != int64(cmp.ReplayMisses) {
 		t.Errorf("core.replay_misses = %d, want %d", got, cmp.ReplayMisses)
+	}
+	// Both outputs settle inside the trimmed window: no replay reruns.
+	if got, ok := snap.Counters["core.replay_extended"]; !ok || got != 0 {
+		t.Errorf("core.replay_extended = %d (published %v), want 0", got, ok)
 	}
 	// The replays themselves ran under the borrowed registry.
 	if got := snap.Counters["spice.transients"]; got <= 0 {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"noisewave/internal/core"
 	"noisewave/internal/eqwave"
@@ -101,8 +102,10 @@ func RunFigure2(cfg xtalk.Config, opts Figure2Options) (*Figure2Series, error) {
 	gate := core.NewInverterChainSim(cfg.Tech,
 		[]float64{cfg.ReceiverDrive, cfg.Load1Drive, cfg.Load2Drive}, cfg.Step)
 	gate.Telemetry = opts.Telemetry
+	// v_out^eff is plotted against the reference output, so it spans the
+	// reference's full record.
 	start, stop := core.WindowFor(gamma, nOut, 0.2e-9)
-	est, err := gate.OutputForRampCtx(ctx, gamma, start, stop)
+	est, err := gate.OutputForRampCtx(ctx, gamma, start, math.Max(stop, nOut.End()))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: figure2 gate eval: %w", err)
 	}

@@ -67,6 +67,24 @@ func TestFigure2Series(t *testing.T) {
 	}
 }
 
+// TestFigure2EstOutSpansReference: v_out^eff is drawn against the
+// reference noisy output, so its replay must run to the end of the
+// reference record rather than stop once Γeff has settled.
+func TestFigure2EstOutSpansReference(t *testing.T) {
+	tech := device.Default130()
+	for _, cfg := range []xtalk.Config{xtalk.ConfigurationI(tech), xtalk.ConfigurationII(tech)} {
+		cfg.Step = 2e-12
+		s, err := RunFigure2(cfg, Figure2Options{Offset: 0.05e-9})
+		if err != nil {
+			t.Fatalf("config %s: RunFigure2: %v", cfg.Name, err)
+		}
+		if s.EstOut.End() != s.NoisyOut.End() {
+			t.Errorf("config %s: v_out^eff ends at %g s, reference at %g s",
+				cfg.Name, s.EstOut.End(), s.NoisyOut.End())
+		}
+	}
+}
+
 // TestRuntimeComparison reproduces the §4.2 structure: every technique has
 // a per-gate time; the weighted techniques (WLS5, SGDP) cost more than the
 // point-based ones but all stay in the sub-millisecond regime the paper

@@ -126,7 +126,8 @@ func degradedTable1Case(ctx context.Context, gate *core.GateSim, cfg xtalk.Confi
 		return table1Case{}, fmt.Errorf("P2 fallback fit: %w", err)
 	}
 	start, stop := core.WindowFor(gamma, nIn, 0.2e-9)
-	stop += cfg.Window // the salvaged prefix ends early; extend past it
+	// The salvaged prefix ends early; replay past both it and Γeff's end.
+	stop = math.Max(stop, nIn.End()) + cfg.Window
 	est, err := gate.OutputForRampCtx(ctx, gamma, start, stop)
 	if err != nil {
 		return table1Case{}, fmt.Errorf("P2 fallback replay: %w", err)

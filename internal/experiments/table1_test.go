@@ -81,6 +81,47 @@ func TestTable1ConfigurationII(t *testing.T) {
 	}
 }
 
+// TestTable1SmallPinned pins cmd/bench's table1-small workload (Cfg I, 8
+// cases, P=15, 2 ps step) to 1 fs: every technique's max and avg error.
+// The values are amd64 results; a solver or fit change that moves any of
+// them by more than 1 fs fails here.
+func TestTable1SmallPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("pinned Table 1 sweep skipped under -short")
+	}
+	want := map[string][2]float64{ // technique -> {max, avg} in seconds
+		"P1":   {5.9830481587419212e-12, 4.2670836977599644e-12},
+		"P2":   {3.1889988575057356e-11, 1.4091056350670505e-11},
+		"LSF3": {6.7816490270850735e-11, 3.0308805440527377e-11},
+		"E4":   {3.2349031653636427e-11, 2.0131477300444592e-11},
+		"WLS5": {2.5013234279955135e-12, 1.4403520295201696e-12},
+		"SGDP": {8.2034744830342483e-12, 2.4377431089728799e-12},
+	}
+	cfg := xtalk.ConfigurationI(device.Default130())
+	cfg.Step = 2e-12
+	res, err := RunTable1(cfg, Table1Options{Cases: 8, Range: 1e-9, P: 15})
+	if err != nil {
+		t.Fatalf("RunTable1: %v", err)
+	}
+	if len(res.Stats) != len(want) {
+		t.Fatalf("%d techniques scored, want %d", len(res.Stats), len(want))
+	}
+	for _, s := range res.Stats {
+		w, ok := want[s.Name]
+		if !ok {
+			t.Errorf("unexpected technique %s", s.Name)
+			continue
+		}
+		if s.N != 8 {
+			t.Errorf("%s scored %d cases, want 8", s.Name, s.N)
+		}
+		if math.Abs(s.MaxAbs-w[0]) > 1e-15 || math.Abs(s.AvgAbs-w[1]) > 1e-15 {
+			t.Errorf("%s max %.17g avg %.17g, want %.17g / %.17g (±1 fs)",
+				s.Name, s.MaxAbs, s.AvgAbs, w[0], w[1])
+		}
+	}
+}
+
 // checkTable1 validates the invariants every configuration must satisfy;
 // wlsBound is the avg-error plausibility bound applied to WLS5 (relaxed in
 // Configuration II, see above).

@@ -18,13 +18,19 @@ import (
 //	DELETE /jobs/{id}         cancel a queued or running job
 //
 // Submission errors map onto transport codes: an invalid config is 400, a
-// full backlog or an exhausted tenant quota is 429 (with Retry-After), a
-// closed or draining manager is 503 (with Retry-After). The submit body
-// is:
+// body over maxSubmitBytes is 413, a full backlog or an exhausted tenant
+// quota is 429 (with Retry-After), a closed or draining manager is 503
+// (with Retry-After). The submit body is:
 //
 //	{"tenant": "team-a", "priority": 5, "config": {"experiment": "table1", ...}}
 //
 // tenant and priority are optional (default: "default", 0).
+
+// maxSubmitBytes caps a POST /jobs body. The largest legitimate submission
+// inlines a netlist and a Liberty library; a 10⁵-gate netlist is ~5 MB, so
+// 64 MiB leaves an order of magnitude of headroom while bounding what one
+// request can make the daemon buffer.
+const maxSubmitBytes = 64 << 20
 
 // submitRequest is the POST /jobs body.
 type submitRequest struct {
@@ -48,14 +54,20 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
-// mountJobs registers the job routes on mux against manager m.
-func (s *Server) mountJobs(mux *http.ServeMux, m *jobs.Manager) {
+// mountJobs registers the job routes on mux against manager m, refusing
+// submission bodies over maxBody bytes (Handler passes maxSubmitBytes).
+func (s *Server) mountJobs(mux *http.ServeMux, m *jobs.Manager, maxBody int64) {
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req submitRequest
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			code := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, code, err)
 			return
 		}
 		if req.Tenant == "" {

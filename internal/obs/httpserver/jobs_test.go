@@ -228,3 +228,32 @@ func TestJobsAPIErrors(t *testing.T) {
 		t.Errorf("cancel status = %d, want 200", resp.StatusCode)
 	}
 }
+
+// TestJobsAPIOversizedBody: a submission body past the cap is refused
+// with 413 and the usual JSON error body, and no job is created. The
+// route is mounted with a 1 KiB cap so the test need not stream
+// maxSubmitBytes through the decoder.
+func TestJobsAPIOversizedBody(t *testing.T) {
+	const maxBody = 1 << 10
+	reg := telemetry.New()
+	m := jobs.NewManager(jobs.Options{Telemetry: reg})
+	defer m.Close()
+	mux := http.NewServeMux()
+	(&Server{Registry: reg}).mountJobs(mux, m, maxBody)
+
+	// An unterminated string keeps the decoder reading past the cap; under
+	// no cap the same body is a 400 (unexpected EOF).
+	body := `{"tenant":"` + strings.Repeat("a", maxBody)
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body status = %d, want 413", rec.Code)
+	}
+	var e errorBody
+	if err := json.NewDecoder(rec.Body).Decode(&e); err != nil || e.Error == "" {
+		t.Errorf("413 body = %q, want a JSON error (%v)", rec.Body.String(), err)
+	}
+	if n := len(m.Jobs()); n != 0 {
+		t.Errorf("%d jobs after an oversized submission, want 0", n)
+	}
+}

@@ -120,7 +120,7 @@ func (s *Server) Handler() http.Handler {
 		s.Flight.WriteJSON(w)
 	})
 	if s.Jobs != nil {
-		s.mountJobs(mux, s.Jobs)
+		s.mountJobs(mux, s.Jobs, maxSubmitBytes)
 	}
 	return s.middleware(mux)
 }
