@@ -102,9 +102,9 @@ func main() {
 
 // measure runs one workload at one worker count with a fresh registry and
 // derives the run record from the engine's own counters: completed cases
-// and Newton iterations come from telemetry (identical accounting on the
-// sequential and parallel paths), the allocation volume from the
-// runtime's total-alloc delta.
+// and Newton iterations come from telemetry (identical accounting at every
+// worker count), the allocation volume from the runtime's total-alloc
+// delta.
 func measure(w workload, workers int) (RunResult, error) {
 	reg := telemetry.New()
 	if w.setup != nil {

@@ -13,8 +13,8 @@
 //	repro -experiment all
 //
 // -workers sizes the sweep worker pool for the alignment sweeps (table1,
-// pushout, psweep): 0 (the default) uses every core, 1 forces the
-// sequential oracle path. Each worker owns a private transistor-level
+// pushout, psweep): 0 (the default) uses every core, and 1 runs the cases
+// one at a time in case order. Each worker owns a private transistor-level
 // simulator — the spice engine is single-threaded — and the statistics are
 // bit-identical for any worker count.
 //
@@ -103,7 +103,7 @@ func main() {
 		p          = flag.Int("p", 35, "technique sample count P")
 		out        = flag.String("out", "", "CSV output path for figure2 (default stdout)")
 		quiet      = flag.Bool("q", false, "suppress progress output")
-		workers    = flag.Int("workers", 0, "sweep worker pool size (0 = all cores, 1 = sequential)")
+		workers    = flag.Int("workers", 0, "sweep worker pool size (0 = all cores, 1 = one case at a time)")
 		metrics    = flag.String("metrics", "", "dump telemetry snapshot at exit: text | json")
 		traceOn    = flag.Bool("trace", false, "record hierarchical spans (one trace per sweep case)")
 		artifacts  = flag.String("artifacts", "", "write run artifacts (trace, journal, metrics, failures, config) to this directory at exit; implies -trace")
@@ -346,9 +346,9 @@ func dumpMetrics(reg *telemetry.Registry, format string) {
 
 // throughput reports a sweep's cases/s from the telemetry delta rather than
 // an ad-hoc stopwatch: completed cases come from the sweep engine's own
-// counter (recorded identically by the sequential and the parallel path, so
-// -workers 1 and -workers N lines are comparable) and the denominator is
-// the experiment's wall timer.
+// counter (recorded identically at every worker count, so -workers 1 and
+// -workers N lines are comparable) and the denominator is the experiment's
+// wall timer.
 func throughput(d telemetry.Snapshot, wallTimer string) (cases int64, elapsed time.Duration, rate float64) {
 	cases = d.Counters["sweep.cases_completed"]
 	elapsed = time.Duration(d.Timers[wallTimer].Sum * float64(time.Second))

@@ -26,18 +26,11 @@ import (
 //
 // while field access stays flat (opts.Workers) through Go's embedding.
 type SweepOptions struct {
-	// Workers sizes the sweep worker pool: 1 runs the strictly sequential
-	// oracle path, <= 0 uses all available cores, and any N > 1 fans the
-	// independent cases out over N workers. Results are aggregated in case
+	// Workers sizes the sweep worker pool: <= 0 uses all available cores,
+	// and N >= 1 fans the independent cases out over N workers (1 runs
+	// them one at a time in case order). Results are aggregated in case
 	// order, so any worker count produces bit-identical statistics.
 	Workers int
-	// Shards splits the case space into that many consistent-hash shards
-	// (sweep.ShardOf on the case index), executed shard by shard over the
-	// pool and merged at the global case indices. Like Workers, it never
-	// changes the numbers: any shard count produces bit-identical
-	// statistics. <= 1 disables sharding. The job service (internal/jobs)
-	// uses shards as its unit of scheduling.
-	Shards int
 	// Seed drives any randomized case generation (e.g. the pushout
 	// Monte-Carlo alignment draws). Ignored by fully deterministic sweeps.
 	Seed int64
@@ -71,9 +64,6 @@ type SweepOptions struct {
 	// exceeding it fails with sweep.ErrCaseTimeout (quarantined under
 	// KeepGoing).
 	CaseTimeout time.Duration
-	// CaseRetries is how many extra attempts a failing case gets (0 =
-	// single attempt).
-	CaseRetries int
 	// Inject, if non-nil, threads the deterministic fault injector through
 	// the sweep and into every worker's spice engine — the backbone of
 	// cmd/repro's -chaos mode.
@@ -92,28 +82,19 @@ func (o SweepOptions) ctx() context.Context {
 	return context.Background()
 }
 
-// runSweep dispatches n independent cases over the sweep engine, routing
-// Workers == 1 through the strictly sequential oracle path the parallel
-// path is tested against. It returns the partial-results contract of
-// sweep.RunPartial: on cancellation the completed cases are kept and
-// flagged.
+// runSweep dispatches n independent cases over the sweep worker pool. It
+// returns the partial-results contract of sweep.RunPartial: on
+// cancellation the completed cases are kept and flagged.
 func runSweep[W, R any](so SweepOptions, n int,
 	newWorker func(int) (W, error),
 	do func(context.Context, int, W) (R, error)) ([]R, []bool, *sweep.FailureReport, error) {
 
-	opts := sweep.Options{
+	return sweep.RunPartial(so.ctx(), n, sweep.Options{
 		Workers: so.Workers, Progress: so.Progress, Telemetry: so.Telemetry,
 		Tracer:    so.Tracer,
-		KeepGoing: so.KeepGoing, CaseTimeout: so.CaseTimeout, CaseRetries: so.CaseRetries,
+		KeepGoing: so.KeepGoing, CaseTimeout: so.CaseTimeout,
 		Inject: so.Inject,
-	}
-	if so.Shards > 1 {
-		return sweep.RunShardedPartial(so.ctx(), n, so.Shards, opts, newWorker, do)
-	}
-	if so.Workers == 1 {
-		return sweep.SequentialPartial(so.ctx(), n, opts, newWorker, do)
-	}
-	return sweep.RunPartial(so.ctx(), n, opts, newWorker, do)
+	}, newWorker, do)
 }
 
 // canceled reports whether err is a cancellation (and so partial results

@@ -9,9 +9,10 @@ import (
 	"noisewave/internal/xtalk"
 )
 
-// TestTable1ParallelEquivalence: the worker-pool sweep must be bit-identical
-// to the sequential oracle — same TechniqueStats (MaxAbs/AvgAbs/MeanSigned/
-// Failures/N) and same per-case records — on both paper configurations.
+// TestTable1ParallelEquivalence: a four-worker sweep must be bit-identical
+// to a one-worker sweep, which runs the cases in case order — same
+// TechniqueStats (MaxAbs/AvgAbs/MeanSigned/Failures/N) and same per-case
+// records — on both paper configurations.
 // This is the contract that lets cmd/repro default to all cores.
 func TestTable1ParallelEquivalence(t *testing.T) {
 	for _, mk := range []func(device.Tech) xtalk.Config{xtalk.ConfigurationI, xtalk.ConfigurationII} {

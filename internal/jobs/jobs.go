@@ -1,23 +1,22 @@
 // Package jobs is the timing-as-a-service layer: a long-running in-process
 // job service that accepts batch sweep and STA configurations, queues them
-// with priorities and per-tenant quotas behind a bounded backlog, shards
-// each job's case space across the sweep worker pool by consistent hash on
-// the case index, and serves results from a content-addressed store so
-// resubmitting an identical configuration costs zero solves.
+// with priorities and per-tenant quotas behind a bounded backlog, runs each
+// sweep job's cases over the sweep worker pool, and serves results from a
+// content-addressed store so resubmitting an identical configuration costs
+// zero solves.
 //
 // The package wires together what the engine already provides as libraries:
-// the bounded worker pool with bit-identical sharding (internal/sweep), the
-// quarantine/keep-going resilience layer, per-job run artifacts
-// (internal/obs) as audit trails, hierarchical tracing, and the telemetry
-// registry — all behind a Submit/Get/Result request path that
+// the bounded worker pool with bit-identical results at any worker count
+// (internal/sweep), the quarantine/keep-going resilience layer, per-job run
+// artifacts (internal/obs) as audit trails, hierarchical tracing, and the
+// telemetry registry — all behind a Submit/Get/Result request path that
 // internal/obs/httpserver exposes over HTTP and cmd/serve boots as a
 // daemon.
 //
 // Job identity is content-addressed: a configuration is normalized
 // (defaults applied), canonically serialized, and hashed; execution details
-// that provably do not change the numbers — worker count, shard count —
-// live on the Manager, not in the configuration, so they never fragment the
-// cache.
+// that provably do not change the numbers — the worker count — live on the
+// Manager, not in the configuration, so they never fragment the cache.
 package jobs
 
 import (
@@ -83,6 +82,15 @@ var (
 	ErrInterrupted = errors.New("jobs: interrupted by daemon crash")
 )
 
+// Upper bounds on a sweep job's size, so one submission cannot pin a runner
+// for hours. Each is at least 10× the largest value any in-repo caller
+// uses: 200 cases, P = 141 in the psweep study and a 1 ns alignment window.
+const (
+	maxCases  = 10000
+	maxP      = 1000
+	maxRangeS = 1e-8 // seconds
+)
+
 // Normalized returns the config with defaults applied and every field
 // validated — the canonical form the content hash is computed over.
 func (c Config) Normalized() (Config, error) {
@@ -107,6 +115,15 @@ func (c Config) Normalized() (Config, error) {
 		}
 		if c.RangeS <= 0 {
 			c.RangeS = 1e-9
+		}
+		if c.Cases > maxCases {
+			return c, fmt.Errorf("%w: cases %d exceeds the limit of %d", ErrInvalidConfig, c.Cases, maxCases)
+		}
+		if c.P > maxP {
+			return c, fmt.Errorf("%w: p %d exceeds the limit of %d", ErrInvalidConfig, c.P, maxP)
+		}
+		if !(c.RangeS <= maxRangeS) { // also rejects NaN
+			return c, fmt.Errorf("%w: range_s %g exceeds the limit of %g s", ErrInvalidConfig, c.RangeS, maxRangeS)
 		}
 		for _, name := range c.Techniques {
 			if _, err := eqwave.ByName(name); err != nil {

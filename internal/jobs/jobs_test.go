@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -172,11 +173,11 @@ func TestSTAJobMatchesDirectRun(t *testing.T) {
 }
 
 // TestConcurrentSubmissionsBitIdentical: many distinct jobs submitted
-// concurrently, executed by several runners over a sharded pool, must each
-// match their direct run exactly.
+// concurrently, executed by several runners, must each match their direct
+// run exactly.
 func TestConcurrentSubmissionsBitIdentical(t *testing.T) {
 	lib := testLibertyText(t)
-	m := NewManager(Options{Runners: 3, Workers: 2, Shards: 4, Telemetry: telemetry.New()})
+	m := NewManager(Options{Runners: 3, Workers: 2, Telemetry: telemetry.New()})
 	defer m.Close()
 
 	slews := []int{60, 80, 100, 120, 140, 160}
@@ -214,14 +215,15 @@ func TestConcurrentSubmissionsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPushoutJobMatchesDirectRunSharded: a spice-backed sweep job, sharded
-// over the pool, must be bit-identical to the direct experiments driver.
-func TestPushoutJobMatchesDirectRunSharded(t *testing.T) {
+// TestPushoutJobMatchesDirectRun: a spice-backed sweep job run over the
+// service's worker pool must be bit-identical to the direct experiments
+// driver.
+func TestPushoutJobMatchesDirectRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transistor-level sweep")
 	}
 	cfg := Config{Experiment: ExpPushout, Cases: 3, RangeS: 0.4e-9}
-	m := NewManager(Options{Workers: 2, Shards: 2, Telemetry: telemetry.New()})
+	m := NewManager(Options{Workers: 2, Telemetry: telemetry.New()})
 	defer m.Close()
 	j, err := m.Submit(cfg, "t1", 0)
 	if err != nil {
@@ -242,7 +244,7 @@ func TestPushoutJobMatchesDirectRunSharded(t *testing.T) {
 	if got.QuietArrival != direct.QuietArrival || got.Mean != direct.Mean ||
 		got.Min != direct.Min || got.Max != direct.Max ||
 		!reflect.DeepEqual(got.Pushouts, direct.Pushouts) {
-		t.Errorf("sharded service pushout differs from direct run:\n got %+v\nwant %+v", got, direct)
+		t.Errorf("service pushout differs from direct run:\n got %+v\nwant %+v", got, direct)
 	}
 
 	done, total := j.Progress()
@@ -484,6 +486,33 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if good.Config != "I" || good.Cases != 200 || good.P == 0 || good.RangeS != 1e-9 {
 		t.Errorf("defaults not applied: %+v", good)
+	}
+}
+
+// TestConfigUpperBounds: each sweep-size limit admits its bound and
+// rejects anything past it with an ErrInvalidConfig naming the field and
+// the limit.
+func TestConfigUpperBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string // "" = accepted
+	}{
+		{"cases at limit", Config{Experiment: ExpTable1, Cases: maxCases}, ""},
+		{"cases over limit", Config{Experiment: ExpTable1, Cases: maxCases + 1}, "cases 10001 exceeds the limit of 10000"},
+		{"p at limit", Config{Experiment: ExpPushout, P: maxP}, ""},
+		{"p over limit", Config{Experiment: ExpPushout, P: maxP + 1}, "p 1001 exceeds the limit of 1000"},
+		{"range at limit", Config{Experiment: ExpTable1, RangeS: maxRangeS}, ""},
+		{"range over limit", Config{Experiment: ExpTable1, RangeS: 2e-8}, "range_s 2e-08 exceeds the limit of 1e-08 s"},
+		{"range NaN", Config{Experiment: ExpTable1, RangeS: math.NaN()}, "range_s NaN exceeds the limit of 1e-08 s"},
+	} {
+		_, err := tc.cfg.Normalized()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: err = %v, want accepted", tc.name, err)
+		case tc.want != "" && (!errors.Is(err, ErrInvalidConfig) || !strings.Contains(fmt.Sprint(err), tc.want)):
+			t.Errorf("%s: err = %v, want ErrInvalidConfig with %q", tc.name, err, tc.want)
+		}
 	}
 }
 

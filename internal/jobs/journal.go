@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -104,9 +105,11 @@ func encodeFrame(rec journalRecord) ([]byte, error) {
 // readJournal scans a journal file, returning every whole, checksummed
 // record and the byte offset where the valid prefix ends. A torn or
 // corrupt frame stops the scan — everything past it is the unsynced debris
-// of a crash.
+// of a crash. The payload buffer grows only with bytes actually read, so a
+// corrupt length field cannot make replay allocate up to maxFrame.
 func readJournal(r io.Reader) (recs []journalRecord, valid int64) {
 	var hdr [frameHeader]byte
+	var buf bytes.Buffer
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return recs, valid
@@ -116,10 +119,11 @@ func readJournal(r io.Reader) (recs []journalRecord, valid int64) {
 		if n == 0 || n > maxFrame {
 			return recs, valid
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
+		buf.Reset()
+		if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
 			return recs, valid
 		}
+		payload := buf.Bytes()
 		if crc32.Checksum(payload, crcTable) != want {
 			return recs, valid
 		}

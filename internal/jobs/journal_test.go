@@ -2,10 +2,12 @@ package jobs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -154,6 +156,70 @@ func TestJournalCorruptFrameStopsReplay(t *testing.T) {
 	if torn != int64(len(data))-firstEnd {
 		t.Errorf("torn=%d, want %d", torn, int64(len(data))-firstEnd)
 	}
+}
+
+// TestJournalCorruptLengthAllocatesLittle: an 8-byte journal whose header
+// claims a maximum-size frame replays as empty without allocating that
+// frame — replay memory follows the bytes present, not the length field.
+func TestJournalCorruptLengthAllocatesLittle(t *testing.T) {
+	var hdr [frameHeader]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], maxFrame)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	recs, valid := readJournal(bytes.NewReader(hdr[:]))
+	runtime.ReadMemStats(&after)
+	if len(recs) != 0 || valid != 0 {
+		t.Fatalf("corrupt header replayed %d records, valid=%d", len(recs), valid)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("replaying 8 corrupt bytes allocated %d bytes, want < 1 MiB", got)
+	}
+}
+
+// FuzzReadJournal: replay over arbitrary bytes never panics, never claims
+// more than it read, and accepts exactly whole frames: the returned
+// records re-encode to the valid prefix byte for byte. A frame is accepted
+// only past its CRC-32C, so in fuzzed input the accepted frames are the
+// ones encodeFrame wrote into the seeds.
+func FuzzReadJournal(f *testing.F) {
+	var whole bytes.Buffer
+	for _, rec := range testRecords() {
+		b, err := encodeFrame(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		whole.Write(b)
+	}
+	data := whole.Bytes()
+	f.Add(data)
+	f.Add(data[:len(data)/2])
+	f.Add([]byte{})
+	flipped := bytes.Clone(data)
+	flipped[frameHeader+2] ^= 0x40
+	f.Add(flipped)
+	var huge [frameHeader]byte
+	binary.LittleEndian.PutUint32(huge[0:4], maxFrame)
+	f.Add(huge[:])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, valid := readJournal(bytes.NewReader(data))
+		if valid < 0 || valid > int64(len(data)) {
+			t.Fatalf("valid = %d outside [0, %d]", valid, len(data))
+		}
+		var again []byte
+		for _, rec := range recs {
+			b, err := encodeFrame(rec)
+			if err != nil {
+				t.Fatalf("re-encode replayed record: %v", err)
+			}
+			again = append(again, b...)
+		}
+		if !bytes.Equal(again, data[:valid]) {
+			t.Fatalf("%d replayed records re-encode to %d bytes, not the %d-byte valid prefix",
+				len(recs), len(again), valid)
+		}
+	})
 }
 
 // TestJournalDiskFaultAppend: an injected disk fault fails the append with

@@ -31,10 +31,6 @@ type Options struct {
 	// Workers sizes each job's sweep worker pool (0 = all cores). Not part
 	// of job identity: any worker count produces bit-identical results.
 	Workers int
-	// Shards splits each sweep job's case space into consistent-hash
-	// shards (sweep.ShardOf); like Workers it never changes the numbers.
-	// <= 1 runs unsharded.
-	Shards int
 	// Telemetry observes the service (jobs.* metrics) and every solve the
 	// jobs run (spice.*, sweep.*, sta.* …). The httpserver /metrics page
 	// typically shares this registry.

@@ -182,6 +182,23 @@ func TestJobsAPIErrors(t *testing.T) {
 		t.Errorf("empty config status = %d, want 400", resp.StatusCode)
 	}
 
+	// A sweep past a size limit is refused at the door: 400 naming the
+	// limit, and no job.
+	resp, err = http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"config":{"experiment":"table1","cases":10001}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e errorBody
+	json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "cases 10001 exceeds the limit of 10000") {
+		t.Errorf("over-limit cases: status %d, error %q; want 400 naming the limit", resp.StatusCode, e.Error)
+	}
+	if n := len(m.Jobs()); n != 0 {
+		t.Errorf("%d jobs after rejected submissions, want 0", n)
+	}
+
 	resp, err = http.Get(ts.URL + "/jobs/job-999")
 	if err != nil {
 		t.Fatal(err)

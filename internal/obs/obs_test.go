@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"noisewave/internal/sweep"
@@ -39,14 +40,14 @@ func TestProgressHookAndPhase(t *testing.T) {
 	if got := p.Snapshot(); got.Phase != "table1 I" || got.Total != 200 || got.Done != 0 {
 		t.Errorf("after SetPhase: %+v", got)
 	}
-	var forwarded int
-	hook := p.Hook(func(done, total int) { forwarded = done })
+	var forwarded atomic.Int64 // the concurrent leg below calls next too
+	hook := p.Hook(func(done, total int) { forwarded.Store(int64(done)) })
 	hook(7, 200)
 	if got := p.Snapshot(); got.Done != 7 || got.Total != 200 {
 		t.Errorf("after hook: %+v", got)
 	}
-	if forwarded != 7 {
-		t.Errorf("next callback got %d", forwarded)
+	if got := forwarded.Load(); got != 7 {
+		t.Errorf("next callback got %d", got)
 	}
 
 	// Concurrent updates (run with -race).

@@ -57,39 +57,48 @@ func TestRunPartialCancellation(t *testing.T) {
 	}
 }
 
-// TestSequentialPartialCancellation: the sequential oracle completes the
-// exact prefix before the cancellation point and nothing after it.
-func TestSequentialPartialCancellation(t *testing.T) {
-	const n, stopAfter = 20, 5
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	calls := 0
-	results, completed, _, err := SequentialPartial(ctx, n, Options{}, noState,
-		func(ctx context.Context, i int, _ struct{}) (int, error) {
-			calls++
-			if calls == stopAfter {
-				cancel()
-			}
-			return i + 100, nil
-		})
-	if !errors.Is(err, telemetry.ErrCanceled) {
-		t.Fatalf("error %v does not match telemetry.ErrCanceled", err)
-	}
-	if calls != stopAfter {
-		t.Errorf("do ran %d times, want exactly %d", calls, stopAfter)
-	}
-	for i := 0; i < n; i++ {
-		wantDone := i < stopAfter
-		if completed[i] != wantDone {
-			t.Errorf("completed[%d] = %v, want %v", i, completed[i], wantDone)
+// TestOneWorkerCancellationPrefix: a one-worker pool completes the exact
+// prefix before the cancellation point and starts no case after it, and
+// sweep.cases_dispatched counts only the started cases. The dispatcher can
+// still hand the worker the next index after the cancel, so the contract
+// is checked over many runs.
+func TestOneWorkerCancellationPrefix(t *testing.T) {
+	const n, stopAfter, runs = 20, 5, 2000
+	for run := 0; run < runs; run++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		reg := telemetry.New()
+		calls := 0
+		results, completed, _, err := RunPartial(ctx, n, Options{Workers: 1, Telemetry: reg}, noState,
+			func(ctx context.Context, i int, _ struct{}) (int, error) {
+				calls++
+				if calls == stopAfter {
+					cancel()
+				}
+				return i + 100, nil
+			})
+		cancel()
+		if !errors.Is(err, telemetry.ErrCanceled) {
+			t.Fatalf("run %d: error %v does not match telemetry.ErrCanceled", run, err)
 		}
-		if wantDone && results[i] != i+100 {
-			t.Errorf("results[%d] = %d, want %d", i, results[i], i+100)
+		if calls != stopAfter {
+			t.Fatalf("run %d: do ran %d times, want exactly %d", run, calls, stopAfter)
+		}
+		if got := reg.Snapshot().Counters["sweep.cases_dispatched"]; got != stopAfter {
+			t.Fatalf("run %d: sweep.cases_dispatched = %d, want %d", run, got, stopAfter)
+		}
+		for i := 0; i < n; i++ {
+			wantDone := i < stopAfter
+			if completed[i] != wantDone {
+				t.Fatalf("run %d: completed[%d] = %v, want %v", run, i, completed[i], wantDone)
+			}
+			if wantDone && results[i] != i+100 {
+				t.Fatalf("run %d: results[%d] = %d, want %d", run, i, results[i], i+100)
+			}
 		}
 	}
 }
 
-// TestSweepTelemetryComparable: the pool and the sequential oracle record
+// TestSweepTelemetryComparable: a one-worker and a four-worker pool record
 // the same completion counter and pool-size gauge semantics, so throughput
 // derived from a snapshot is comparable across worker counts.
 func TestSweepTelemetryComparable(t *testing.T) {
@@ -97,22 +106,12 @@ func TestSweepTelemetryComparable(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		workers int
-		run     func(reg *telemetry.Registry) error
-	}{
-		{"sequential", 1, func(reg *telemetry.Registry) error {
-			_, _, _, err := SequentialPartial(context.Background(), n, Options{Telemetry: reg}, noState,
-				func(ctx context.Context, i int, _ struct{}) (int, error) { return i, nil })
-			return err
-		}},
-		{"pool", 4, func(reg *telemetry.Registry) error {
-			_, _, _, err := RunPartial(context.Background(), n, Options{Workers: 4, Telemetry: reg}, noState,
-				func(ctx context.Context, i int, _ struct{}) (int, error) { return i, nil })
-			return err
-		}},
-	} {
+	}{{"sequential", 1}, {"pool", 4}} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := telemetry.New()
-			if err := tc.run(reg); err != nil {
+			_, _, _, err := RunPartial(context.Background(), n, Options{Workers: tc.workers, Telemetry: reg}, noState,
+				func(ctx context.Context, i int, _ struct{}) (int, error) { return i, nil })
+			if err != nil {
 				t.Fatalf("sweep: %v", err)
 			}
 			snap := reg.Snapshot()

@@ -140,8 +140,8 @@ func TestChaosStallTimeoutQuarantines(t *testing.T) {
 // case stops the sweep with ErrCaseTimeout — still distinct from a
 // cancellation — and the completed subset is retained.
 func TestCaseTimeoutAbortsWithoutKeepGoing(t *testing.T) {
-	_, completed, report, err := SequentialPartial(context.Background(), 6,
-		Options{CaseTimeout: 30 * time.Millisecond}, noState,
+	_, completed, report, err := RunPartial(context.Background(), 6,
+		Options{Workers: 1, CaseTimeout: 30 * time.Millisecond}, noState,
 		func(ctx context.Context, i int, _ struct{}) (int, error) {
 			if i == 2 {
 				<-ctx.Done()
@@ -207,12 +207,12 @@ func TestKeepGoingCompletesRemaining(t *testing.T) {
 	}
 }
 
-// TestSequentialKeepGoingPanic: the sequential oracle has the same
-// quarantine semantics, including worker-state rebuild after a panic.
+// TestSequentialKeepGoingPanic: a one-worker pool quarantines a panicking
+// case, rebuilds its worker state and runs the rest in order.
 func TestSequentialKeepGoingPanic(t *testing.T) {
 	builds := 0
-	results, completed, report, err := SequentialPartial(context.Background(), 5,
-		Options{KeepGoing: true},
+	results, completed, report, err := RunPartial(context.Background(), 5,
+		Options{Workers: 1, KeepGoing: true},
 		func(int) (int, error) { builds++; return 0, nil },
 		func(ctx context.Context, i int, _ int) (int, error) {
 			if i == 1 {
@@ -297,11 +297,11 @@ func TestGaugesResetAndFinalProgressOnError(t *testing.T) {
 		t.Errorf("final progress (%d,%d), want (%d,16)", last.done, last.total, nDone)
 	}
 
-	// Same contract on the sequential early-cancel path (the historical
-	// stale-gauge bug).
+	// Same contract when a one-worker pool is canceled early (the
+	// historical stale-gauge bug).
 	reg2 := telemetry.New()
 	ctx, cancel := context.WithCancel(context.Background())
-	_, _, _, err = SequentialPartial(ctx, 10, Options{Telemetry: reg2}, noState,
+	_, _, _, err = RunPartial(ctx, 10, Options{Workers: 1, Telemetry: reg2}, noState,
 		func(ctx context.Context, i int, _ struct{}) (int, error) {
 			if i == 3 {
 				cancel()
@@ -313,7 +313,7 @@ func TestGaugesResetAndFinalProgressOnError(t *testing.T) {
 	}
 	snap2 := reg2.Snapshot()
 	if snap2.Gauges["sweep.pool_size"] != 0 || snap2.Gauges["sweep.queue_depth"] != 0 {
-		t.Errorf("sequential gauges not reset on cancel: pool=%g queue=%g",
+		t.Errorf("one-worker gauges not reset on cancel: pool=%g queue=%g",
 			snap2.Gauges["sweep.pool_size"], snap2.Gauges["sweep.queue_depth"])
 	}
 }

@@ -22,14 +22,14 @@
 //     itself and sees a strictly increasing completed-case count; on an
 //     early exit (error or cancellation) one final call repeats the last
 //     count so displays can render a final state.
-//   - Cancellation is first-class: when the parent context is canceled the
-//     Partial variants return the completed cases together with an error
+//   - Cancellation is first-class: when the parent context is canceled
+//     RunPartial returns the completed cases together with an error
 //     matching telemetry.ErrCanceled, so drivers can report partial
 //     statistics instead of discarding finished work.
 //   - An Options.Telemetry registry observes the sweep: queue depth and
 //     pool-size gauges (both reset to zero on every exit path),
 //     dispatched/completed counters, and per-worker case counts and busy
-//     time — identically for Run and the Sequential oracle.
+//     time — identically at every worker count.
 //
 // On top of those semantics sits a resilience layer (see resilience.go): a
 // panicking case is recovered instead of crashing the process, cases can
@@ -53,9 +53,9 @@ import (
 // Options configures a Run.
 type Options struct {
 	// Workers is the worker-pool size. Values <= 0 select
-	// runtime.GOMAXPROCS(0). Workers == 1 still runs on the calling
-	// goroutine's pool machinery but executes cases strictly in index
-	// order, matching a plain loop.
+	// runtime.GOMAXPROCS(0). Workers == 1 runs the cases strictly in index
+	// order on one worker goroutine, matching a plain loop: on an early
+	// exit exactly the prefix before the stopping case has completed.
 	Workers int
 	// Progress, if non-nil, is invoked after each completed (or, with
 	// KeepGoing, quarantined) case with the number of settled cases and the
@@ -66,10 +66,10 @@ type Options struct {
 	// Telemetry, if non-nil, receives the sweep's counters: dispatched and
 	// completed cases, the undispatched-queue depth gauge, the worker-pool
 	// size gauge, and per-worker case counts and busy time (metric names in
-	// EXPERIMENTS.md "Observability"). Both Run and Sequential record them,
-	// so throughput derived from the snapshot is comparable across worker
-	// counts. Gauges are reset to zero on every exit path, including early
-	// errors and cancellation.
+	// EXPERIMENTS.md "Observability"). Every worker count records the same
+	// set, so throughput derived from the snapshot is comparable across
+	// worker counts. Gauges are reset to zero on every exit path, including
+	// early errors and cancellation.
 	Telemetry *telemetry.Registry
 	// Tracer, if non-nil, records one hierarchical root span per case
 	// ("sweep.case", trace.Case = the case index) covering every attempt.
@@ -245,7 +245,6 @@ func RunPartial[W, R any](ctx context.Context, n int, opts Options,
 		for i := 0; i < n; i++ {
 			select {
 			case indices <- i:
-				dispatched.Inc()
 				queueDepth.Set(float64(n - i - 1))
 			case <-ctx.Done():
 				queueDepth.Set(0)
@@ -267,6 +266,13 @@ func RunPartial[W, R any](ctx context.Context, n int, opts Options,
 				return
 			}
 			for i := range indices {
+				// When a send and the cancellation are both ready the
+				// dispatcher's select picks at random, so an index can
+				// arrive after the sweep stopped: start no case then.
+				if ctx.Err() != nil {
+					return
+				}
+				dispatched.Inc()
 				caseStart := time.Now()
 				out, ns := runCase(ctx, opts, i, state, rebuild, do)
 				state = ns
@@ -335,119 +341,4 @@ func sortFailures(fs []CaseFailure) {
 			fs[j], fs[j-1] = fs[j-1], fs[j]
 		}
 	}
-}
-
-// Sequential runs the same contract as Run without goroutines: cases
-// execute strictly in index order on the calling goroutine. The experiment
-// drivers use it as the workers=1 oracle the parallel path is tested
-// against. On any error the results are discarded; use SequentialPartial
-// to keep the completed prefix.
-func Sequential[W, R any](ctx context.Context, n int, opts Options,
-	newWorker func(worker int) (W, error),
-	do func(ctx context.Context, i int, state W) (R, error)) ([]R, error) {
-
-	results, _, _, err := SequentialPartial(ctx, n, opts, newWorker, do)
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// SequentialPartial is Sequential with RunPartial's partial-results and
-// failure-report contract: on cancellation or a case failure, results
-// holds the completed prefix and completed flags it; with KeepGoing,
-// failing cases are quarantined into the report and the loop continues. It
-// records the same telemetry as RunPartial (the single worker is worker
-// 0), so snapshot-derived throughput is comparable between the sequential
-// oracle and the pool.
-func SequentialPartial[W, R any](ctx context.Context, n int, opts Options,
-	newWorker func(worker int) (W, error),
-	do func(ctx context.Context, i int, state W) (R, error)) (results []R, completed []bool, report *FailureReport, err error) {
-
-	if n < 0 {
-		return nil, nil, nil, fmt.Errorf("sweep: negative case count %d", n)
-	}
-	results = make([]R, n)
-	completed = make([]bool, n)
-	if n == 0 {
-		return results, completed, nil, nil
-	}
-	poolSize := opts.Telemetry.Gauge("sweep.pool_size")
-	poolSize.Set(1)
-	queueDepth := opts.Telemetry.Gauge("sweep.queue_depth")
-	defer func() {
-		poolSize.Set(0)
-		queueDepth.Set(0)
-	}()
-	dispatched := opts.Telemetry.Counter("sweep.cases_dispatched")
-	completedCtr := opts.Telemetry.Counter("sweep.cases_completed")
-	quarantinedCtr := opts.Telemetry.Counter("sweep.cases_quarantined")
-	wCases, wBusy := opts.workerTelemetry(0)
-
-	var failures []CaseFailure
-	workersLost := 0
-	buildReport := func() *FailureReport {
-		if len(failures) == 0 && workersLost == 0 {
-			return nil
-		}
-		return &FailureReport{Total: n, Failures: failures, WorkersLost: workersLost}
-	}
-	done := 0
-	settle := func() {
-		done++
-		if opts.Progress != nil {
-			opts.Progress(done, n)
-		}
-	}
-	finalProgress := func() {
-		if opts.Progress != nil {
-			opts.Progress(done, n)
-		}
-	}
-
-	rebuild := func() (W, error) { return newWorker(0) }
-	state, err := newWorker(0)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("sweep: worker 0: %w", err)
-	}
-	queueDepth.Set(float64(n))
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			finalProgress()
-			return results, completed, buildReport(), telemetry.Canceled(ctx,
-				"sweep: canceled after %d/%d cases", i, n)
-		}
-		dispatched.Inc()
-		queueDepth.Set(float64(n - i - 1))
-		caseStart := time.Now()
-		out, ns := runCase(ctx, opts, i, state, rebuild, do)
-		state = ns
-		wBusy.Observe(time.Since(caseStart).Seconds())
-		switch {
-		case out.cancel != nil:
-			finalProgress()
-			return results, completed, buildReport(), out.cancel
-		case out.failure != nil:
-			failures = append(failures, *out.failure)
-			if !opts.KeepGoing {
-				finalProgress()
-				return results, completed, buildReport(), out.failure.Err
-			}
-			quarantinedCtr.Inc()
-			settle()
-			if out.workerDead {
-				workersLost = 1
-				finalProgress()
-				return results, completed, buildReport(),
-					fmt.Errorf("%w (last worker: %v)", ErrWorkersLost, out.failure.Err)
-			}
-		default:
-			results[i] = out.value
-			completed[i] = true
-			wCases.Inc()
-			completedCtr.Inc()
-			settle()
-		}
-	}
-	return results, completed, buildReport(), nil
 }

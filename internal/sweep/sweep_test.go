@@ -178,22 +178,21 @@ func TestParentCancellation(t *testing.T) {
 	}
 }
 
-// TestSequentialOracle: Sequential and Run(workers=1) agree with each
-// other and with the obvious loop.
+// TestSequentialOracle: RunPartial at one and at eight workers agrees with
+// the plain loop.
 func TestSequentialOracle(t *testing.T) {
 	const n = 20
 	do := func(_ context.Context, i int, _ struct{}) (int, error) { return 3*i + 1, nil }
-	seq, err := Sequential(context.Background(), n, Options{}, noState, do)
-	if err != nil {
-		t.Fatalf("Sequential: %v", err)
-	}
-	par, err := Run(context.Background(), n, Options{Workers: 1}, noState, do)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for i := range seq {
-		if seq[i] != 3*i+1 || par[i] != seq[i] {
-			t.Fatalf("index %d: sequential %d parallel %d want %d", i, seq[i], par[i], 3*i+1)
+	for _, workers := range []int{1, 8} {
+		got, completed, report, err := RunPartial(context.Background(), n, Options{Workers: workers}, noState, do)
+		if err != nil || report != nil {
+			t.Fatalf("workers=%d: err %v, report %v", workers, err, report)
+		}
+		for i := 0; i < n; i++ {
+			want, _ := do(context.Background(), i, struct{}{})
+			if !completed[i] || got[i] != want {
+				t.Fatalf("workers=%d: index %d: completed %v got %d want %d", workers, i, completed[i], got[i], want)
+			}
 		}
 	}
 }
