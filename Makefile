@@ -48,9 +48,10 @@ chaos:
 	$(GO) test -race -run 'Chaos' ./internal/spice/... ./internal/sweep/... ./internal/xtalk/... ./internal/experiments/...
 
 # Short fuzz pass over every fuzz target: the waveform constructor and
-# crossing scan, the Liberty, netlist, Verilog and SPEF readers, and journal
-# replay. CI runs the same budget, about two minutes in all with builds;
-# longer local runs just raise -fuzztime.
+# crossing scan, the Liberty, netlist, Verilog and SPEF readers, journal
+# replay and the job config's canonical form. CI runs the same budget,
+# about two minutes in all with builds; longer local runs just raise
+# -fuzztime.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWaveNew$$' -fuzztime 15s ./internal/wave/
 	$(GO) test -run '^$$' -fuzz '^FuzzCrossings$$' -fuzztime 15s ./internal/wave/
@@ -60,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/verilog/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/spef/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 10s ./internal/jobs/
+	$(GO) test -run '^$$' -fuzz '^FuzzConfigNormalized$$' -fuzztime 10s ./internal/jobs/
 
 # Lint with staticcheck when available (CI installs it; local runs skip
 # gracefully rather than demanding an install).

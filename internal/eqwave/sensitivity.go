@@ -56,28 +56,39 @@ const rhoCap = 100.0
 // input with n points (n ≥ 2; values below 32 are raised to 128 for
 // internal accuracy — the technique's own P only controls fit sampling).
 func ComputeSensitivity(nlIn, nlOut *wave.Waveform, vdd float64, edge wave.Edge, n int) (*Sensitivity, error) {
-	if n < 128 {
-		n = 128
-	}
 	tFirst, tLast, err := nlIn.CriticalRegion(0.1*vdd, 0.9*vdd, edge)
 	if err != nil {
 		return nil, fmt.Errorf("eqwave: noiseless critical region: %w", err)
 	}
+	return sensitivityOver(nlIn, nlOut, 0, edge, n, tFirst, tLast)
+}
+
+// sensitivityOver is ComputeSensitivity over the already-measured critical
+// region [tFirst, tLast] of nlIn, with nlOut read translated by outShift in
+// time (SGDP's δ-shift). Both waveforms are read through samplers: no
+// derivative, envelope or shifted copy is built, and each input slope is
+// evaluated once per grid point.
+func sensitivityOver(nlIn, nlOut *wave.Waveform, outShift float64, edge wave.Edge, n int, tFirst, tLast float64) (*Sensitivity, error) {
+	if n < 128 {
+		n = 128
+	}
 	if tLast <= tFirst {
 		return nil, fmt.Errorf("eqwave: empty noiseless critical region [%g,%g]", tFirst, tLast)
 	}
-	dIn := nlIn.Derivative()
-	dOut := nlOut.Derivative()
-
 	ts := uniformGrid(tFirst, tLast, n)
 	vs := make([]float64, n)
 	rho := make([]float64, n)
 
-	// Peak input slope inside the region sets the division guard.
+	// One pass over the input reads its monotone envelope and stages the
+	// input-slope magnitude in rho; the peak slope inside the region sets
+	// the division guard.
+	in := nlIn.Sampler(0, edge)
 	peak := 0.0
-	for _, t := range ts {
-		if a := math.Abs(dIn.At(t)); a > peak {
-			peak = a
+	for i, t := range ts {
+		vs[i] = in.Envelope(t)
+		rho[i] = math.Abs(in.Slope(t))
+		if rho[i] > peak {
+			peak = rho[i]
 		}
 	}
 	if peak == 0 {
@@ -85,17 +96,15 @@ func ComputeSensitivity(nlIn, nlOut *wave.Waveform, vdd float64, edge wave.Edge,
 	}
 	guard := derivEps * peak
 
-	mono := nlIn.Monotonicized(edge)
+	out := nlOut.Sampler(outShift, edge)
 	maxRho := 0.0
 	for i, t := range ts {
-		vs[i] = mono.At(t)
-		num := math.Abs(dOut.At(t))
-		den := math.Abs(dIn.At(t))
+		den := rho[i]
 		if den < guard {
 			rho[i] = 0
 			continue
 		}
-		rho[i] = math.Min(num/den, rhoCap)
+		rho[i] = math.Min(math.Abs(out.Slope(t))/den, rhoCap)
 		if rho[i] > maxRho {
 			maxRho = rho[i]
 		}
@@ -214,6 +223,12 @@ func Overlapping(nlIn, nlOut *wave.Waveform, vdd float64, inEdge, outEdge wave.E
 	if err != nil {
 		return false, 0, err
 	}
+	return overlapping(nlIn, nlOut, vdd, inFirst, inLast, outEdge)
+}
+
+// overlapping is Overlapping given the input's critical region
+// [inFirst, inLast].
+func overlapping(nlIn, nlOut *wave.Waveform, vdd, inFirst, inLast float64, outEdge wave.Edge) (bool, float64, error) {
 	outFirst, outLast, err := nlOut.CriticalRegion(0.1*vdd, 0.9*vdd, outEdge)
 	if err != nil {
 		return false, 0, err

@@ -80,20 +80,25 @@ func (s *SGDP) Equivalent(in Input) (wave.Ramp, error) {
 	if err := in.validate(true, true); err != nil {
 		return wave.Ramp{}, err
 	}
+	// The noiseless input's 10–90% region serves the overlap test, the
+	// sensitivity grid and the noiseless slew below.
+	nlFirst, nlLast, err := in.Noiseless.CriticalRegion(0.1*in.Vdd, 0.9*in.Vdd, in.Edge)
+	if err != nil {
+		return wave.Ramp{}, fmt.Errorf("SGDP: noiseless critical region: %w", err)
+	}
 	nlOut := in.NoiselessOut
 	var delta float64
 	if s.DeltaShift {
-		overlap, d, err := Overlapping(in.Noiseless, nlOut, in.Vdd, in.Edge, nlOut.EdgeDir())
+		overlap, d, err := overlapping(in.Noiseless, nlOut, in.Vdd, nlFirst, nlLast, nlOut.EdgeDir())
 		if err != nil {
 			return wave.Ramp{}, fmt.Errorf("SGDP: %w", err)
 		}
 		if !overlap {
 			delta = d
-			nlOut = nlOut.Shifted(-delta)
 		}
 	}
-	// Step 1: ρ of the noiseless pair.
-	sens, err := ComputeSensitivity(in.Noiseless, nlOut, in.Vdd, in.Edge, 4*in.samples())
+	// Step 1: ρ of the noiseless pair, the output shifted back by δ.
+	sens, err := sensitivityOver(in.Noiseless, nlOut, -delta, in.Edge, 4*in.samples(), nlFirst, nlLast)
 	if err != nil {
 		return wave.Ramp{}, fmt.Errorf("SGDP: %w", err)
 	}
@@ -116,10 +121,7 @@ func (s *SGDP) Equivalent(in Input) (wave.Ramp, error) {
 			_, drho[i] = sens.AtVoltage(vs[i]) // second-order term still needs dρ/dv
 		}
 	}
-	nlTT, err := in.Noiseless.Slew(in.Vdd, in.Edge)
-	if err != nil {
-		return wave.Ramp{}, fmt.Errorf("SGDP: noiseless slew: %w", err)
-	}
+	nlTT := nlLast - nlFirst // the noiseless slew
 	// Plausibility bounds for the fitted arrival. The reference delay is
 	// measured at the *latest* 0.5·Vdd crossings (§4.1), so a usable Γeff
 	// must cross 0.5·Vdd in the neighbourhood of the noisy waveform's own

@@ -3,6 +3,7 @@ package sta
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"noisewave/internal/liberty"
 	"noisewave/internal/netlist"
@@ -25,10 +26,16 @@ func (e *MultiDriverError) Error() string {
 // dependency edges in CSR layout, gates bucketed by topological level, and
 // every per-net quantity (load, pin caps, wire parasitics) in flat arrays —
 // no map lookup survives into the propagation loop. Each run compiles its
-// own and hands it, read-only, to its Result.
+// own, times into its arena and hands both to its Result.
 type compactGraph struct {
-	// Net interning. netName[id] inverts netID.
-	netID   map[string]int32
+	// Net interning. nets maps each net name to its slot in state, the
+	// run's timing arena, and is the map RunCtx returns as Result.Nets —
+	// the run's only name index; netID recovers an ID from a slot and
+	// netName[id] is the name. state is allocated once, at its final size
+	// (primary inputs plus gates: the most nets a valid design has), and
+	// never resliced.
+	nets    map[string]*NetTiming
+	state   []NetTiming
 	netName []string
 
 	// Per-net electrical state, indexed by net ID. load and pinCap repeat
@@ -75,16 +82,51 @@ type primaryInput struct {
 }
 
 // intern returns the ID for a net name, creating one (with no driver yet)
-// on first sight.
-func (g *compactGraph) intern(name string) int32 {
-	if id, ok := g.netID[name]; ok {
+// on first sight. IDs follow first sight; the first len(state) names take
+// arena slots and the rest go to spill. Only a design with an undriven
+// net has names past the arena, and compile rejects it.
+func (g *compactGraph) intern(name string, spill map[string]int32) int32 {
+	if p, ok := g.nets[name]; ok {
+		id, _ := g.netID(p)
+		return id
+	}
+	if id, ok := spill[name]; ok {
 		return id
 	}
 	id := int32(len(g.netName))
-	g.netID[name] = id
+	if int(id) < len(g.state) {
+		g.nets[name] = &g.state[id]
+	} else {
+		spill[name] = id
+	}
 	g.netName = append(g.netName, name)
 	g.driverOf = append(g.driverOf, -1)
 	return id
+}
+
+// netID recovers a net's ID from its slot pointer (a value of nets, or of
+// the Result.Nets map it becomes) by pointer difference over the arena.
+// This is the package's only unsafe, and it is sound: state is allocated
+// once at its final size and never resliced or appended to, and Go does
+// not move heap objects, so a slot's address fixes its index for as long
+// as the graph lives. The range and &state[id] == p checks turn any
+// pointer that is not one of the arena's slots — an entry a caller put
+// into Result.Nets — into an unknown name, never an out-of-range index.
+func (g *compactGraph) netID(p *NetTiming) (int32, bool) {
+	if p == nil || len(g.state) == 0 {
+		return -1, false
+	}
+	off := uintptr(unsafe.Pointer(p)) - uintptr(unsafe.Pointer(&g.state[0]))
+	id := off / unsafe.Sizeof(NetTiming{})
+	if id >= uintptr(len(g.state)) || &g.state[id] != p {
+		return -1, false
+	}
+	return int32(id), true
+}
+
+// lookup returns the ID of a named net, false when the graph has none.
+func (g *compactGraph) lookup(name string) (int32, bool) {
+	return g.netID(g.nets[name])
 }
 
 // cellInputs is one library cell's input side, resolved once per build
@@ -114,7 +156,8 @@ func resolveInputs(cell *liberty.Cell) *cellInputs {
 // here, before any timing math runs. Its cost is linear in the design
 // size, and every array is sized up front: a valid design has at most one
 // net per primary input and gate output, and at most one fanin arc per
-// connected pin. With workers > 1 the wire parasitics are read beside the
+// connected pin. The name index it builds is the one the run returns as
+// Result.Nets. With workers > 1 the wire parasitics are read beside the
 // levelization.
 func compile(d *netlist.Design, lib *liberty.Library, workers int) (*compactGraph, error) {
 	n := len(d.Gates)
@@ -124,7 +167,8 @@ func compile(d *netlist.Design, lib *liberty.Library, workers int) (*compactGrap
 		pins += len(d.Gates[gi].Pins)
 	}
 	g := &compactGraph{
-		netID:    make(map[string]int32, nets),
+		nets:     make(map[string]*NetTiming, nets),
+		state:    make([]NetTiming, nets),
 		netName:  make([]string, 0, nets),
 		gateName: make([]string, n),
 		cellIn:   make([]*cellInputs, n),
@@ -135,9 +179,10 @@ func compile(d *netlist.Design, lib *liberty.Library, workers int) (*compactGrap
 	}
 
 	// Primary inputs first, so their IDs are dense and low.
+	spill := make(map[string]int32)
 	g.inputs = make([]primaryInput, len(d.Inputs))
 	for i, p := range d.Inputs {
-		g.inputs[i] = primaryInput{net: g.intern(p.Name), arrival: p.Arrival, slew: p.Slew}
+		g.inputs[i] = primaryInput{net: g.intern(p.Name, spill), arrival: p.Arrival, slew: p.Slew}
 	}
 
 	// Resolve every gate: cell, output net (multi-driver checked), fanin
@@ -160,7 +205,7 @@ func compile(d *netlist.Design, lib *liberty.Library, workers int) (*compactGrap
 		if !ok {
 			return nil, fmt.Errorf("sta: gate %s has no output pin Y", gate.Name)
 		}
-		out := g.intern(outNet)
+		out := g.intern(outNet, spill)
 		if prev := g.driverOf[out]; prev >= 0 {
 			return nil, &MultiDriverError{Net: outNet, Driver1: g.gateName[prev], Driver2: gate.Name}
 		}
@@ -175,7 +220,7 @@ func compile(d *netlist.Design, lib *liberty.Library, workers int) (*compactGrap
 			if ci.arcs[p] == nil {
 				return nil, fmt.Errorf("sta: cell %s has no arc %s->Y", ci.cell.Name, inPin)
 			}
-			g.inNet = append(g.inNet, g.intern(inNet))
+			g.inNet = append(g.inNet, g.intern(inNet, spill))
 		}
 		g.inStart[gi+1] = int32(len(g.inNet))
 	}
@@ -308,10 +353,10 @@ func compile(d *netlist.Design, lib *liberty.Library, workers int) (*compactGrap
 		g.load[id] += c
 	}
 	for _, cp := range d.Couplings {
-		if id, ok := g.netID[cp.A]; ok {
+		if id, ok := g.lookup(cp.A); ok {
 			g.load[id] += cp.Cap
 		}
-		if id, ok := g.netID[cp.B]; ok {
+		if id, ok := g.lookup(cp.B); ok {
 			g.load[id] += cp.Cap
 		}
 	}

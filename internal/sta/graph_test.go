@@ -56,7 +56,7 @@ func TestGraphLoadsMatchNetLoads(t *testing.T) {
 				t.Errorf("%s: net %s pin cap %.17g, netLoads %.17g", name, net, g.pinCap[id], pinCaps[net])
 			}
 		}
-		if _, ok := g.netID["agg"]; ok {
+		if _, ok := g.lookup("agg"); ok {
 			t.Fatalf("%s: coupling-only net agg was interned", name)
 		}
 	}

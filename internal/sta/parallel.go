@@ -60,9 +60,10 @@ const checkEvery = 4096
 // parasitics, arcs, cell pointers) is resolved into flat arrays before the
 // first lookup, so the propagation loop performs no map access and no
 // per-net allocation. Each run compiles that graph from the timer's
-// current Design and Lib and hands it to its Result; with opts.Workers > 1
-// the compile's wire-parasitic reads and the Result's name-map fill run on
-// a goroutine of their own beside the rest of the work.
+// current Design and Lib and hands it to its Result; the compile's name
+// index is Result.Nets, whose values point into the arena the run times
+// into. With opts.Workers > 1 the compile's wire-parasitic reads run on a
+// goroutine of their own beside the levelization.
 //
 // The result is bit-identical to the sequential map-based walk the tests
 // keep as an oracle, at any worker count: each output net is written only by
@@ -110,52 +111,21 @@ func (t *Timer) RunCtx(ctx context.Context, opts RunOptions) (*Result, error) {
 		build.End()
 		return nil, err
 	}
-	e := &engine{
-		timer: t, graph: g, wire: wire, reg: reg,
-		state: make([]NetTiming, len(g.netName)),
+	e := &engine{timer: t, graph: g, wire: wire, reg: reg, state: g.state}
+	order := make([]string, len(g.levelOrder))
+	for i, gi := range g.levelOrder {
+		order[i] = g.gateName[gi]
 	}
-	e.res = &Result{
-		Nets:  make(map[string]*NetTiming, len(g.netName)),
-		graph: g,
-		state: e.state,
-		wire:  wire,
-	}
+	e.res = &Result{Nets: g.nets, Order: order, graph: g, wire: wire}
 	build.SetAttr(trace.Int("noise_sites", e.bindNoise(noise)))
 	build.End()
 	reg.Gauge("sta.levels").Set(float64(g.levels()))
 	reg.Gauge("sta.nets").Set(float64(len(g.netName)))
 	span.SetAttr(trace.Int("levels", g.levels()), trace.Int("nets", len(g.netName)))
 
-	// Materialize the public Result view: the map's values point into the
-	// flat arena, so this is one map fill, not per-net allocations. It
-	// reads names and arena addresses but no timing, so with workers > 1
-	// it runs beside the propagation.
-	fin := span.Child("sta.materialize")
-	materialize := func() {
-		for id, name := range g.netName {
-			e.res.Nets[name] = &e.state[id]
-		}
-		e.res.Order = make([]string, len(g.levelOrder))
-		for i, gi := range g.levelOrder {
-			e.res.Order[i] = g.gateName[gi]
-		}
-		fin.End()
-	}
-	var materialized sync.WaitGroup
-	if workers > 1 {
-		materialized.Add(1)
-		go func() {
-			defer materialized.Done()
-			materialize()
-		}()
-	} else {
-		materialize()
-	}
-
 	prop := span.Child("sta.propagate")
 	err = e.propagate(ctx, workers, prop)
 	prop.End()
-	materialized.Wait()
 	if err != nil {
 		span.SetAttr(trace.String("error", err.Error()))
 		return nil, err
@@ -196,7 +166,7 @@ type engine struct {
 	graph *compactGraph
 	wire  WireModel
 	reg   *telemetry.Registry
-	state []NetTiming // flat arena, indexed by net ID
+	state []NetTiming // the graph's arena, indexed by net ID
 	res   *Result
 
 	// sites[l+1] lists the noise sites whose net is final once level l is
@@ -221,7 +191,7 @@ func (e *engine) bindNoise(noise map[string]*NoiseAnnotation) int {
 	found := make([]noiseSite, 0, len(noise))
 	slot := make([]int32, len(g.netName)) // net ID -> 1 + index into found, 0 = none
 	for name, ann := range noise {
-		if id, ok := g.netID[name]; ok {
+		if id, ok := g.lookup(name); ok {
 			found = append(found, noiseSite{net: id, ann: ann, recvGate: -1})
 			slot[id] = int32(len(found))
 		}

@@ -82,7 +82,7 @@ func (t *Timer) ComputeRequired(res *Result, constraints map[string]float64) (*R
 		}
 	}
 	for name, rt := range constraints {
-		if id, ok := g.netID[name]; ok {
+		if id, ok := g.lookup(name); ok {
 			req[id] = NetRequired{Rise: rt, Fall: rt}
 			out.Required[name] = &req[id]
 		} else {
@@ -110,7 +110,7 @@ func (t *Timer) ComputeRequired(res *Result, constraints map[string]float64) (*R
 		for k := lo; k < g.inStart[gi+1]; k++ {
 			inID := g.inNet[k]
 			for _, inEdge := range []wave.Edge{wave.Rising, wave.Falling} {
-				it := res.state[inID].timingFor(inEdge)
+				it := g.state[inID].timingFor(inEdge)
 				if !it.Valid {
 					continue
 				}

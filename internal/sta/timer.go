@@ -127,16 +127,20 @@ func (t *Timer) Annotate(net string, a *NoiseAnnotation) {
 
 // Result holds the computed timing.
 type Result struct {
+	// Nets maps each net name to its timing. It is the run's name index:
+	// the values point into the flat arena the run timed into (converted
+	// noisy edges stamped in), and ComputeRequired resolves constraint
+	// names through it, so a name whose entry a caller replaces is no
+	// longer one of the run's nets.
 	Nets map[string]*NetTiming
 	// Order is the topological gate order used (diagnostics).
 	Order []string
 
-	// graph, state and wire are what the run timed on: the graph compiled
-	// for it, the flat timing arena Nets points into (converted noisy edges
-	// stamped in) and the wire model. ComputeRequired walks them backward,
-	// so slack matches arrival even after the timer or its design moves on.
+	// graph and wire are what the run timed on: the graph compiled for it,
+	// which owns the arena, and the wire model. ComputeRequired walks them
+	// backward, so slack matches arrival even after the timer or its
+	// design moves on.
 	graph *compactGraph
-	state []NetTiming
 	wire  WireModel
 }
 
@@ -204,6 +208,15 @@ func (t *Timer) reconstructNoiseless(base *NetTiming, ann *NoiseAnnotation, cell
 	if !pt.Valid {
 		return nil, nil, fmt.Errorf("no propagated timing for the %v edge", ann.Edge)
 	}
+	// The ramp's slope is 0.8·Vdd over the transition: a zero, negative or
+	// non-finite transition (a zero-slew primary input) or arrival would
+	// build a NaN waveform that fails later with a misleading message.
+	if !(pt.Trans > 0) || math.IsInf(pt.Trans, 1) {
+		return nil, nil, fmt.Errorf("propagated %v transition %g s is not finite and positive", ann.Edge, pt.Trans)
+	}
+	if math.IsNaN(pt.Arrival) || math.IsInf(pt.Arrival, 0) {
+		return nil, nil, fmt.Errorf("propagated %v arrival %g s is not finite", ann.Edge, pt.Arrival)
+	}
 	if cell.Waves == nil {
 		return nil, nil, fmt.Errorf("cell %s has no characterized output waveforms (re-characterize with WithWaves)", cell.Name)
 	}
@@ -268,20 +281,16 @@ type PathStep struct {
 }
 
 // CriticalPath walks the back-pointers from a (net, edge) endpoint to a
-// primary input. A walk that has not reached a primary input after
-// maxPathSteps hops means the back-pointers are corrupt (a cycle a
-// levelized run cannot produce, or a Result assembled by hand); it is
-// reported as an error rather than returned as a plausible-looking
-// truncated path.
+// primary input. Each hop of a levelized run's path moves to a strictly
+// lower level, so a valid path visits each net at most once; a walk that
+// would take more steps than the Result has nets means the back-pointers
+// are corrupt (a cycle a levelized run cannot produce, or a Result
+// assembled by hand), and it is reported as an error rather than returned
+// as a plausible-looking truncated path.
 func (r *Result) CriticalPath(net string, edge wave.Edge) ([]PathStep, error) {
-	const maxPathSteps = 10000
 	var rev []PathStep
 	cur, curEdge := net, edge
 	for {
-		if len(rev) >= maxPathSteps {
-			return nil, fmt.Errorf("sta: critical path from %s (%v) exceeds %d steps without reaching a primary input (corrupt back-pointers)",
-				net, edge, maxPathSteps)
-		}
 		n, ok := r.Nets[cur]
 		if !ok {
 			return nil, fmt.Errorf("sta: path reaches untimed net %s", cur)
@@ -289,6 +298,10 @@ func (r *Result) CriticalPath(net string, edge wave.Edge) ([]PathStep, error) {
 		pt := n.timingFor(curEdge)
 		if !pt.Valid {
 			return nil, fmt.Errorf("sta: path reaches invalid timing at %s (%v)", cur, curEdge)
+		}
+		if len(rev) == len(r.Nets) {
+			return nil, fmt.Errorf("sta: critical path from %s (%v) exceeds %d steps without reaching a primary input (corrupt back-pointers)",
+				net, edge, len(r.Nets))
 		}
 		rev = append(rev, PathStep{
 			Net: cur, Edge: curEdge, Arrival: pt.Arrival, Trans: pt.Trans, ViaGate: pt.ViaGate,

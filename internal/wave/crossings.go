@@ -13,9 +13,10 @@ var ErrNoCrossing = errors.New("wave: waveform does not cross level")
 // calling yield for each; yield returning false stops the scan. A sample
 // exactly on the level counts once; flat segments lying exactly on the
 // level contribute their start point only. This is the allocation-free
-// core shared by Crossings, FirstCrossing, LastCrossing and CrossingCount:
-// the first and last crossing of 0.5·Vdd are evaluated once per cached
-// replay, so the arrival-time hot loop must not build a slice per call.
+// core shared by Crossings, FirstCrossing and CrossingCount (LastCrossing
+// runs the same rules backward): the first and last crossing of 0.5·Vdd
+// are evaluated once per cached replay, so the arrival-time hot loop must
+// not build a slice per call.
 func (w *Waveform) scanCrossings(level float64, yield func(t float64) bool) {
 	n := len(w.T)
 	if n == 0 {
@@ -30,9 +31,8 @@ func (w *Waveform) scanCrossings(level float64, yield func(t float64) bool) {
 				return
 			}
 			prevOn = true
-		case (v0 < level && v1 > level) || (v0 > level && v1 < level):
-			t := w.T[i] + (level-v0)*(w.T[i+1]-w.T[i])/(v1-v0)
-			if !yield(t) {
+		case strictlyCrosses(v0, v1, level):
+			if !yield(w.segmentCrossing(i, level)) {
 				return
 			}
 			prevOn = false
@@ -43,6 +43,19 @@ func (w *Waveform) scanCrossings(level float64, yield func(t float64) bool) {
 	if w.V[n-1] == level && !prevOn {
 		yield(w.T[n-1])
 	}
+}
+
+// strictlyCrosses reports whether a segment from v0 to v1 passes level
+// with neither end on it.
+func strictlyCrosses(v0, v1, level float64) bool {
+	return (v0 < level && v1 > level) || (v0 > level && v1 < level)
+}
+
+// segmentCrossing interpolates the time segment i (samples i and i+1)
+// passes level; the forward and backward scans share it.
+func (w *Waveform) segmentCrossing(i int, level float64) float64 {
+	v0, v1 := w.V[i], w.V[i+1]
+	return w.T[i] + (level-v0)*(w.T[i+1]-w.T[i])/(v1-v0)
 }
 
 // Crossings returns every time at which the waveform crosses the given
@@ -71,19 +84,24 @@ func (w *Waveform) FirstCrossing(level float64) (float64, error) {
 	return first, nil
 }
 
-// LastCrossing returns the latest time the waveform reaches level. It
-// scans the whole waveform but allocates nothing.
+// LastCrossing returns the latest time the waveform reaches level: the
+// last element of Crossings. It scans backward from the last sample and
+// stops at the first crossing it meets, applying scanCrossings' plateau
+// rule — a sample on the level counts only when its predecessor is off
+// it — and allocates nothing on success.
 func (w *Waveform) LastCrossing(level float64) (float64, error) {
-	var last float64
-	found := false
-	w.scanCrossings(level, func(t float64) bool {
-		last, found = t, true
-		return true
-	})
-	if !found {
-		return 0, fmt.Errorf("%w (level=%g, range [%g,%g])", ErrNoCrossing, level, w.MinV(), w.MaxV())
+	for i := len(w.T) - 1; i >= 0; i-- {
+		if w.V[i] == level {
+			if i == 0 || w.V[i-1] != level {
+				return w.T[i], nil
+			}
+			continue
+		}
+		if i+1 < len(w.T) && strictlyCrosses(w.V[i], w.V[i+1], level) {
+			return w.segmentCrossing(i, level), nil
+		}
 	}
-	return last, nil
+	return 0, fmt.Errorf("%w (level=%g, range [%g,%g])", ErrNoCrossing, level, w.MinV(), w.MaxV())
 }
 
 // CrossingCount returns the number of times the waveform crosses level.

@@ -45,3 +45,27 @@ func TestCrossingsSingleSample(t *testing.T) {
 		t.Errorf("LastCrossing off level: err = %v, want ErrNoCrossing", err)
 	}
 }
+
+// TestLastCrossingPlateaus: the backward scan must apply the forward
+// scan's plateau rule — a run of samples on the level counts once, at its
+// first sample — so LastCrossing is the last element of Crossings on every
+// placement of a plateau.
+func TestLastCrossingPlateaus(t *testing.T) {
+	ts := []float64{0, 1, 2, 3, 4, 5}
+	for _, vs := range [][]float64{
+		{0.5, 0.5, 0.5, 1, 1, 1}, // plateau at the start
+		{0, 0.5, 0.5, 0.5, 1, 1}, // plateau in the middle
+		{0, 0, 1, 0.5, 0.5, 0.5}, // plateau at the end
+		{0, 1, 0.5, 1, 0.5, 0.5}, // touches, then a plateau at the end
+		{1, 0.5, 1, 1, 0, 0.5},   // last sample alone on the level
+		{0.5, 0.5, 0.5, 0.5, 0.5, 0.5},
+		{0, 1, 0, 1, 0, 1}, // strict crossings only
+	} {
+		w := MustNew(ts, vs)
+		c := w.Crossings(0.5)
+		got, err := w.LastCrossing(0.5)
+		if err != nil || got != c[len(c)-1] {
+			t.Errorf("v=%v: LastCrossing = %v, %v; Crossings = %v", vs, got, err, c)
+		}
+	}
+}

@@ -93,26 +93,33 @@ func (w *Waveform) Window(t0, t1 float64) (*Waveform, error) {
 // projected back onto the original grid by central differences
 // (one-sided at the boundaries).
 func (w *Waveform) Derivative() *Waveform {
-	n := len(w.T)
 	t := append([]float64(nil), w.T...)
-	d := make([]float64, n)
-	if n == 1 {
-		return &Waveform{T: t, V: d}
-	}
-	for i := 0; i < n; i++ {
-		switch i {
-		case 0:
-			d[i] = (w.V[1] - w.V[0]) / (w.T[1] - w.T[0])
-		case n - 1:
-			d[i] = (w.V[n-1] - w.V[n-2]) / (w.T[n-1] - w.T[n-2])
-		default:
-			// Three-point formula on a possibly non-uniform grid.
-			h0 := w.T[i] - w.T[i-1]
-			h1 := w.T[i+1] - w.T[i]
-			d[i] = (w.V[i+1]*h0*h0 - w.V[i-1]*h1*h1 + w.V[i]*(h1*h1-h0*h0)) / (h0 * h1 * (h0 + h1))
-		}
+	d := make([]float64, len(t))
+	for i := range d {
+		d[i] = w.slopeAt(i, 0)
 	}
 	return &Waveform{T: t, V: d}
+}
+
+// slopeAt is the derivative estimate at sample i of w translated by dt in
+// time: the three-point formula on a possibly non-uniform grid, one-sided
+// at the ends, zero for a single sample. Derivative (dt = 0) and
+// Sampler.Slope share it; the shifted times are formed exactly as Shifted
+// forms them, so a slope read through a shifted sampler is bit-identical
+// to one read off w.Shifted(dt).Derivative().
+func (w *Waveform) slopeAt(i int, dt float64) float64 {
+	n := len(w.T)
+	switch {
+	case n == 1:
+		return 0
+	case i == 0:
+		return (w.V[1] - w.V[0]) / ((w.T[1] + dt) - (w.T[0] + dt))
+	case i == n-1:
+		return (w.V[n-1] - w.V[n-2]) / ((w.T[n-1] + dt) - (w.T[n-2] + dt))
+	}
+	h0 := (w.T[i] + dt) - (w.T[i-1] + dt)
+	h1 := (w.T[i+1] + dt) - (w.T[i] + dt)
+	return (w.V[i+1]*h0*h0 - w.V[i-1]*h1*h1 + w.V[i]*(h1*h1-h0*h0)) / (h0 * h1 * (h0 + h1))
 }
 
 // Integral returns ∫ v dt over [t0, t1] of the piecewise-linear waveform

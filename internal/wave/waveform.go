@@ -137,8 +137,12 @@ func (w *Waveform) At(t float64) float64 {
 	if w.T[i] == t {
 		return w.V[i]
 	}
-	t0, t1 := w.T[i-1], w.T[i]
-	v0, v1 := w.V[i-1], w.V[i]
+	return lerp(w.T[i-1], w.T[i], w.V[i-1], w.V[i], t)
+}
+
+// lerp interpolates linearly at t between (t0, v0) and (t1, v1). At and
+// Sampler share it, so both evaluate a segment with the same arithmetic.
+func lerp(t0, t1, v0, v1, t float64) float64 {
 	return v0 + (v1-v0)*(t-t0)/(t1-t0)
 }
 
