@@ -33,7 +33,8 @@ bench:
 # Go micro/scaling benchmarks: the parallel sweep engine, the crossing
 # scan on the arrival-measurement hot path, and the 10⁴-gate rows of the
 # full-chip timer (clean and noisy, so noise set-up that stops scaling
-# linearly shows as a gap between the two).
+# linearly shows as a gap between the two, plus the graph compile alone at
+# 1 and 4 workers).
 bench-micro:
 	$(GO) test -run XXX -bench BenchmarkTable1ParallelSweep -benchtime 3x .
 	$(GO) test -run XXX -bench BenchmarkCrossings ./internal/wave/

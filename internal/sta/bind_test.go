@@ -207,6 +207,7 @@ func TestNoiseReceiverRule(t *testing.T) {
 
 // A traced noisy run reports its bound noise sites on the sta.build span,
 // which covers the binding; the count equals the conversions the run made.
+// The build's children are the graph compile and the binding, once each.
 func TestTracedBuildCountsNoiseSites(t *testing.T) {
 	cfg := netgen.DefaultConfig(2000)
 	cfg.Seed = 9
@@ -226,11 +227,13 @@ func TestTracedBuildCountsNoiseSites(t *testing.T) {
 		t.Fatal("no noise conversions")
 	}
 	var builds int
+	var buildID uint64
 	for _, s := range tr.Spans() {
 		if s.Name != "sta.build" {
 			continue
 		}
 		builds++
+		buildID = s.ID
 		var sites any
 		for _, a := range s.Attrs {
 			if a.Key == "noise_sites" {
@@ -243,5 +246,16 @@ func TestTracedBuildCountsNoiseSites(t *testing.T) {
 	}
 	if builds != 1 {
 		t.Fatalf("%d sta.build spans, want 1", builds)
+	}
+	children := map[string]int{}
+	for _, s := range tr.Spans() {
+		if s.Parent == buildID {
+			children[s.Name]++
+		}
+	}
+	for _, name := range []string{"sta.compile", "sta.bind"} {
+		if children[name] != 1 {
+			t.Errorf("%d %s spans under sta.build, want 1 (children %v)", children[name], name, children)
+		}
 	}
 }

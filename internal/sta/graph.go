@@ -22,21 +22,24 @@ func (e *MultiDriverError) Error() string {
 }
 
 // compactGraph is the levelized form of a design the engine runs on: net
-// and gate names interned to dense int32 IDs, fanin arcs and fanout
+// and gate names resolved to dense int32 IDs, fanin arcs and fanout
 // dependency edges in CSR layout, gates bucketed by topological level, and
 // every per-net quantity (load, pin caps, wire parasitics) in flat arrays —
 // no map lookup survives into the propagation loop. Each run compiles its
 // own, times into its arena and hands both to its Result.
 type compactGraph struct {
-	// Net interning. nets maps each net name to its slot in state, the
-	// run's timing arena, and is the map RunCtx returns as Result.Nets —
-	// the run's only name index; netID recovers an ID from a slot and
-	// netName[id] is the name. state is allocated once, at its final size
-	// (primary inputs plus gates: the most nets a valid design has), and
-	// never resliced.
+	// Net slots. Primary inputs hold IDs 0..base-1 in declaration order (a
+	// repeated name keeps its first ID), and gate gi drives net base+gi, so
+	// a net's driver and a gate's output net are arithmetic on base. nets
+	// maps each net name to its slot in state, the run's timing arena, and
+	// is the map RunCtx returns as Result.Nets — the run's only name index;
+	// netID recovers an ID from a slot and netName[id] is the name. state
+	// is allocated once, with a slot per primary input and gate, and never
+	// resliced; a repeated primary name leaves its slot unused.
 	nets    map[string]*NetTiming
 	state   []NetTiming
 	netName []string
+	base    int32
 
 	// Per-net electrical state, indexed by net ID. load and pinCap repeat
 	// the map walk's summation order exactly, so arc lookups see
@@ -53,13 +56,8 @@ type compactGraph struct {
 	// and pin cap of each, in the same order.
 	gateName []string
 	cellIn   []*cellInputs
-	gateOut  []int32
 	inStart  []int32
 	inNet    []int32
-
-	// driverOf[id] is the gate driving net id, -1 when no gate does
-	// (primary inputs, undriven nets).
-	driverOf []int32
 
 	// Levelization: levelOrder holds gate indices level-major (ascending
 	// gate index within a level); level l spans
@@ -70,8 +68,9 @@ type compactGraph struct {
 	levelOrder []int32
 	gateLevel  []int32 // level of each gate index
 
-	// inputs are the design's primary inputs as compiled. Their nets are
-	// interned first, so primary net IDs are the lowest.
+	// inputs are the design's primary inputs as compiled, one per
+	// declaration; a repeated name shares its first ID, and its last seed
+	// wins.
 	inputs []primaryInput
 }
 
@@ -79,29 +78,6 @@ type compactGraph struct {
 type primaryInput struct {
 	net           int32
 	arrival, slew float64
-}
-
-// intern returns the ID for a net name, creating one (with no driver yet)
-// on first sight. IDs follow first sight; the first len(state) names take
-// arena slots and the rest go to spill. Only a design with an undriven
-// net has names past the arena, and compile rejects it.
-func (g *compactGraph) intern(name string, spill map[string]int32) int32 {
-	if p, ok := g.nets[name]; ok {
-		id, _ := g.netID(p)
-		return id
-	}
-	if id, ok := spill[name]; ok {
-		return id
-	}
-	id := int32(len(g.netName))
-	if int(id) < len(g.state) {
-		g.nets[name] = &g.state[id]
-	} else {
-		spill[name] = id
-	}
-	g.netName = append(g.netName, name)
-	g.driverOf = append(g.driverOf, -1)
-	return id
 }
 
 // netID recovers a net's ID from its slot pointer (a value of nets, or of
@@ -129,9 +105,9 @@ func (g *compactGraph) lookup(name string) (int32, bool) {
 	return g.netID(g.nets[name])
 }
 
-// cellInputs is one library cell's input side, resolved once per build
-// rather than once per gate: input pins in InputPins order, the arc from
-// each (nil when the cell has none) and each pin's capacitance.
+// cellInputs is one library cell's input side, resolved once per gate
+// range rather than once per gate: input pins in InputPins order, the arc
+// from each (nil when the cell has none) and each pin's capacitance.
 type cellInputs struct {
 	cell *liberty.Cell
 	pins []string
@@ -150,178 +126,284 @@ func resolveInputs(cell *liberty.Cell) *cellInputs {
 	return ci
 }
 
+// firstError keeps the lowest-indexed of the errors its ranges note, so
+// the error a design gets does not depend on which range finished first.
+type firstError struct {
+	mu  sync.Mutex
+	at  int32
+	err error
+}
+
+func (f *firstError) note(at int32, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err == nil || at < f.at {
+		f.at, f.err = at, err
+	}
+}
+
+// before returns the index of the noted error, or n when there is none.
+func (f *firstError) before(n int32) int32 {
+	if f.err == nil {
+		return n
+	}
+	return f.at
+}
+
+// minParallelCompile is the smallest design whose compile fans out over a
+// worker pool; smaller ones compile inline. On a 2-vCPU Xeon, meshes of
+// 1,000–2,000 gates compiled no faster at 2 workers than at 1, while
+// 4,000–8,000 gates gained 5–20% and 32,000 ~25% (EXPERIMENTS.md
+// "Full-chip STA at scale").
+const minParallelCompile = 4096
+
 // compile builds the compact levelized form of a design against a
 // library. All structural errors — unknown cells, unconnected or missing
-// pins, undriven nets, multi-driver nets, combinational loops — surface
-// here, before any timing math runs. Its cost is linear in the design
-// size, and every array is sized up front: a valid design has at most one
-// net per primary input and gate output, and at most one fanin arc per
-// connected pin. The name index it builds is the one the run returns as
-// Result.Nets. With workers > 1 the wire parasitics are read beside the
-// levelization.
+// pins, undriven nets, multi-driver nets, gates driving a primary input,
+// combinational loops — surface here, before any timing math runs.
+//
+// The compile writes each net name into the name index once — the
+// primary inputs, then each gate's output at its fixed slot — and that
+// map is the one the run returns as Result.Nets. With workers > 1 and a
+// design of at least minParallelCompile gates, the read-only work fans
+// out over contiguous gate ranges: resolving cells and output pins, the
+// wire-parasitic reads beside the serial insert, the fanin name lookups
+// once no map write is in flight, and the net loads beside the
+// levelization. The error is the same at any worker count: the first
+// gate with an error and, within it, the first failed check (cell, output
+// pin Y, second driver, then each input pin in InputPins order); an
+// undriven fanin only when no gate has an error, the first in gate and pin
+// order; a combinational loop after that.
 func compile(d *netlist.Design, lib *liberty.Library, workers int) (*compactGraph, error) {
-	n := len(d.Gates)
-	nets := len(d.Inputs) + n
-	pins := 0
-	for gi := range d.Gates {
-		pins += len(d.Gates[gi].Pins)
+	n := int32(len(d.Gates))
+	var pool *levelPool
+	if n >= minParallelCompile {
+		pool = newLevelPool(workers)
+		defer pool.close()
 	}
+	chunks := int32(workers) // used only with a pool, so at least 2
 	g := &compactGraph{
-		nets:     make(map[string]*NetTiming, nets),
-		state:    make([]NetTiming, nets),
-		netName:  make([]string, 0, nets),
+		nets:     make(map[string]*NetTiming, len(d.Inputs)+int(n)),
+		state:    make([]NetTiming, len(d.Inputs)+int(n)),
+		netName:  make([]string, 0, len(d.Inputs)+int(n)),
 		gateName: make([]string, n),
 		cellIn:   make([]*cellInputs, n),
-		gateOut:  make([]int32, n),
 		inStart:  make([]int32, n+1),
-		inNet:    make([]int32, 0, pins),
-		driverOf: make([]int32, 0, nets),
+		inputs:   make([]primaryInput, len(d.Inputs)),
 	}
 
-	// Primary inputs first, so their IDs are dense and low.
-	spill := make(map[string]int32)
-	g.inputs = make([]primaryInput, len(d.Inputs))
+	// Primary inputs first, so their IDs are the lowest.
 	for i, p := range d.Inputs {
-		g.inputs[i] = primaryInput{net: g.intern(p.Name, spill), arrival: p.Arrival, slew: p.Slew}
+		id, ok := g.lookup(p.Name)
+		if !ok {
+			id = int32(len(g.netName))
+			g.nets[p.Name] = &g.state[id]
+			g.netName = append(g.netName, p.Name)
+		}
+		g.inputs[i] = primaryInput{net: id, arrival: p.Arrival, slew: p.Slew}
 	}
+	g.base = int32(len(g.netName))
+	g.netName = g.netName[:g.base+n]
+	nn := g.base + n
 
-	// Resolve every gate: cell, output net (multi-driver checked), fanin
-	// nets in InputPins order.
-	cells := make(map[string]*cellInputs)
-	for gi := range d.Gates {
-		gate := &d.Gates[gi]
-		g.gateName[gi] = gate.Name
-		ci, ok := cells[gate.Cell]
-		if !ok {
-			cell, err := lib.Cell(gate.Cell)
-			if err != nil {
-				return nil, fmt.Errorf("sta: gate %s: %w", gate.Name, err)
-			}
-			ci = resolveInputs(cell)
-			cells[gate.Cell] = ci
-		}
-		g.cellIn[gi] = ci
-		outNet, ok := gate.Pins["Y"]
-		if !ok {
-			return nil, fmt.Errorf("sta: gate %s has no output pin Y", gate.Name)
-		}
-		out := g.intern(outNet, spill)
-		if prev := g.driverOf[out]; prev >= 0 {
-			return nil, &MultiDriverError{Net: outNet, Driver1: g.gateName[prev], Driver2: gate.Name}
-		}
-		g.driverOf[out] = int32(gi)
-		g.gateOut[gi] = out
-
-		for p, inPin := range ci.pins {
-			inNet, ok := gate.Pins[inPin]
+	// Each gate's cell and output net name. Every later phase runs only on
+	// the gates before the first error found so far, so an error it finds
+	// is at a lower gate and wins.
+	var bad firstError
+	pool.run(n, chunks, func(lo, hi int32) {
+		cells := make(map[string]*cellInputs)
+		for gi := lo; gi < hi; gi++ {
+			gate := &d.Gates[gi]
+			g.gateName[gi] = gate.Name
+			ci, ok := cells[gate.Cell]
 			if !ok {
-				return nil, fmt.Errorf("sta: gate %s pin %s unconnected", gate.Name, inPin)
+				cell, err := lib.Cell(gate.Cell)
+				if err != nil {
+					bad.note(gi, fmt.Errorf("sta: gate %s: %w", gate.Name, err))
+					return
+				}
+				ci = resolveInputs(cell)
+				cells[gate.Cell] = ci
 			}
-			if ci.arcs[p] == nil {
-				return nil, fmt.Errorf("sta: cell %s has no arc %s->Y", ci.cell.Name, inPin)
+			g.cellIn[gi] = ci
+			out, ok := gate.Pins["Y"]
+			if !ok {
+				bad.note(gi, fmt.Errorf("sta: gate %s has no output pin Y", gate.Name))
+				return
 			}
-			g.inNet = append(g.inNet, g.intern(inNet, spill))
+			g.netName[g.base+gi] = out
 		}
-		g.inStart[gi+1] = int32(len(g.inNet))
-	}
-	driverOf := g.driverOf
+	})
 
-	// Wire parasitics are per-net reads of the design's maps, independent
-	// of the levelization below.
-	nn := len(g.netName)
+	// One map write per gate output, beside the wire-parasitic reads. The
+	// map only stops growing when the name is already there.
 	g.wireCap = make([]float64, nn)
 	g.wireRes = make([]float64, nn)
-	wires := func() {
-		for id, name := range g.netName {
+	limit := bad.before(n)
+	pool.beside(func() {
+		for gi := int32(0); gi < limit; gi++ {
+			name := g.netName[g.base+gi]
+			size := len(g.nets)
+			g.nets[name] = &g.state[g.base+gi]
+			if len(g.nets) == size {
+				bad.note(gi, g.collision(gi))
+				return
+			}
+		}
+	}, nn, chunks, func(lo, hi int32) {
+		for id := lo; id < hi; id++ {
+			name := g.netName[id]
 			g.wireCap[id] = d.NetCaps[name]
 			if d.NetRes != nil {
 				g.wireRes[id] = d.NetRes[name]
 			}
 		}
+	})
+
+	// Fanin nets in InputPins order, looked up now that the index is
+	// complete. An undriven fanin is kept aside: any gate's error wins.
+	limit = bad.before(n)
+	for gi := int32(0); gi < limit; gi++ {
+		g.inStart[gi+1] = g.inStart[gi] + int32(len(g.cellIn[gi].pins))
 	}
-	var wired sync.WaitGroup
-	defer wired.Wait()
-	if workers > 1 {
-		wired.Add(1)
-		go func() {
-			defer wired.Done()
-			wires()
+	g.inNet = make([]int32, g.inStart[limit])
+	var undriven firstError
+	pool.run(limit, chunks, func(lo, hi int32) {
+		var miss error // the range's first undriven fanin, at arc missAt
+		var missAt int32
+		defer func() {
+			if miss != nil {
+				undriven.note(missAt, miss)
+			}
 		}()
-	} else {
-		wires()
+		for gi := lo; gi < hi; gi++ {
+			gate, ci, k := &d.Gates[gi], g.cellIn[gi], g.inStart[gi]
+			for p, pin := range ci.pins {
+				name, ok := gate.Pins[pin]
+				if !ok {
+					bad.note(gi, fmt.Errorf("sta: gate %s pin %s unconnected", gate.Name, pin))
+					return
+				}
+				if ci.arcs[p] == nil {
+					bad.note(gi, fmt.Errorf("sta: cell %s has no arc %s->Y", ci.cell.Name, pin))
+					return
+				}
+				id, ok := g.lookup(name)
+				if !ok && miss == nil {
+					miss, missAt = fmt.Errorf("sta: net %s (input of %s) has no driver", name, gate.Name), k+int32(p)
+				}
+				g.inNet[k+int32(p)] = id
+			}
+		}
+	})
+	if bad.err != nil {
+		return nil, bad.err
+	}
+	if undriven.err != nil {
+		return nil, undriven.err
 	}
 
-	primary := make([]bool, len(g.netName))
-	for _, in := range g.inputs {
-		primary[in.net] = true
+	// Electrical state, summed per net in the map walk's order — wire cap,
+	// then couplings in declaration order, then receiver pin caps in gate
+	// and InputPins order (the fanin arc order) — so every value is
+	// bit-identical to the sequential walk's. It needs no levels, so it
+	// runs beside the levelization.
+	var loop error
+	pool.beside(func() { loop = g.levelize() }, 1, 1, func(int32, int32) {
+		g.load = make([]float64, nn)
+		g.pinCap = make([]float64, nn)
+		for id, c := range g.wireCap {
+			g.load[id] += c
+		}
+		for _, cp := range d.Couplings {
+			if id, ok := g.lookup(cp.A); ok {
+				g.load[id] += cp.Cap
+			}
+			if id, ok := g.lookup(cp.B); ok {
+				g.load[id] += cp.Cap
+			}
+		}
+		for gi, ci := range g.cellIn {
+			for p, c := range ci.caps {
+				net := g.inNet[g.inStart[gi]+int32(p)]
+				g.load[net] += c
+				g.pinCap[net] += c
+			}
+		}
+	})
+	if loop != nil {
+		return nil, loop
 	}
+	return g, nil
+}
 
-	// Dependency edges (gate -> consuming gate) as fanout CSR, plus
-	// in-degrees, checking every consumed net has a source.
-	indeg := make([]int32, n)
-	foCount := make([]int32, n+1)
-	for gi := 0; gi < n; gi++ {
-		for k := g.inStart[gi]; k < g.inStart[gi+1]; k++ {
-			net := g.inNet[k]
-			if primary[net] {
-				continue
-			}
-			drv := driverOf[net]
-			if drv < 0 {
-				return nil, fmt.Errorf("sta: net %s (input of %s) has no driver", g.netName[net], g.gateName[gi])
-			}
-			indeg[gi]++
-			foCount[drv+1]++
+// collision names what already holds gate gi's output net: a primary
+// input, or the earlier gate driving it. It runs only on a failed insert,
+// so its linear scans cost nothing on a valid design.
+func (g *compactGraph) collision(gi int32) error {
+	name := g.netName[g.base+gi]
+	for _, in := range g.netName[:g.base] {
+		if in == name {
+			return fmt.Errorf("sta: gate %s drives primary input %s", g.gateName[gi], name)
 		}
 	}
-	for i := 0; i < n; i++ {
-		foCount[i+1] += foCount[i]
+	prev := int32(0)
+	for g.netName[g.base+prev] != name {
+		prev++
 	}
-	foGate := make([]int32, foCount[n])
-	fill := append([]int32(nil), foCount[:n]...)
-	for gi := 0; gi < n; gi++ {
-		for k := g.inStart[gi]; k < g.inStart[gi+1]; k++ {
-			net := g.inNet[k]
-			if primary[net] || driverOf[net] < 0 {
-				continue
-			}
-			drv := driverOf[net]
-			foGate[fill[drv]] = int32(gi)
-			fill[drv]++
-		}
-	}
+	return &MultiDriverError{Net: name, Driver1: g.gateName[prev], Driver2: g.gateName[gi]}
+}
 
-	// Kahn over the dependency edges, tracking the longest-path level of
-	// each gate: level(g) = 1 + max(level of fanin drivers).
+// levelize buckets the gates by longest-path depth: level(g) = 1 + max
+// (level of its fanin drivers), with primary inputs below level 0. A
+// depth-first walk from each gate in index order finishes every driver
+// before its consumers, in a single pass when the gates come in
+// topological order, as generated and most parsed netlists do. A gate
+// met again while its own walk is open closes a combinational loop.
+func (g *compactGraph) levelize() error {
+	n := int32(len(g.gateName))
+	const (
+		unseen = iota
+		open
+		done
+	)
+	mark := make([]uint8, n)
 	level := make([]int32, n)
-	queue := make([]int32, 0, n)
-	for gi := int32(0); gi < int32(n); gi++ {
-		if indeg[gi] == 0 {
-			queue = append(queue, gi)
-		}
-	}
-	seen := 0
 	maxLevel := int32(-1)
-	for len(queue) > 0 {
-		gi := queue[0]
-		queue = queue[1:]
-		seen++
-		if level[gi] > maxLevel {
-			maxLevel = level[gi]
+	var path []int32 // open gates, each followed by the drivers it waits on
+	for root := int32(0); root < n; root++ {
+		if mark[root] == done {
+			continue
 		}
-		for k := foCount[gi]; k < foCount[gi+1]; k++ {
-			s := foGate[k]
-			if lv := level[gi] + 1; lv > level[s] {
-				level[s] = lv
+		path = append(path[:0], root)
+		for len(path) > 0 {
+			gi := path[len(path)-1]
+			if mark[gi] == done { // finished from a later entry on the path
+				path = path[:len(path)-1]
+				continue
 			}
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
+			mark[gi] = open
+			lv, ready := int32(0), true
+			for _, net := range g.inNet[g.inStart[gi]:g.inStart[gi+1]] {
+				if net < g.base {
+					continue // primary input
+				}
+				switch drv := net - g.base; mark[drv] {
+				case done:
+					lv = max(lv, level[drv]+1)
+				case open:
+					return ErrCombinationalLoop
+				default:
+					path = append(path, drv)
+					ready = false
+				}
+			}
+			if ready {
+				level[gi], mark[gi] = lv, done
+				maxLevel = max(maxLevel, lv)
+				path = path[:len(path)-1]
 			}
 		}
-	}
-	if seen != n {
-		return nil, ErrCombinationalLoop
 	}
 
 	// Bucket gates by level (counting sort keeps ascending gate index
@@ -335,39 +417,13 @@ func compile(d *netlist.Design, lib *liberty.Library, workers int) (*compactGrap
 	}
 	g.levelOrder = make([]int32, n)
 	pos := append([]int32(nil), g.levelStart[:maxLevel+1]...)
-	for gi := int32(0); gi < int32(n); gi++ {
+	for gi := int32(0); gi < n; gi++ {
 		lv := level[gi]
 		g.levelOrder[pos[lv]] = gi
 		pos[lv]++
 	}
 	g.gateLevel = level
-
-	// Electrical state, summed per net in the map walk's order — wire cap,
-	// then couplings in declaration order, then receiver pin caps in gate
-	// and InputPins order (the fanin arc order) — so every value is
-	// bit-identical to the sequential walk's.
-	wired.Wait()
-	g.load = make([]float64, nn)
-	g.pinCap = make([]float64, nn)
-	for id, c := range g.wireCap {
-		g.load[id] += c
-	}
-	for _, cp := range d.Couplings {
-		if id, ok := g.lookup(cp.A); ok {
-			g.load[id] += cp.Cap
-		}
-		if id, ok := g.lookup(cp.B); ok {
-			g.load[id] += cp.Cap
-		}
-	}
-	for gi, ci := range g.cellIn {
-		for p, c := range ci.caps {
-			net := g.inNet[g.inStart[gi]+int32(p)]
-			g.load[net] += c
-			g.pinCap[net] += c
-		}
-	}
-	return g, nil
+	return nil
 }
 
 // levels returns the number of levels.

@@ -123,11 +123,11 @@ gate u1 INVX1 A=a Y=y
 	}
 }
 
-// TestSpilledNetsKeepErrorPrecedence: the arena holds primary inputs plus
-// gates, so the extra undriven nets of an invalid design are interned past
-// it. compile must still report the first error in gate and pin order:
-// a multi-driver collision on a net interned past the arena wins over an
-// undriven net, and otherwise the first undriven fanin is named.
+// TestSpilledNetsKeepErrorPrecedence: an invalid design can name more nets
+// than it has primary inputs and gates, since its undriven fanins have no
+// slot. compile must still report the first error in gate and pin order:
+// a multi-driver collision wins over an undriven net, and otherwise the
+// first undriven fanin is named.
 func TestSpilledNetsKeepErrorPrecedence(t *testing.T) {
 	lib := netgen.SyntheticLibrary()
 	inv := func(name, in, out string) netlist.Gate {
@@ -138,7 +138,7 @@ func TestSpilledNetsKeepErrorPrecedence(t *testing.T) {
 		gates []netlist.Gate
 		want  string
 	}{
-		// a, n0, x fill the arena; n1 and ghost are interned past it.
+		// x and ghost have no driver; the second case drives n1 twice.
 		{"undriven", []netlist.Gate{inv("g0", "x", "n0"), inv("g1", "n0", "n1"), inv("g2", "ghost", "n2")},
 			"sta: net x (input of g0) has no driver"},
 		{"multi-driver", []netlist.Gate{inv("g0", "x", "n0"), inv("g1", "n0", "n1"), inv("g2", "a", "n1")},

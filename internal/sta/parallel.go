@@ -23,20 +23,22 @@ type RunOptions struct {
 	// Ctx cancels the run between levels when the explicit ctx argument of
 	// RunCtx is nil. nil means the run cannot be canceled.
 	Ctx context.Context
-	// Workers sizes the per-level worker pool: 1 runs the strictly
-	// sequential path, <= 0 uses all available cores, and any N > 1 fans
-	// each level's independent gates, and each level boundary's noise
-	// conversions, out over N workers. Arrivals, slacks and back-pointers
-	// are bit-identical at any worker count.
+	// Workers sizes the run's worker pool: 1 runs the strictly sequential
+	// path, <= 0 uses all available cores, and any N > 1 fans the graph
+	// compile's read-only lookups, each level's independent gates and each
+	// level boundary's noise conversions out over N workers. Arrivals,
+	// slacks, back-pointers and errors are the same at any worker count.
 	Workers int
 	// Telemetry, if non-nil, overrides Timer.Telemetry for this run: gate
 	// and arc counters, noise conversions, levels/nets gauges and the
 	// sta.run_seconds wall timer.
 	Telemetry *telemetry.Registry
 	// Tracer, if non-nil, records hierarchical spans for the run: one
-	// sta.run root with sta.build (graph compile and noise binding, with a
-	// noise_sites attribute) and sta.propagate children, plus one event
-	// per noise conversion. Tracing never changes the numbers.
+	// sta.run root with sta.build and sta.propagate children, plus one
+	// event per noise conversion. sta.build carries a noise_sites
+	// attribute and splits into sta.compile (the graph compile) and
+	// sta.bind (noise binding and Result.Order). Tracing never changes the
+	// numbers.
 	Tracer *trace.Tracer
 	// Wire, if non-nil, overrides Timer.Wire for this run (take the
 	// address of an IdealWire/ElmoreWire constant). nil uses the Timer's
@@ -62,8 +64,8 @@ const checkEvery = 4096
 // per-net allocation. Each run compiles that graph from the timer's
 // current Design and Lib and hands it to its Result; the compile's name
 // index is Result.Nets, whose values point into the arena the run times
-// into. With opts.Workers > 1 the compile's wire-parasitic reads run on a
-// goroutine of their own beside the levelization.
+// into. With opts.Workers > 1 the compile's read-only lookups fan out over
+// the workers too.
 //
 // The result is bit-identical to the sequential map-based walk the tests
 // keep as an oracle, at any worker count: each output net is written only by
@@ -103,14 +105,17 @@ func (t *Timer) RunCtx(ctx context.Context, opts RunOptions) (*Result, error) {
 		trace.Int("workers", workers))
 	defer span.End()
 
-	// sta.build covers compiling the graph and binding the annotation
-	// snapshot to it.
+	// sta.build covers compiling the graph (sta.compile) and binding the
+	// annotation snapshot to it (sta.bind).
 	build := span.Child("sta.build")
+	compiling := build.Child("sta.compile")
 	g, err := compile(t.Design, t.Lib, workers)
+	compiling.End()
 	if err != nil {
 		build.End()
 		return nil, err
 	}
+	binding := build.Child("sta.bind")
 	e := &engine{timer: t, graph: g, wire: wire, reg: reg, state: g.state}
 	order := make([]string, len(g.levelOrder))
 	for i, gi := range g.levelOrder {
@@ -118,6 +123,7 @@ func (t *Timer) RunCtx(ctx context.Context, opts RunOptions) (*Result, error) {
 	}
 	e.res = &Result{Nets: g.nets, Order: order, graph: g, wire: wire}
 	build.SetAttr(trace.Int("noise_sites", e.bindNoise(noise)))
+	binding.End()
 	build.End()
 	reg.Gauge("sta.levels").Set(float64(g.levels()))
 	reg.Gauge("sta.nets").Set(float64(len(g.netName)))
@@ -170,7 +176,8 @@ type engine struct {
 	res   *Result
 
 	// sites[l+1] lists the noise sites whose net is final once level l is
-	// complete (l = -1: before level 0), in ascending net ID.
+	// complete (l = -1: before level 0), in ascending net ID — primary
+	// inputs in declaration order, gate outputs by driving gate index.
 	sites [][]noiseSite
 
 	failed atomic.Bool
@@ -212,8 +219,8 @@ func (e *engine) bindNoise(noise map[string]*NoiseAnnotation) int {
 		}
 	}
 	// Ascending net ID, so each boundary's conversion order is
-	// deterministic. The net is final after its driver's level; primary
-	// or undriven nets are final before level 0.
+	// deterministic. A gate output is final after its driver's level, a
+	// primary input before level 0.
 	bound := 0
 	for _, s := range slot {
 		if s == 0 || found[s-1].recvGate < 0 {
@@ -221,8 +228,8 @@ func (e *engine) bindNoise(noise map[string]*NoiseAnnotation) int {
 		}
 		site := found[s-1]
 		ready := int32(-1)
-		if drv := g.driverOf[site.net]; drv >= 0 {
-			ready = g.gateLevel[drv]
+		if site.net >= g.base {
+			ready = g.gateLevel[site.net-g.base]
 		}
 		e.sites[ready+1] = append(e.sites[ready+1], site)
 		bound++
@@ -238,11 +245,8 @@ func (e *engine) propagate(ctx context.Context, workers int, span *trace.Span) e
 		nt.Rise = PinTiming{Valid: true, Arrival: in.arrival, Early: in.arrival, Trans: in.slew}
 		nt.Fall = nt.Rise
 	}
-	var pool *levelPool
-	if workers > 1 {
-		pool = newLevelPool(workers, e)
-		defer pool.close()
-	}
+	pool := newLevelPool(workers)
+	defer pool.close()
 	if err := e.convertSites(-1, pool, span); err != nil {
 		return err
 	}
@@ -259,10 +263,18 @@ func (e *engine) propagate(ctx context.Context, workers int, span *trace.Span) e
 			if err := e.timeRange(ctx, lo, hi); err != nil {
 				return err
 			}
-		} else if err := pool.run(hi-lo, int32(workers), func(a, b int32) error {
-			return e.timeRange(ctx, lo+a, lo+b)
-		}); err != nil {
-			return err
+		} else {
+			pool.run(hi-lo, int32(workers), func(a, b int32) {
+				if e.failed.Load() {
+					return
+				}
+				if err := e.timeRange(ctx, lo+a, lo+b); err != nil {
+					e.fail(err)
+				}
+			})
+			if e.err != nil { // the barrier orders every fail before this read
+				return e.err
+			}
 		}
 		stopLevel()
 		gatesTimed.Add(int64(hi - lo))
@@ -289,20 +301,18 @@ func (e *engine) convertSites(l int32, pool *levelPool, span *trace.Span) error 
 	g := e.graph
 	fits := make([]noiseVal, len(sites))
 	errs := make([]error, len(sites))
-	fit := func(lo, hi int32) error {
+	fit := func(lo, hi int32) {
 		for i := lo; i < hi; i++ {
 			s := sites[i]
 			ci := g.cellIn[s.recvGate]
 			fits[i].arrival, fits[i].trans, errs[i] = e.timer.convert(g.netName[s.net], s.ann, &e.state[s.net],
-				ci.cell, ci.arcs[s.recvArc-g.inStart[s.recvGate]], g.load[g.gateOut[s.recvGate]])
+				ci.cell, ci.arcs[s.recvArc-g.inStart[s.recvGate]], g.load[g.base+s.recvGate])
 		}
-		return nil
 	}
-	n := int32(len(sites))
-	if pool == nil || n < 2 {
+	if n := int32(len(sites)); n < 2 {
 		fit(0, n)
-	} else if err := pool.run(n, n, fit); err != nil {
-		return err
+	} else {
+		pool.run(n, n, fit)
 	}
 	conversions := e.reg.Counter("sta.noise_conversions")
 	for i, s := range sites {
@@ -345,7 +355,7 @@ func (e *engine) timeRange(ctx context.Context, lo, hi int32) error {
 // is identical.
 func (e *engine) timeGate(gi int32) error {
 	g := e.graph
-	outID := g.gateOut[gi]
+	outID := g.base + gi
 	out := &e.state[outID]
 	load := g.load[outID]
 	lo, arcs := g.inStart[gi], g.cellIn[gi].arcs
@@ -393,13 +403,14 @@ func (e *engine) timeGate(gi int32) error {
 	return nil
 }
 
-// levelPool is the bounded worker pool the parallel path fans each level
-// out over: persistent goroutines, chunked index ranges, a WaitGroup
-// barrier per batch. A level's gates write disjoint output nets and a
-// boundary's conversions write disjoint slots, so workers share the arena
-// without synchronization beyond the barrier.
+// levelPool is the bounded worker pool a run fans its work out over:
+// persistent goroutines, chunked index ranges, a WaitGroup barrier per
+// batch. A level's gates write disjoint output nets, a boundary's
+// conversions and a compile phase's ranges write disjoint slots, so
+// workers share the arrays without synchronization beyond the barrier.
+// Each caller keeps its own error policy. A nil pool runs every batch
+// inline, with no goroutines.
 type levelPool struct {
-	e    *engine
 	jobs chan chunk
 	wg   sync.WaitGroup
 }
@@ -407,19 +418,20 @@ type levelPool struct {
 // chunk is one worker job: fn over the index range [lo, hi).
 type chunk struct {
 	lo, hi int32
-	fn     func(lo, hi int32) error
+	fn     func(lo, hi int32)
 }
 
-func newLevelPool(workers int, e *engine) *levelPool {
-	p := &levelPool{e: e, jobs: make(chan chunk, workers)}
+// newLevelPool starts workers goroutines; for one worker or fewer it
+// returns the nil pool, which runs inline.
+func newLevelPool(workers int) *levelPool {
+	if workers <= 1 {
+		return nil
+	}
+	p := &levelPool{jobs: make(chan chunk, workers)}
 	for w := 0; w < workers; w++ {
 		go func() {
 			for c := range p.jobs {
-				if !e.failed.Load() {
-					if err := c.fn(c.lo, c.hi); err != nil {
-						e.fail(err)
-					}
-				}
+				c.fn(c.lo, c.hi)
 				p.wg.Done()
 			}
 		}()
@@ -428,21 +440,34 @@ func newLevelPool(workers int, e *engine) *levelPool {
 }
 
 // run splits [0, n) into at most chunks ranges, runs fn over them on the
-// workers and waits for the barrier; the first worker error (or a
-// cancellation) wins.
-func (p *levelPool) run(n, chunks int32, fn func(lo, hi int32) error) error {
+// workers and waits for the barrier.
+func (p *levelPool) run(n, chunks int32, fn func(lo, hi int32)) {
+	p.beside(func() {}, n, chunks, fn)
+}
+
+// beside is run with serial executing on the calling goroutine while the
+// workers take the ranges; it returns once both are done. Without a pool,
+// fn covers [0, n) first and serial runs after it.
+func (p *levelPool) beside(serial func(), n, chunks int32, fn func(lo, hi int32)) {
+	if p == nil {
+		fn(0, n)
+		serial()
+		return
+	}
 	size := (n + chunks - 1) / chunks
 	for c := int32(0); c < n; c += size {
 		p.wg.Add(1)
 		p.jobs <- chunk{lo: c, hi: min(c+size, n), fn: fn}
 	}
+	serial()
 	p.wg.Wait()
-	p.e.errMu.Lock()
-	defer p.e.errMu.Unlock()
-	return p.e.err
 }
 
-func (p *levelPool) close() { close(p.jobs) }
+func (p *levelPool) close() {
+	if p != nil {
+		close(p.jobs)
+	}
+}
 
 // fail records the first error and stops further work.
 func (e *engine) fail(err error) {

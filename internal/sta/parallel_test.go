@@ -46,7 +46,8 @@ func requireSameTiming(t *testing.T, want, got *Result) {
 
 // The levelized engine must reproduce the sequential map-based walk bit
 // for bit at any worker count, including levels wide enough to engage the
-// worker pool, under both wire models.
+// worker pool and a design large enough that the compile splits into gate
+// ranges, under both wire models.
 func TestParallelMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -56,6 +57,7 @@ func TestParallelMatchesReference(t *testing.T) {
 	}{
 		{"elmore-wide", 4096, 128, ElmoreWire},
 		{"ideal-narrow", 900, 30, IdealWire},
+		{"elmore-split", 2 * minParallelCompile, 0, ElmoreWire},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := netgen.DefaultConfig(tc.gates)
@@ -66,7 +68,7 @@ func TestParallelMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("RunReference: %v", err)
 			}
-			for _, workers := range []int{1, 4, 16} {
+			for _, workers := range []int{1, 2, 4, 16} {
 				res, err := tm.RunCtx(context.Background(), RunOptions{Workers: workers})
 				if err != nil {
 					t.Fatalf("RunCtx(workers=%d): %v", workers, err)
@@ -442,8 +444,9 @@ func TestConcurrentAnnotateAndRun(t *testing.T) {
 // benchMesh times one pass over a pinned mesh with noiseFrac of its nets
 // SGDP-annotated the way perfbench's sta-noisy workload does it (0 =
 // clean). mode picks the pass: "reference" is the map walk, "levelized" is
-// RunCtx (graph compile included) and "required" is ComputeRequired, all
-// outputs constrained, on the Result of one RunCtx.
+// RunCtx (graph compile included), "compile" is the graph compile alone
+// and "required" is ComputeRequired, all outputs constrained, on the
+// Result of one RunCtx.
 func benchMesh(b *testing.B, mode string, gates, workers int, noiseFrac float64) {
 	cfg := netgen.DefaultConfig(gates)
 	cfg.Seed = 1
@@ -465,11 +468,14 @@ func benchMesh(b *testing.B, mode string, gates, workers int, noiseFrac float64)
 	for _, o := range d.Outputs {
 		constraints[o] = 20e-9
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		switch mode {
 		case "reference":
 			_, err = tm.RunReference()
+		case "compile":
+			_, err = compile(d, tm.Lib, workers)
 		case "required":
 			_, err = tm.ComputeRequired(res, constraints)
 		default:
@@ -484,9 +490,10 @@ func benchMesh(b *testing.B, mode string, gates, workers int, noiseFrac float64)
 // BenchmarkMesh is the gates-vs-wall scaling matrix behind EXPERIMENTS.md
 // "Full-chip STA at scale": the legacy map walk versus the levelized
 // engine at 1 and 4 workers, clean and with 1% of nets noise-annotated,
-// for 10³–10⁵ gates, plus the backward pass on the noisy Result. A noisy
-// row far above its clean row means noise set-up has stopped being linear
-// in the design size.
+// for 10³–10⁵ gates, plus the backward pass on the noisy Result and, from
+// 10⁴ gates, the graph compile alone at 1 and 4 workers. A noisy row far
+// above its clean row means noise set-up has stopped being linear in the
+// design size.
 func BenchmarkMesh(b *testing.B) {
 	for _, gates := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("reference/gates=%d", gates), func(b *testing.B) {
@@ -499,6 +506,11 @@ func BenchmarkMesh(b *testing.B) {
 			b.Run(fmt.Sprintf("noisy/gates=%d/workers=%d", gates, workers), func(b *testing.B) {
 				benchMesh(b, "levelized", gates, workers, 0.01)
 			})
+			if gates >= 10000 {
+				b.Run(fmt.Sprintf("compile/gates=%d/workers=%d", gates, workers), func(b *testing.B) {
+					benchMesh(b, "compile", gates, workers, 0)
+				})
+			}
 		}
 		b.Run(fmt.Sprintf("required/gates=%d", gates), func(b *testing.B) {
 			benchMesh(b, "required", gates, 1, 0.01)

@@ -68,16 +68,17 @@ func (t *Timer) ComputeRequired(res *Result, constraints map[string]float64) (*R
 
 	// Report every net a gate reads or drives, plus every constrained name:
 	// a primary input no gate reads has no requirement unless constrained.
-	// Primary net IDs are the lowest, so read needs only that many entries.
-	read := make([]bool, len(g.inputs))
+	// Primary net IDs are the lowest (every higher ID is a gate output), so
+	// read needs only that many entries.
+	read := make([]bool, g.base)
 	for _, id := range g.inNet {
-		if int(id) < len(read) {
+		if id < g.base {
 			read[id] = true
 		}
 	}
 	out := &RequiredTimes{Required: make(map[string]*NetRequired, len(req))}
 	for id, name := range g.netName {
-		if id >= len(read) || read[id] || g.driverOf[id] >= 0 {
+		if id >= len(read) || read[id] {
 			out.Required[name] = &req[id]
 		}
 	}
@@ -101,11 +102,11 @@ func (t *Timer) ComputeRequired(res *Result, constraints map[string]float64) (*R
 	// wins a min), so its gate is skipped.
 	for i := len(g.levelOrder) - 1; i >= 0; i-- {
 		gi := g.levelOrder[i]
-		outReq := &req[g.gateOut[gi]]
+		outReq := &req[g.base+gi]
 		if math.IsInf(outReq.Rise, 1) && math.IsInf(outReq.Fall, 1) {
 			continue
 		}
-		load := g.load[g.gateOut[gi]]
+		load := g.load[g.base+gi]
 		lo, arcs := g.inStart[gi], g.cellIn[gi].arcs
 		for k := lo; k < g.inStart[gi+1]; k++ {
 			inID := g.inNet[k]
