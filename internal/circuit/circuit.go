@@ -270,19 +270,6 @@ const (
 	Transient
 )
 
-// Dynamic is implemented by elements with internal state (capacitors).
-type Dynamic interface {
-	Element
-	// BeginStep is called once before the Newton loop of each timestep
-	// with the step size h and integration coefficients.
-	BeginStep(ic IntegrationCoeffs)
-	// EndStep is called after a step is accepted so the element can
-	// update its stored state from the accepted solution.
-	EndStep(a *Assembler)
-	// InitState initializes state from a DC solution.
-	InitState(a *Assembler)
-}
-
 // IntegrationCoeffs communicates the integrator's companion-model
 // coefficients to capacitive elements: i_{n+1} = Geq·(v_{n+1} − v_n) + Ihist
 // with Ihist = HistI·i_n (HistI = −1 for trapezoidal, 0 for backward Euler).

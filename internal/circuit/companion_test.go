@@ -8,7 +8,7 @@ import (
 	"noisewave/internal/linalg"
 )
 
-// TestCapacitorCompanionCycle exercises the Dynamic interface directly:
+// TestCapacitorCompanionCycle exercises the companion-model cycle directly:
 // a capacitor charged through a resistor with the backward-Euler companion
 // model must follow the discrete recurrence v_{n+1} = (v_n + h/RC·V) /
 // (1 + h/RC).
@@ -43,13 +43,13 @@ func TestCapacitorCompanionCycle(t *testing.T) {
 		copy(a.X, x)
 	}
 	// Start discharged: initialize state at v=0 by hand.
-	capEl.InitState(a) // X is zero → vPrev = 0
+	capEl.initState(a) // X is zero → vPrev = 0
 	v := 0.0
 	ic := IntegrationCoeffs{Geq: 1 / h, HistI: 0} // backward Euler
 	for step := 0; step < 20; step++ {
-		capEl.BeginStep(ic)
+		capEl.beginStep(ic)
 		solve(Transient)
-		capEl.EndStep(a)
+		capEl.endStep(a)
 		// Discrete BE recurrence.
 		k := h / (r * cap)
 		v = (v + k*vs) / (1 + k)

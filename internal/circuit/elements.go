@@ -49,8 +49,9 @@ func (c *Circuit) AddCapacitor(p, n NodeID, farads float64) *Capacitor {
 	return e
 }
 
-// BeginStep implements Dynamic.
-func (cp *Capacitor) BeginStep(ic IntegrationCoeffs) {
+// beginStep sets the companion model for the step about to be solved: the
+// step size and method enter through the integration coefficients.
+func (cp *Capacitor) beginStep(ic IntegrationCoeffs) {
 	cp.geq = cp.C * ic.Geq
 	cp.hist = ic.HistI
 }
@@ -63,12 +64,19 @@ func (cp *Capacitor) Stamp(a *Assembler, mode StampMode) {
 	// i = geq·v − (geq·vPrev − hist·iPrev); companion current source points
 	// from P to N.
 	a.StampConductance(cp.P, cp.N, cp.geq)
+	cp.stampRHS(a)
+}
+
+// stampRHS stamps the companion's history current source, the capacitor's
+// only contribution to B.
+func (cp *Capacitor) stampRHS(a *Assembler) {
 	ieq := -cp.geq*cp.vPrev + cp.hist*cp.iPrev
 	a.StampCurrentSource(cp.P, cp.N, ieq)
 }
 
-// EndStep implements Dynamic: records the accepted voltage and current.
-func (cp *Capacitor) EndStep(a *Assembler) {
+// endStep records the accepted voltage and current once a step is
+// accepted.
+func (cp *Capacitor) endStep(a *Assembler) {
 	v := a.V(cp.P) - a.V(cp.N)
 	i := cp.geq*(v-cp.vPrev) + cp.hist*cp.iPrev
 	// hist is −1 for TR: i = geq·Δv − iPrev. For BE hist = 0.
@@ -76,9 +84,8 @@ func (cp *Capacitor) EndStep(a *Assembler) {
 	cp.iPrev = i
 }
 
-// InitState implements Dynamic: capacitors start at the DC voltage with
-// zero current.
-func (cp *Capacitor) InitState(a *Assembler) {
+// initState starts the capacitor at the DC voltage with zero current.
+func (cp *Capacitor) initState(a *Assembler) {
 	cp.vPrev = a.V(cp.P) - a.V(cp.N)
 	cp.iPrev = 0
 }

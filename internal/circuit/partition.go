@@ -1,5 +1,7 @@
 package circuit
 
+import "noisewave/internal/device"
+
 // Partition splits a circuit's elements by how their MNA stamps depend on
 // the Newton iterate. Linear elements — resistors, capacitors (their
 // companion models), voltage sources — stamp values that are constant for a
@@ -15,7 +17,13 @@ package circuit
 // the ground exclusions already applied), so the per-iteration restamp
 // writes through cached positions instead of generic Add(i, j, ·) calls and
 // allocates nothing. The arithmetic mirrors MOSFET.Stamp exactly; the
-// slow path keeps using MOSFET.Stamp itself.
+// slow path keeps using MOSFET.Stamp itself. Each slot also memoizes its
+// device's power pair (device.PowMemo): about a third of the evaluations in
+// a transient repeat the device's previous gate overdrive bit for bit.
+//
+// The capacitors and voltage sources are listed once more by type, in
+// element order, so the per-step companion updates and the right-hand-side
+// rebuild run as flat loops instead of dispatching per element.
 type Partition struct {
 	// Linear elements' stamps do not depend on the iterate X.
 	Linear []Element
@@ -23,14 +31,18 @@ type Partition struct {
 	// (today: none; unknown element types land here conservatively).
 	Nonlinear []Element
 
-	mos []mosSlots
+	mos  []mosSlots
+	caps []*Capacitor
+	srcs []*VSource
+	pow  device.PowCounts
 }
 
 // mosSlots caches one MOSFET's stamp positions. Index −1 marks an entry
 // dropped by a ground exclusion (and, for xd/xg/xs, a grounded terminal
 // whose voltage is 0).
 type mosSlots struct {
-	m *MOSFET
+	m    *MOSFET
+	memo device.PowMemo
 
 	xd, xg, xs int // iterate indices of the D/G/S voltages
 
@@ -62,8 +74,14 @@ func NewPartition(c *Circuit) *Partition {
 	}
 	for _, e := range c.Elements() {
 		switch el := e.(type) {
-		case *Resistor, *Capacitor, *VSource:
+		case *Resistor:
 			p.Linear = append(p.Linear, e)
+		case *Capacitor:
+			p.Linear = append(p.Linear, e)
+			p.caps = append(p.caps, el)
+		case *VSource:
+			p.Linear = append(p.Linear, e)
+			p.srcs = append(p.srcs, el)
 		case *MOSFET:
 			from, to := el.D, el.S
 			if el.Polarity == PType {
@@ -130,29 +148,100 @@ func (p *Partition) StampLinear(a *Assembler, mode StampMode) {
 }
 
 // StampLinearRHS stamps only the B-vector contributions of the linear
-// elements, in the same element and accumulation order as StampLinear, so a
-// solver that already holds the linear A entries for this stamp
-// configuration can rebuild the baseline right-hand side alone — time and
-// companion history live entirely in B; the linear A part depends only on
-// (mode, integration coefficients, gmin). The result is bitwise identical
-// to the B produced by a full StampLinear from the same starting B.
+// elements, so a solver that already holds the linear A entries for this
+// stamp configuration can rebuild the baseline right-hand side alone — time
+// and companion history live entirely in B; the linear A part depends only
+// on (mode, integration coefficients, gmin). Capacitors write node rows and
+// sources write their own branch rows, so stamping the capacitors in
+// element order and then the sources accumulates every entry in the same
+// order as StampLinear: the result is bitwise identical to the B produced
+// by a full StampLinear from the same starting B.
 func (p *Partition) StampLinearRHS(a *Assembler, mode StampMode) {
-	for _, e := range p.Linear {
-		switch el := e.(type) {
-		case *Resistor:
-			// A-only.
-		case *Capacitor:
-			if mode == DC || el.C == 0 {
-				continue
+	if mode == Transient {
+		for _, cp := range p.caps {
+			if cp.C != 0 {
+				cp.stampRHS(a)
 			}
-			ieq := -el.geq*el.vPrev + el.hist*el.iPrev
-			a.StampCurrentSource(el.P, el.N, ieq)
-		case *VSource:
-			a.B[a.BranchIndex(el.Branch)] += el.Value.At(a.Time)
-		default:
-			// Partition.Linear only ever holds the three types above.
-			e.Stamp(a, mode)
 		}
+	}
+	for _, v := range p.srcs {
+		a.B[a.BranchIndex(v.Branch)] += v.Value.At(a.Time)
+	}
+}
+
+// Sources returns the circuit's voltage sources in element order (not a
+// copy).
+func (p *Partition) Sources() []*VSource { return p.srcs }
+
+// InitState starts every capacitor from the DC solution in a.X.
+func (p *Partition) InitState(a *Assembler) {
+	for _, cp := range p.caps {
+		cp.initState(a)
+	}
+}
+
+// BeginStep sets every capacitor's companion model for the step about to
+// be solved.
+func (p *Partition) BeginStep(ic IntegrationCoeffs) {
+	for _, cp := range p.caps {
+		cp.beginStep(ic)
+	}
+}
+
+// EndStep records every capacitor's accepted voltage and current.
+func (p *Partition) EndStep(a *Assembler) {
+	for _, cp := range p.caps {
+		cp.endStep(a)
+	}
+}
+
+// ResetMemo empties every device's power memo, so the memo hits of a run
+// do not depend on which run the partition served before.
+func (p *Partition) ResetMemo() {
+	for i := range p.mos {
+		p.mos[i].memo = device.PowMemo{}
+	}
+}
+
+// TakePowCounts returns the power pairs evaluated and served from the memo
+// since the previous call, and resets both counts.
+func (p *Partition) TakePowCounts() (evals, hits int64) {
+	c := p.pow
+	p.pow = device.PowCounts{}
+	return c.Evals, c.Hits
+}
+
+// State is a copy of a partition's run state at an accepted step: every
+// capacitor's accepted current and every device's power memo. The
+// capacitors' accepted voltages are not stored — they are the branch
+// voltages of the accepted iterate, which LoadState recomputes — and
+// neither are the companion conductances, which BeginStep sets before
+// each solve.
+type State struct {
+	capI []float64
+	memo []device.PowMemo
+}
+
+// SaveState returns a copy of the run state.
+func (p *Partition) SaveState() State {
+	st := State{capI: make([]float64, len(p.caps)), memo: make([]device.PowMemo, len(p.mos))}
+	for i, cp := range p.caps {
+		st.capI[i] = cp.iPrev
+	}
+	for i := range p.mos {
+		st.memo[i] = p.mos[i].memo
+	}
+	return st
+}
+
+// LoadState restores a run state SaveState took on this partition, with
+// a.X holding the iterate of the step it was saved at.
+func (p *Partition) LoadState(st *State, a *Assembler) {
+	for i, cp := range p.caps {
+		cp.vPrev, cp.iPrev = a.V(cp.P)-a.V(cp.N), st.capI[i]
+	}
+	for i := range p.mos {
+		p.mos[i].memo = st.memo[i]
 	}
 }
 
@@ -180,13 +269,13 @@ func (p *Partition) StampNonlinear(a *Assembler, mode StampMode) {
 		// g2 = ∂I/∂vs for the current I flowing from `from` to `to`.
 		var i0, g0, g1, g2 float64
 		if m.Polarity == NType {
-			id, dgs, dds := m.Params.IDS(vg-vs, vd-vs)
+			id, dgs, dds := m.Params.IDSMemo(vg-vs, vd-vs, &ms.memo, &p.pow)
 			i0 = m.W * id
 			g0 = m.W * dgs
 			g1 = m.W * dds
 			g2 = -m.W * (dgs + dds)
 		} else {
-			id, dgs, dds := m.Params.IDS(vs-vg, vs-vd)
+			id, dgs, dds := m.Params.IDSMemo(vs-vg, vs-vd, &ms.memo, &p.pow)
 			i0 = m.W * id
 			g0 = -m.W * dgs
 			g1 = -m.W * dds

@@ -24,7 +24,7 @@ func TestStampLinearRHSMatchesStampLinear(t *testing.T) {
 	asm.Time = 1.3e-10
 	ic := IntegrationCoeffs{Geq: 2 / 1e-12, HistI: -1}
 	for _, cp := range []*Capacitor{cap1, cap2} {
-		cp.BeginStep(ic)
+		cp.beginStep(ic)
 		cp.vPrev = 0.3
 		cp.iPrev = 1e-6
 	}

@@ -183,6 +183,20 @@ func (g *GateSim) replayBench() (*gateBench, error) {
 	return g.bench, nil
 }
 
+// RecordPrefix records the replay chain's quiet lead-in from start to
+// horizon with the input held at its current value at start. Later replays
+// over windows from start resume from the latest checkpoint before their
+// input moves, with samples bit-identical to a replay from scratch (see
+// spice.Simulator.RecordPrefix). A change to the backend's configuration
+// rebuilds the chain and drops the prefix.
+func (g *GateSim) RecordPrefix(ctx context.Context, start, horizon float64) error {
+	b, err := g.replayBench()
+	if err != nil {
+		return err
+	}
+	return b.sim.RecordPrefix(ctx, start, horizon)
+}
+
 // OutputForRamp evaluates the chain for an equivalent linear waveform.
 func (g *GateSim) OutputForRamp(r wave.Ramp, start, stop float64) (*wave.Waveform, error) {
 	return g.OutputForRampCtx(context.Background(), r, start, stop)

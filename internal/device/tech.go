@@ -81,12 +81,40 @@ func Default130() Tech {
 // The returned current is in amperes for a unit-width device; scale by the
 // width multiplier externally.
 func (p MOSParams) IDS(vgs, vds float64) (id, dIdVgs, dIdVds float64) {
+	return p.ids(vgs, vds, nil, nil)
+}
+
+// PowMemo is a one-entry memo of one device's power pair (see
+// powAlphaPair), keyed on the exact gate overdrive it was evaluated at.
+// The zero value is empty: the pair is only ever evaluated for a positive
+// overdrive, so a zero key never matches.
+type PowMemo struct {
+	vgt     float64
+	pw, pwh powResult
+}
+
+// PowCounts counts the power pairs a set of memoized devices needed:
+// Evals were computed, Hits were served from a memo.
+type PowCounts struct {
+	Evals, Hits int64
+}
+
+// IDSMemo is IDS for a device whose power pair is memoized in m: when the
+// gate overdrive repeats the previous evaluation's bit for bit, the pair is
+// taken from m instead of recomputed, and c counts which. The results are
+// bit-identical to IDS.
+func (p MOSParams) IDSMemo(vgs, vds float64, m *PowMemo, c *PowCounts) (id, dIdVgs, dIdVds float64) {
+	return p.ids(vgs, vds, m, c)
+}
+
+// ids is IDS with an optional power memo (nil for the plain evaluation).
+func (p MOSParams) ids(vgs, vds float64, m *PowMemo, c *PowCounts) (id, dIdVgs, dIdVds float64) {
 	if vds < 0 {
 		// Exchange source and drain: Id(vgs, vds) = −Id(vgs − vds, −vds).
 		// With u = vgs − vds, w = −vds:
 		//   ∂Id/∂vgs = −∂Id'/∂u
 		//   ∂Id/∂vds = +∂Id'/∂u + ∂Id'/∂w
-		idr, dgu, dgw := p.IDS(vgs-vds, -vds)
+		idr, dgu, dgw := p.ids(vgs-vds, -vds, m, c)
 		return -idr, -dgu, dgu + dgw
 	}
 	vgt := vgs - p.Vth
@@ -95,7 +123,18 @@ func (p MOSParams) IDS(vgs, vds float64) (id, dIdVgs, dIdVds float64) {
 	}
 	// Saturation current and voltage. The two powers vgt^α and vgt^(α/2)
 	// share one logarithm; see powAlphaPair.
-	pw, pwh := powAlphaPair(vgt, p.Alpha)
+	var pw, pwh powResult
+	switch {
+	case m == nil:
+		pw, pwh = powAlphaPair(vgt, p.Alpha)
+	case m.vgt == vgt:
+		pw, pwh = m.pw, m.pwh
+		c.Hits++
+	default:
+		pw, pwh = powAlphaPair(vgt, p.Alpha)
+		*m = PowMemo{vgt: vgt, pw: pw, pwh: pwh}
+		c.Evals++
+	}
 	idsat0 := p.K * pw.val    // K·vgt^α
 	dIdsat0 := p.K * pw.deriv // α·K·vgt^(α−1)
 	vdsat := p.Kv * pwh.val

@@ -108,8 +108,18 @@ func RunPushout(cfg xtalk.Config, opts PushoutOptions) (*PushoutStats, error) {
 	}
 
 	// Each worker owns a private reusable testbench (the simulator inside
-	// is not safe for concurrent use).
-	newWorker := func(int) (*xtalk.Bench, error) { return xtalk.NewBench(cfg) }
+	// is not safe for concurrent use) with its quiet lead-in up to the
+	// victim edge recorded once.
+	newWorker := func(int) (*xtalk.Bench, error) {
+		bench, err := xtalk.NewBench(cfg)
+		if err != nil {
+			return nil, err
+		}
+		if err := bench.RecordPrefix(opts.ctx(), victimStart); err != nil {
+			return nil, err
+		}
+		return bench, nil
+	}
 	do := func(ctx context.Context, i int, bench *xtalk.Bench) (float64, error) {
 		caseSpan := trace.SpanOf(ctx)
 		caseSpan.SetAttr(trace.String("config", cfg.Name), trace.Floats("offsets", offsets[i]))

@@ -200,6 +200,14 @@ func RunTable1(cfg xtalk.Config, opts Table1Options) (*Table1Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Every golden and every replay of a case starts with the same
+		// quiet lead-in up to the victim edge; record it once per worker.
+		if err := bench.RecordPrefix(opts.ctx(), victimStart); err != nil {
+			return nil, err
+		}
+		if err := gate.RecordPrefix(opts.ctx(), 0, victimStart); err != nil {
+			return nil, err
+		}
 		return &table1Worker{gate: gate, bench: bench}, nil
 	}
 	do := func(ctx context.Context, i int, w *table1Worker) (table1Case, error) {

@@ -3,10 +3,12 @@ package experiments
 import (
 	"math"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 
 	"noisewave/internal/device"
+	"noisewave/internal/telemetry"
 	"noisewave/internal/xtalk"
 )
 
@@ -82,9 +84,13 @@ func TestTable1ConfigurationII(t *testing.T) {
 }
 
 // TestTable1SmallPinned pins cmd/bench's table1-small workload (Cfg I, 8
-// cases, P=15, 2 ps step) to 1 fs: every technique's max and avg error.
-// The values are amd64 results; a solver or fit change that moves any of
-// them by more than 1 fs fails here.
+// cases, P=15, 2 ps step) to 1 fs: every technique's max and avg error, at
+// 1 and 2 workers. The values are amd64 results; a solver or fit change
+// that moves any of them by more than 1 fs fails here. On amd64 the
+// solver's work is pinned exactly too: Newton iterations, transients and
+// LU factorizations. Each worker records two quiet prefixes, so the counts
+// differ by worker count; a change that adds solver work fails here even
+// when every number stays put.
 func TestTable1SmallPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pinned Table 1 sweep skipped under -short")
@@ -97,27 +103,47 @@ func TestTable1SmallPinned(t *testing.T) {
 		"WLS5": {2.5013234279955135e-12, 1.4403520295201696e-12},
 		"SGDP": {8.2034744830342483e-12, 2.4377431089728799e-12},
 	}
+	// Work counts per worker count: Newton iterations, transients, LU
+	// factorizations (amd64).
+	wantWork := map[int][3]int64{
+		1: {89480, 59, 2210},
+		2: {89800, 61, 2230},
+	}
 	cfg := xtalk.ConfigurationI(device.Default130())
 	cfg.Step = 2e-12
-	res, err := RunTable1(cfg, Table1Options{Cases: 8, Range: 1e-9, P: 15})
-	if err != nil {
-		t.Fatalf("RunTable1: %v", err)
-	}
-	if len(res.Stats) != len(want) {
-		t.Fatalf("%d techniques scored, want %d", len(res.Stats), len(want))
-	}
-	for _, s := range res.Stats {
-		w, ok := want[s.Name]
-		if !ok {
-			t.Errorf("unexpected technique %s", s.Name)
+	for _, workers := range []int{1, 2} {
+		reg := telemetry.New()
+		res, err := RunTable1(cfg, Table1Options{Cases: 8, Range: 1e-9, P: 15,
+			SweepOptions: SweepOptions{Workers: workers, Telemetry: reg}})
+		if err != nil {
+			t.Fatalf("%d workers: RunTable1: %v", workers, err)
+		}
+		if len(res.Stats) != len(want) {
+			t.Fatalf("%d workers: %d techniques scored, want %d", workers, len(res.Stats), len(want))
+		}
+		for _, s := range res.Stats {
+			w, ok := want[s.Name]
+			if !ok {
+				t.Errorf("unexpected technique %s", s.Name)
+				continue
+			}
+			if s.N != 8 {
+				t.Errorf("%d workers: %s scored %d cases, want 8", workers, s.Name, s.N)
+			}
+			if math.Abs(s.MaxAbs-w[0]) > 1e-15 || math.Abs(s.AvgAbs-w[1]) > 1e-15 {
+				t.Errorf("%d workers: %s max %.17g avg %.17g, want %.17g / %.17g (±1 fs)",
+					workers, s.Name, s.MaxAbs, s.AvgAbs, w[0], w[1])
+			}
+		}
+		if runtime.GOARCH != "amd64" {
+			t.Logf("work counts are pinned for amd64; not checked on %s", runtime.GOARCH)
 			continue
 		}
-		if s.N != 8 {
-			t.Errorf("%s scored %d cases, want 8", s.Name, s.N)
-		}
-		if math.Abs(s.MaxAbs-w[0]) > 1e-15 || math.Abs(s.AvgAbs-w[1]) > 1e-15 {
-			t.Errorf("%s max %.17g avg %.17g, want %.17g / %.17g (±1 fs)",
-				s.Name, s.MaxAbs, s.AvgAbs, w[0], w[1])
+		c := reg.Snapshot().Counters
+		got := [3]int64{c["spice.newton_iterations"], c["spice.transients"], c["spice.fastpath.refactors"]}
+		if got != wantWork[workers] {
+			t.Errorf("%d workers: Newton iterations, transients, LU factorizations = %v, want %v",
+				workers, got, wantWork[workers])
 		}
 	}
 }

@@ -40,6 +40,10 @@ type CachedLU[K comparable] struct {
 	slu       *SparseLU
 	sparse    bool // current valid factorization lives in slu
 	spFails   int
+
+	// gen changes with every state change, so Snapshot can tell whether
+	// the state still equals its previous snapshot.
+	gen uint64
 }
 
 // maxSparseFailures bounds reseed attempts: after this many pivot-drift
@@ -57,6 +61,7 @@ func (c *CachedLU[K]) Ensure(a *Matrix, key K, force bool) (refactored bool, err
 		c.Reuses++
 		return false, nil
 	}
+	c.gen++
 	if c.patRowPtr != nil && c.spFails < maxSparseFailures && c.sym != nil {
 		if err = c.slu.Refactor(a); err == nil {
 			c.sparse = true
@@ -127,6 +132,7 @@ func (c *CachedLU[K]) ClearPattern() {
 }
 
 func (c *CachedLU[K]) resetSparse() {
+	c.gen++
 	c.sym = nil
 	c.slu = nil
 	c.spFails = 0
@@ -150,7 +156,83 @@ func int32SlicesEqual(a, b []int32) bool {
 
 // Invalidate drops the cached factorization (the storage is kept); the
 // next Ensure refactors regardless of key.
-func (c *CachedLU[K]) Invalidate() { c.valid = false }
+func (c *CachedLU[K]) Invalidate() {
+	c.gen++
+	c.valid = false
+}
+
+// CachedLUState is a read-only copy of a CachedLU's state — key, pattern,
+// elimination order and the current factors — taken by Snapshot and put
+// back by Restore.
+type CachedLUState[K comparable] struct {
+	gen                uint64
+	key                K
+	valid, sparse      bool
+	spFails            int
+	patRowPtr, patCols []int32
+	sym                *SparseSymbolic // immutable, so shared
+	vals               []float64       // sparse factors, when valid and sparse
+	lu                 *LU             // dense factors, when valid and not sparse
+}
+
+// Snapshot returns a copy of the cache's state. prev, if non-nil, must be
+// an earlier snapshot of this cache: when nothing changed since, prev
+// itself is returned, so a run of snapshots holds one copy per
+// factorization.
+func (c *CachedLU[K]) Snapshot(prev *CachedLUState[K]) *CachedLUState[K] {
+	if prev != nil && prev.gen == c.gen {
+		return prev
+	}
+	st := &CachedLUState[K]{
+		gen: c.gen, key: c.key, valid: c.valid, sparse: c.sparse,
+		spFails: c.spFails, sym: c.sym,
+	}
+	switch {
+	case c.patRowPtr == nil:
+	case prev != nil && int32SlicesEqual(prev.patRowPtr, c.patRowPtr) && int32SlicesEqual(prev.patCols, c.patCols):
+		st.patRowPtr, st.patCols = prev.patRowPtr, prev.patCols
+	default:
+		st.patRowPtr = append([]int32(nil), c.patRowPtr...)
+		st.patCols = append([]int32(nil), c.patCols...)
+	}
+	if c.valid && c.sparse {
+		st.vals = append([]float64(nil), c.slu.vals...)
+	} else if c.valid {
+		st.lu = &LU{n: c.lu.n, lu: c.lu.lu.Clone(), piv: append([]int(nil), c.lu.piv...), sign: c.lu.sign}
+	}
+	return st
+}
+
+// Restore puts a snapshot's state back, bit for bit: later Ensure and
+// SolveInto calls behave exactly as they did on the cache the snapshot was
+// taken from. The snapshot is not modified. The diagnostic counters are
+// left as they are.
+func (c *CachedLU[K]) Restore(st *CachedLUState[K]) {
+	c.gen++
+	c.key, c.valid, c.sparse, c.spFails = st.key, st.valid, st.sparse, st.spFails
+	if st.patRowPtr == nil {
+		c.patRowPtr, c.patCols = nil, nil
+	} else {
+		c.patRowPtr = append(c.patRowPtr[:0], st.patRowPtr...)
+		c.patCols = append(c.patCols[:0], st.patCols...)
+	}
+	if c.sym = st.sym; st.sym == nil {
+		c.slu = nil
+	} else if c.slu == nil || c.slu.sym != st.sym {
+		c.slu = NewSparseLU(st.sym)
+	}
+	if st.vals != nil {
+		copy(c.slu.vals, st.vals)
+	}
+	if st.lu != nil {
+		if c.lu == nil || c.lu.n != st.lu.n {
+			c.lu = &LU{n: st.lu.n, lu: NewMatrix(st.lu.n, st.lu.n), piv: make([]int, st.lu.n)}
+		}
+		c.lu.lu.CopyFrom(st.lu.lu)
+		copy(c.lu.piv, st.lu.piv)
+		c.lu.sign = st.lu.sign
+	}
+}
 
 // Sparse reports whether the current valid factorization came from the
 // frozen-pattern sparse path (diagnostic only).

@@ -188,3 +188,83 @@ func TestCachedLUSparseSteadyState(t *testing.T) {
 		t.Error("ClearPattern left sparse state armed")
 	}
 }
+
+// TestCachedLUSnapshotRestore: a restored snapshot — dense factors without
+// a pattern, the dense seed of a pattern, or sparse factors — makes the
+// next Ensure and SolveInto behave bit for bit as on the cache it was taken
+// from, on a cache that has since moved on or on a fresh one, and an
+// unchanged cache hands back its previous snapshot instead of a copy.
+func TestCachedLUSnapshotRestore(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 30
+	a, rowPtr, cols := randSparseSPD(t, n, rng)
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = rng.Float64()
+	}
+	solve := func(c *CachedLU[int]) []float64 {
+		t.Helper()
+		x := make([]float64, n)
+		if err := c.SolveInto(x, b); err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	perturb := func() {
+		for i := range a.Data {
+			if a.Data[i] != 0 {
+				a.Data[i] *= 1 + 1e-3*rng.Float64()
+			}
+		}
+	}
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: x[%d] = %.17g, want %.17g", what, i, got[i], want[i])
+			}
+		}
+	}
+
+	var c CachedLU[int]
+	var snaps []*CachedLUState[int]
+	var want [][]float64
+	if _, err := c.Ensure(a, 0, false); err != nil { // dense, no pattern
+		t.Fatal(err)
+	}
+	snaps, want = append(snaps, c.Snapshot(nil)), append(want, solve(&c))
+	c.SetPattern(n, rowPtr, cols)
+	for key := 1; key <= 3; key++ { // dense seed, then sparse
+		perturb()
+		if _, err := c.Ensure(a, key, false); err != nil {
+			t.Fatal(err)
+		}
+		snaps, want = append(snaps, c.Snapshot(snaps[len(snaps)-1])), append(want, solve(&c))
+	}
+	if s := c.Snapshot(snaps[len(snaps)-1]); s != snaps[len(snaps)-1] {
+		t.Error("snapshot of an unchanged cache made a new copy")
+	}
+	if !c.Sparse() {
+		t.Fatal("the last snapshot should hold sparse factors")
+	}
+
+	var fresh CachedLU[int]
+	for i, s := range snaps {
+		for _, r := range []*CachedLU[int]{&c, &fresh} {
+			r.Restore(s)
+			same("restored solve", solve(r), want[i])
+			// The restored key is honored: same key reuses, a new key
+			// refactors exactly as the original cache would have.
+			if refactored, err := r.Ensure(a, s.key, false); err != nil || refactored {
+				t.Fatalf("snapshot %d: Ensure on its key refactored=%v err=%v", i, refactored, err)
+			}
+		}
+		perturbed := a.Clone()
+		r1, err1 := c.Ensure(perturbed, 100+i, false)
+		r2, err2 := fresh.Ensure(perturbed, 100+i, false)
+		if err1 != nil || err2 != nil || r1 != r2 || c.Sparse() != fresh.Sparse() {
+			t.Fatalf("snapshot %d: refactor diverged (%v %v, %v %v)", i, r1, r2, err1, err2)
+		}
+		same("refactor after restore", solve(&fresh), solve(&c))
+	}
+}

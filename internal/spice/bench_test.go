@@ -40,17 +40,13 @@ func benchSim(b *testing.B, fast bool, h float64) *Simulator {
 		b.Fatal(err)
 	}
 	s.fast = fast
-	if _, err := s.solveOP(); err != nil {
+	if err := s.solveOP(); err != nil {
 		b.Fatal(err)
 	}
-	for _, d := range s.dynamics {
-		d.InitState(s.asm)
-	}
+	s.part.InitState(s.asm)
 	ic := circuit.IntegrationCoeffs{Geq: 2 / h, HistI: -1}
 	s.ic = ic
-	for _, d := range s.dynamics {
-		d.BeginStep(ic)
-	}
+	s.part.BeginStep(ic)
 	s.asm.Time = h
 	return s
 }
@@ -117,12 +113,10 @@ func BenchmarkTransientStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			s.fast = bc.fast
-			if _, err := s.solveOP(); err != nil {
+			if err := s.solveOP(); err != nil {
 				b.Fatal(err)
 			}
-			for _, d := range s.dynamics {
-				d.InitState(s.asm)
-			}
+			s.part.InitState(s.asm)
 			res := s.newRunResult()
 			rec := &res.Recovery
 			rec.Budget = s.opts.RecoveryBudget

@@ -28,8 +28,6 @@ type Simulator struct {
 	lu   *linalg.LU
 	xNew []float64
 
-	dynamics []circuit.Dynamic
-
 	// Fast-path state (see fastpath.go): the linear/nonlinear element
 	// partition, the cached LU factorization with its refactor heuristics,
 	// and the residual/step buffers of the modified-Newton iteration.
@@ -51,6 +49,10 @@ type Simulator struct {
 	tr       transient
 	probeIDs []circuit.NodeID
 	res      *Result // previous run's result, recycled under Options.ReuseResult
+
+	// prefix is the recorded quiet prefix runs resume from (prefix.go);
+	// nil until RecordPrefix.
+	prefix *prefix
 
 	// stats accumulates engine counters for the current solve; they are
 	// flushed to Options.Telemetry once per Run/OperatingPoint call so the
@@ -82,11 +84,6 @@ func New(c *circuit.Circuit, o Options) *Simulator {
 	s.delta = make([]float64, n)
 	s.part = circuit.NewPartition(c)
 	s.policy = linalg.DefaultReusePolicy()
-	for _, e := range c.Elements() {
-		if d, ok := e.(circuit.Dynamic); ok {
-			s.dynamics = append(s.dynamics, d)
-		}
-	}
 	return s
 }
 
@@ -119,6 +116,8 @@ type engineStats struct {
 	sparseRefactors int64 // fast path: refactors served by the frozen-pattern sparse path
 	luReuses        int64 // fast path: iterations served by a cached LU
 	carriedAccepts  int64 // fast path: solves accepted on the carried-rho certificate
+	prefixResumes   int64 // fast path: 1 when the run resumed from the quiet prefix
+	prefixSteps     int64 // fast path: accepted steps the resume skipped
 	wallStart       time.Time
 }
 
@@ -126,6 +125,7 @@ type engineStats struct {
 // time under the given run counter / wall timer names, then resets the
 // accumulators. Nil-safe on the registry.
 func (s *Simulator) flushTelemetry(runCounter, wallTimer string) {
+	powEvals, powHits := s.part.TakePowCounts()
 	reg := s.opts.Telemetry
 	if reg != nil {
 		reg.Counter(runCounter).Inc()
@@ -149,6 +149,10 @@ func (s *Simulator) flushTelemetry(runCounter, wallTimer string) {
 			reg.Counter("spice.fastpath.sparse_refactors").Add(s.stats.sparseRefactors)
 			reg.Counter("spice.fastpath.lu_reuses").Add(s.stats.luReuses)
 			reg.Counter("spice.fastpath.carried_accepts").Add(s.stats.carriedAccepts)
+			reg.Counter("spice.fastpath.power_evals").Add(powEvals)
+			reg.Counter("spice.fastpath.power_memo_hits").Add(powHits)
+			reg.Counter("spice.fastpath.prefix_resumes").Add(s.stats.prefixResumes)
+			reg.Counter("spice.fastpath.prefix_steps_reused").Add(s.stats.prefixSteps)
 		}
 		reg.Timer(wallTimer).Observe(time.Since(s.stats.wallStart).Seconds())
 		// Distribution of NR effort per solve: a long tail here means a few
@@ -242,13 +246,21 @@ func (s *Simulator) OperatingPoint() (map[string]float64, error) {
 	s.fast = !s.opts.NoFastPath
 	s.stats.wallStart = time.Now()
 	defer s.flushTelemetry("spice.op_solves", "spice.op_seconds")
-	return s.solveOP()
+	if err := s.solveOP(); err != nil {
+		return nil, err
+	}
+	out := make(map[string]float64, s.ckt.NumNodes())
+	for _, name := range s.ckt.NodeNames() {
+		id, _ := s.ckt.LookupNode(name)
+		out[name] = s.asm.V(id)
+	}
+	return out, nil
 }
 
-// solveOP is OperatingPoint without validation or telemetry flushing; Run
-// uses it so the DC solve's Newton iterations are accounted to the
-// enclosing transient.
-func (s *Simulator) solveOP() (map[string]float64, error) {
+// solveOP is OperatingPoint without validation, telemetry flushing or the
+// result map; Run uses it so the DC solve's Newton iterations are
+// accounted to the enclosing transient.
+func (s *Simulator) solveOP() error {
 	s.asm.Time = s.opts.Start
 	s.ic = circuit.IntegrationCoeffs{}
 	// A cached factorization from a previous run (or a previous homotopy)
@@ -263,37 +275,29 @@ func (s *Simulator) solveOP() (map[string]float64, error) {
 	s.bl.valid = false
 	s.moveSinceFactor = 0
 	s.rhoEst = math.NaN()
+	s.part.ResetMemo()
 	linalg.Fill(s.asm.X, 0)
 	// Try a direct solve first; fall back to gmin stepping.
 	if err := s.solve(circuit.DC, 0); err != nil {
 		linalg.Fill(s.asm.X, 0)
 		for _, g := range []float64{1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 0} {
 			if err := s.solve(circuit.DC, g); err != nil {
-				return nil, fmt.Errorf("spice: DC homotopy failed at gmin=%g: %w", g, err)
+				return fmt.Errorf("spice: DC homotopy failed at gmin=%g: %w", g, err)
 			}
 		}
 	}
 	if i := nonFiniteAt(s.asm.X); i >= 0 {
 		s.stats.nonFinite++
-		return nil, fmt.Errorf("spice: DC operating point: %w: x[%d]=%g", ErrNonFinite, i, s.asm.X[i])
+		return fmt.Errorf("spice: DC operating point: %w: x[%d]=%g", ErrNonFinite, i, s.asm.X[i])
 	}
-	out := make(map[string]float64, s.ckt.NumNodes())
-	for _, name := range s.ckt.NodeNames() {
-		id, _ := s.ckt.LookupNode(name)
-		out[name] = s.asm.V(id)
-	}
-	return out, nil
+	return nil
 }
 
 // breakpoints collects and sorts all source breakpoints inside the run
 // window, appending into buf (whose storage is reused).
 func (s *Simulator) breakpoints(buf []float64) []float64 {
 	bps := buf
-	for _, e := range s.ckt.Elements() {
-		v, ok := e.(*circuit.VSource)
-		if !ok {
-			continue
-		}
+	for _, v := range s.part.Sources() {
 		for _, t := range v.Value.Breakpoints() {
 			if t > s.opts.Start && t < s.opts.Stop {
 				bps = append(bps, t)
@@ -404,12 +408,20 @@ func (s *Simulator) RunWindow(ctx context.Context, start, stop float64) (*Result
 
 // Run performs the transient analysis: DC operating point, then fixed-base
 // stepping with breakpoint alignment, BE start-up steps, and step halving
-// on Newton failure.
+// on Newton failure. A run that reproduces the recorded quiet prefix (see
+// RecordPrefix) resumes from its latest usable checkpoint instead, with
+// bit-identical samples.
 //
 // When Options.Ctx is canceled (or its deadline passes) mid-run, Run stops
 // at the next outer time step and returns the waveforms recorded so far
 // together with an error matching telemetry.ErrCanceled.
 func (s *Simulator) Run() (*Result, error) {
+	return s.run(nil)
+}
+
+// run is Run; with a non-nil record it records the quiet prefix into
+// record instead of resuming from one (see RecordPrefix).
+func (s *Simulator) run(record *prefix) (*Result, error) {
 	if err := (&s.opts).validate(); err != nil {
 		return nil, err
 	}
@@ -430,15 +442,21 @@ func (s *Simulator) Run() (*Result, error) {
 		span.End()
 		s.span = nil
 	}()
-	opSpan := span.Child("spice.op")
-	if _, err := s.solveOP(); err != nil {
-		opSpan.SetAttr(trace.String("error", err.Error()))
-		opSpan.End()
-		return nil, err
+	st := &s.tr
+	st.bps = s.breakpoints(st.bps[:0])
+	var cp *checkpoint
+	if record == nil {
+		cp = s.resumePoint(st.bps)
 	}
-	opSpan.End()
-	for _, d := range s.dynamics {
-		d.InitState(s.asm)
+	if cp == nil {
+		opSpan := span.Child("spice.op")
+		if err := s.solveOP(); err != nil {
+			opSpan.SetAttr(trace.String("error", err.Error()))
+			opSpan.End()
+			return nil, err
+		}
+		opSpan.End()
+		s.part.InitState(s.asm)
 	}
 
 	res := s.newRunResult()
@@ -448,27 +466,35 @@ func (s *Simulator) Run() (*Result, error) {
 	}
 	s.recovery = rec
 	defer func() { s.recovery = nil }()
-	s.recordSample(res, s.opts.Start)
 
-	st := &s.tr
-	st.bps = s.breakpoints(st.bps[:0])
-	st.t = s.opts.Start
-	st.base = s.opts.Step
-	// beSteps counts remaining forced backward-Euler steps (used at start
-	// and after each breakpoint to damp trapezoidal ringing).
-	st.beSteps = 2
 	n := s.ckt.Size()
 	st.xPrev = resized(st.xPrev, n)
-	copy(st.xPrev, s.asm.X)
-	// Previous accepted state for the adaptive LTE predictor.
 	st.xPrevPrev = resized(st.xPrevPrev, n)
-	copy(st.xPrevPrev, s.asm.X)
-	st.hPrev = 0.0
 	st.nNodes = s.ckt.NumNodes()
+	if cp != nil {
+		s.resume(cp, res)
+	} else {
+		s.recordSample(res, s.opts.Start)
+		st.t = s.opts.Start
+		st.base = s.opts.Step
+		// beSteps counts remaining forced backward-Euler steps (used at
+		// start and after each breakpoint to damp trapezoidal ringing).
+		st.beSteps = 2
+		copy(st.xPrev, s.asm.X)
+		// Previous accepted state for the adaptive LTE predictor.
+		copy(st.xPrevPrev, s.asm.X)
+		st.hPrev = 0.0
+	}
+	if record != nil {
+		record.extend(s, res)
+	}
 
 	for st.t < s.opts.Stop-1e-21 {
 		if err := s.stepTransient(res, rec, st); err != nil {
 			return res, err
+		}
+		if record != nil && !record.extend(s, res) {
+			break
 		}
 	}
 	return res, nil
@@ -518,9 +544,7 @@ func (s *Simulator) stepTransient(res *Result, rec *RecoveryReport, st *transien
 			ic = circuit.IntegrationCoeffs{Geq: 2 / h, HistI: -1}
 		}
 		s.ic = ic
-		for _, d := range s.dynamics {
-			d.BeginStep(ic)
-		}
+		s.part.BeginStep(ic)
 		s.asm.Time = t + h
 		if err := s.solveTransient(0); err != nil {
 			// Reject (non-convergence or a non-finite solution):
@@ -573,9 +597,7 @@ func (s *Simulator) stepTransient(res *Result, rec *RecoveryReport, st *transien
 	if hitBP {
 		s.stats.bpHits++
 	}
-	for _, d := range s.dynamics {
-		d.EndStep(s.asm)
-	}
+	s.part.EndStep(s.asm)
 	t += h
 	st.t = t
 	copy(st.xPrevPrev, st.xPrev)

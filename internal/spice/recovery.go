@@ -147,9 +147,7 @@ func (s *Simulator) recoverStep(t, base float64, rec *RecoveryReport, xPrev []fl
 		}
 		s.ic = ic
 		for _, g := range []float64{1e-3, 1e-5, 1e-7, 1e-9, 0} {
-			for _, d := range s.dynamics {
-				d.BeginStep(ic)
-			}
+			s.part.BeginStep(ic)
 			s.asm.Time = t + h
 			if err := s.solveTransient(g); err != nil {
 				copy(s.asm.X, xPrev)

@@ -59,6 +59,45 @@ func TestMeshNoisyPinned(t *testing.T) {
 	}
 }
 
+// TestMeshCleanPinned pins cmd/bench's sta-mesh workload in go test: the
+// 10⁵-gate mesh (netgen seed 1, Elmore wires) timed without noise, as the
+// workload times it. At 1 and 2 workers the worst output arrival, the
+// gates timed and the level count must hold exactly.
+func TestMeshCleanPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times the 10⁵-gate mesh")
+	}
+	const (
+		worstArrival = 1.5507282757636228e-08
+		gates        = 100000
+		levels       = 317
+	)
+	cfg := netgen.DefaultConfig(gates)
+	cfg.Seed = 1
+	tm := meshTimer(t, cfg, ElmoreWire)
+	for _, workers := range []int{1, 2} {
+		reg := telemetry.New()
+		res, err := tm.RunCtx(context.Background(), RunOptions{Workers: workers, Telemetry: reg})
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		_, _, at, err := res.WorstOutput(tm.Design.Outputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		if math.Float64bits(at.Arrival) != math.Float64bits(worstArrival) {
+			t.Errorf("%d workers: worst output arrival %.17g, want %.17g", workers, at.Arrival, worstArrival)
+		}
+		if got := snap.Counters["sta.gates_timed"]; got != gates {
+			t.Errorf("%d workers: %d gates timed, want %d", workers, got, gates)
+		}
+		if got := snap.Gauges["sta.levels"]; got != levels {
+			t.Errorf("%d workers: %v levels, want %d", workers, got, levels)
+		}
+	}
+}
+
 // TestCriticalPathLongMesh: a valid path may be longer than any fixed
 // step cap. An 8-wide, 96,000-gate mesh has 12,000 levels; its worst
 // output's path must come back whole, 12,001 nets ending at a primary

@@ -282,6 +282,15 @@ func NewBench(cfg Config) (*Bench, error) {
 	return &Bench{cfg: cfg, vsrc: vsrc, asrc: asrc, sim: sim}, nil
 }
 
+// RecordPrefix records the bench's quiet lead-in up to horizon: the DC
+// point and checkpointed steps of a run in which every source holds its
+// t = 0 value (on a new bench, every edge quiet). Later runs resume from
+// the latest checkpoint before their first edge, with samples bit-identical
+// to a run from scratch (see spice.Simulator.RecordPrefix).
+func (b *Bench) RecordPrefix(ctx context.Context, horizon float64) error {
+	return b.sim.RecordPrefix(ctx, 0, horizon)
+}
+
 // RunCtx is Config.RunCtx on the reusable bench.
 func (b *Bench) RunCtx(ctx context.Context, victimStart float64, aggStart []float64) (in, out *wave.Waveform, err error) {
 	in, out, _, err = b.RunReportCtx(ctx, victimStart, aggStart)
