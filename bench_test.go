@@ -1,6 +1,7 @@
 package noisewave
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -180,7 +181,7 @@ func BenchmarkGateEvaluation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.gate.OutputForRamp(gamma, 0, 2.5e-9); err != nil {
+		if _, err := e.gate.OutputForRampCtx(context.Background(), gamma, 0, 2.5e-9); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -239,7 +240,7 @@ func BenchmarkSTAChain(b *testing.B) {
 		b.Run(fmt.Sprintf("gates=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := NewTimer(lib, d).Run(); err != nil {
+				if _, err := NewTimer(lib, d).RunCtx(context.Background(), RunOptions{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -256,7 +257,7 @@ func BenchmarkSTATree(b *testing.B) {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := NewTimer(lib, d).Run(); err != nil {
+				if _, err := NewTimer(lib, d).RunCtx(context.Background(), RunOptions{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

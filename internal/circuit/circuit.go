@@ -73,9 +73,6 @@ func (c *Circuit) LookupNode(name string) (NodeID, bool) {
 // NumNodes returns the number of non-ground nodes.
 func (c *Circuit) NumNodes() int { return len(c.nodeName) }
 
-// NumVSources returns the number of voltage-source branch unknowns.
-func (c *Circuit) NumVSources() int { return c.nvsrc }
-
 // Size returns the MNA system dimension.
 func (c *Circuit) Size() int { return c.NumNodes() + c.nvsrc }
 

@@ -70,9 +70,6 @@ func TestAddInverterConvenience(t *testing.T) {
 	if got := len(c.Elements()); got != 5 {
 		t.Errorf("elements = %d, want 5", got)
 	}
-	if c.NumVSources() != 0 {
-		t.Errorf("NumVSources = %d", c.NumVSources())
-	}
 	names := c.NodeNames()
 	if len(names) != 3 {
 		t.Errorf("NodeNames = %v", names)

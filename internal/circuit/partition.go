@@ -101,9 +101,6 @@ func NewPartition(c *Circuit) *Partition {
 	return p
 }
 
-// NumNonlinear returns how many elements need per-iteration restamping.
-func (p *Partition) NumNonlinear() int { return len(p.mos) + len(p.Nonlinear) }
-
 // NumUnknown returns how many nonlinear elements were classified
 // conservatively (no cached slots). Structure-aware consumers (the sparse
 // residual) must fall back to dense handling when this is nonzero, since

@@ -24,15 +24,13 @@ import (
 )
 
 // GateSim is the transistor-level gate evaluation backend: a receiving
-// gate chain driven by an ideal source, simulated with internal/spice.
+// gate chain driven by an ideal source, simulated with internal/spice. The
+// gate output is the first stage's (the paper's out_u); the later stages
+// are its load.
 type GateSim struct {
 	Tech   device.Tech
 	Drives []float64 // inverter chain drive strengths; Drives[0] is the gate under test
 	Step   float64   // simulator step
-
-	// OutStage selects which chain stage's output is "the gate output"
-	// (default 0: the first inverter, matching the paper's out_u).
-	OutStage int
 
 	// Telemetry, if non-nil, receives the spice engine counters of every
 	// replay this backend runs. The registry is concurrency-safe, so one
@@ -87,7 +85,6 @@ func (b *gateBench) sameDrives(drives []float64) bool {
 type gateBenchCfg struct {
 	tech       device.Tech
 	step       float64
-	outStage   int
 	tele       *telemetry.Registry
 	inject     *faultinject.Injector
 	noFastPath bool
@@ -95,7 +92,7 @@ type gateBenchCfg struct {
 
 func (g *GateSim) cfg() gateBenchCfg {
 	return gateBenchCfg{
-		tech: g.Tech, step: g.Step, outStage: g.OutStage,
+		tech: g.Tech, step: g.Step,
 		tele: g.Telemetry, inject: g.Inject, noFastPath: g.NoFastPath,
 	}
 }
@@ -116,8 +113,8 @@ func NewInverterChainSim(t device.Tech, drives []float64, step float64) *GateSim
 	return &GateSim{Tech: t, Drives: append([]float64(nil), drives...), Step: step}
 }
 
-// OutputForSource drives the chain input with src and returns the waveform
-// at the selected output stage over [start, stop].
+// OutputForSource drives the chain input with src and returns the gate
+// output waveform over [start, stop].
 func (g *GateSim) OutputForSource(src circuit.Source, start, stop float64) (*wave.Waveform, error) {
 	return g.OutputForSourceCtx(context.Background(), src, start, stop)
 }
@@ -162,7 +159,7 @@ func (g *GateSim) replayBench() (*gateBench, error) {
 	for i, d := range g.Drives {
 		out := ckt.Node(fmt.Sprintf("out%d", i))
 		ckt.AddInverter(fmt.Sprintf("u%d", i), g.Tech, d, prev, out, vdd)
-		if i == g.OutStage {
+		if i == 0 {
 			outName = ckt.NodeName(out)
 		}
 		prev = out
@@ -197,13 +194,8 @@ func (g *GateSim) RecordPrefix(ctx context.Context, start, horizon float64) erro
 	return b.sim.RecordPrefix(ctx, start, horizon)
 }
 
-// OutputForRamp evaluates the chain for an equivalent linear waveform.
-func (g *GateSim) OutputForRamp(r wave.Ramp, start, stop float64) (*wave.Waveform, error) {
-	return g.OutputForRampCtx(context.Background(), r, start, stop)
-}
-
-// OutputForRampCtx is OutputForRamp under a context (see
-// OutputForSourceCtx).
+// OutputForRampCtx evaluates the chain for an equivalent linear waveform
+// under a context (see OutputForSourceCtx).
 func (g *GateSim) OutputForRampCtx(ctx context.Context, r wave.Ramp, start, stop float64) (*wave.Waveform, error) {
 	return g.OutputForSourceCtx(ctx, circuit.RampWaveSource{R: r}, start, stop)
 }

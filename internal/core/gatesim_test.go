@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,29 +13,15 @@ func TestGateSimInverts(t *testing.T) {
 	tech := device.Default130()
 	g := NewInverterChainSim(tech, []float64{4}, 1e-12)
 	ramp := wave.NewRamp(1.2/0.2e-9, -1.2*(0.3e-9)/0.2e-9, 0, 1.2) // rises 0.3→0.5 ns
-	out, err := g.OutputForRamp(ramp, 0, 1.5e-9)
+	out, err := g.OutputForRampCtx(context.Background(), ramp, 0, 1.5e-9)
 	if err != nil {
-		t.Fatalf("OutputForRamp: %v", err)
+		t.Fatalf("OutputForRampCtx: %v", err)
 	}
 	if out.EdgeDir() != wave.Falling {
 		t.Errorf("inverter output should fall, got %v", out.EdgeDir())
 	}
 	if v := out.V[len(out.V)-1]; v > 0.05 {
 		t.Errorf("output did not settle low: %g", v)
-	}
-}
-
-func TestGateSimOutStageSelection(t *testing.T) {
-	tech := device.Default130()
-	g := NewInverterChainSim(tech, []float64{4, 16}, 1e-12)
-	g.OutStage = 1 // second stage: non-inverted overall
-	ramp := wave.NewRamp(1.2/0.2e-9, -1.2*(0.3e-9)/0.2e-9, 0, 1.2)
-	out, err := g.OutputForRamp(ramp, 0, 1.5e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.EdgeDir() != wave.Rising {
-		t.Errorf("two inversions should restore the edge, got %v", out.EdgeDir())
 	}
 }
 

@@ -156,7 +156,8 @@ func CompareTechniquesWith(gate *GateSim, in eqwave.Input, trueOut *wave.Wavefor
 	return cmp, nil
 }
 
-// Result returns the entry for a named technique.
+// Result returns the entry for a named technique. The core tests look
+// techniques up through it.
 func (c *Comparison) Result(name string) (TechniqueResult, bool) {
 	for _, r := range c.Results {
 		if r.Name == name {

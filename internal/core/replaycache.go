@@ -47,7 +47,7 @@ func makeReplayKey(r wave.Ramp, start, stop float64) (replayKey, bool) {
 	}, true
 }
 
-// replayCache memoizes GateSim.OutputForRamp within one noise case. The
+// replayCache memoizes GateSim.OutputForRampCtx within one noise case. The
 // techniques frequently emit near-identical equivalent waveforms — e.g.
 // SGDP's safeguard falls back to the WLS5 fit, and P1/P2 coincide whenever
 // the noisy 10%/50%/90% crossings are collinear — so the transistor-level

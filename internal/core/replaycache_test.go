@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -126,14 +127,14 @@ func TestReplayExtendsUnsettledOutput(t *testing.T) {
 	in := eqwave.Input{Noisy: noisy, Noiseless: noisy, NoiselessOut: trueOut, Vdd: vdd}
 
 	start, stop := WindowFor(r, trueOut, 0.2e-9)
-	trimmed, err := gate.OutputForRamp(r, start, stop)
+	trimmed, err := gate.OutputForRampCtx(context.Background(), r, start, stop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if settled(trimmed, vdd) {
 		t.Fatalf("output settled by %g s; the fixture no longer exercises the guard", stop)
 	}
-	full, err := gate.OutputForRamp(r, start, trueOut.End())
+	full, err := gate.OutputForRampCtx(context.Background(), r, start, trueOut.End())
 	if err != nil {
 		t.Fatal(err)
 	}

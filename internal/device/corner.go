@@ -27,7 +27,8 @@ var (
 )
 
 // AtCorner returns the technology adjusted to the given corner. The
-// returned Tech is independent of the receiver.
+// returned Tech is independent of the receiver. It is public API: the
+// facade's Corner type documents it as the way to apply a corner.
 func (t Tech) AtCorner(c Corner) Tech {
 	out := t
 	out.Name = fmt.Sprintf("%s_%s", t.Name, c.Name)

@@ -426,14 +426,18 @@ func TestOverlapping(t *testing.T) {
 	in := rampWave(1e-9, 0.4e-9, wave.Rising)
 	near := invOut(1e-9, 0.4e-9, 50e-12, 0.2e-9, wave.Rising)
 	far := invOut(1e-9, 0.4e-9, 3e-9, 0.2e-9, wave.Rising)
-	ov, delta, err := Overlapping(in, near, vdd, wave.Rising, wave.Falling)
+	inFirst, inLast, err := in.CriticalRegion(0.1*vdd, 0.9*vdd, wave.Rising)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ov, delta, err := overlapping(in, near, vdd, inFirst, inLast, wave.Falling)
 	if err != nil || !ov {
 		t.Errorf("near output should overlap: %v %v", ov, err)
 	}
 	if math.Abs(delta-50e-12) > 5e-12 {
 		t.Errorf("near delta = %g", delta)
 	}
-	ov, delta, err = Overlapping(in, far, vdd, wave.Rising, wave.Falling)
+	ov, delta, err = overlapping(in, far, vdd, inFirst, inLast, wave.Falling)
 	if err != nil || ov {
 		t.Errorf("far output should not overlap: %v %v", ov, err)
 	}

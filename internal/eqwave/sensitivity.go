@@ -204,28 +204,6 @@ func (s *Sensitivity) AtVoltage(v float64) (rho, dRhoDV float64) {
 	return rho, dRhoDV
 }
 
-// TotalWeight integrates ρ over the critical region; WLS5 uses it to detect
-// the degenerate non-overlap case.
-func (s *Sensitivity) TotalWeight() float64 {
-	sum := 0.0
-	for i := 0; i+1 < len(s.T); i++ {
-		sum += 0.5 * (s.Rho[i] + s.Rho[i+1]) * (s.T[i+1] - s.T[i])
-	}
-	return sum
-}
-
-// Overlapping reports whether the noiseless input and output transitions
-// overlap in time: their 10–90% windows intersect. Non-overlapping
-// transitions are the regime where WLS5 is undefined and SGDP applies its
-// δ-shift pre/post-processing.
-func Overlapping(nlIn, nlOut *wave.Waveform, vdd float64, inEdge, outEdge wave.Edge) (bool, float64, error) {
-	inFirst, inLast, err := nlIn.CriticalRegion(0.1*vdd, 0.9*vdd, inEdge)
-	if err != nil {
-		return false, 0, err
-	}
-	return overlapping(nlIn, nlOut, vdd, inFirst, inLast, outEdge)
-}
-
 // overlapping is Overlapping given the input's critical region
 // [inFirst, inLast].
 func overlapping(nlIn, nlOut *wave.Waveform, vdd, inFirst, inLast float64, outEdge wave.Edge) (bool, float64, error) {

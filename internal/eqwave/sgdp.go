@@ -56,11 +56,12 @@ type SGDP struct {
 	NoSafeguard bool
 	// GaussNewtonIters bounds the Eq. 3 iteration (default 20).
 	GaussNewtonIters int
-	// CollapseFactor is the safeguard threshold: a fit whose 10–90%
-	// transition time exceeds CollapseFactor × the noiseless transition
-	// time is considered collapsed (default 2.5).
-	CollapseFactor float64
 }
+
+// collapseFactor is the safeguard threshold: a fit whose 10–90% transition
+// time exceeds collapseFactor × the noiseless transition time is
+// considered collapsed.
+const collapseFactor = 2.5
 
 // NewSGDP returns SGDP with the paper's full feature set enabled.
 func NewSGDP() *SGDP {
@@ -247,11 +248,7 @@ func (s *SGDP) collapsed(r wave.Ramp, noiselessTT float64, edge wave.Edge) bool 
 	if err != nil {
 		return true
 	}
-	cf := s.CollapseFactor
-	if cf <= 0 {
-		cf = 2.5
-	}
-	return tt > cf*noiselessTT
+	return tt > collapseFactor*noiselessTT
 }
 
 // taylorResidual evaluates one Eq. 3 residual f(r) = ρ·r + ½·ρ'·r² and its

@@ -35,7 +35,9 @@ func AblationVariants() []AblationVariant {
 // RunAblation sweeps the ablation variants over a Table 1-style alignment
 // sweep and returns one stats row per variant. workers sizes the sweep
 // worker pool exactly as Table1Options.Workers does (the SGDP variants
-// hold configuration only, so sharing them across workers is safe).
+// hold configuration only, so sharing them across workers is safe). Its
+// consumer is go test: the ablation tests regenerate EXPERIMENTS.md's
+// ablation table through it.
 func RunAblation(cfg xtalk.Config, cases, workers int) ([]TechniqueStats, error) {
 	variants := AblationVariants()
 	techs := make([]eqwave.Technique, 0, len(variants))

@@ -72,7 +72,7 @@ func TestReplayWindowMatchesFullWindow(t *testing.T) {
 					continue
 				}
 				start, stop := core.WindowFor(gamma, nOut, 0.2e-9)
-				full, err := gate.OutputForRamp(gamma, start, math.Max(stop, nOut.End()))
+				full, err := gate.OutputForRampCtx(context.Background(), gamma, start, math.Max(stop, nOut.End()))
 				if err != nil {
 					t.Fatalf("config %s case %d %s: full-window replay: %v", cfg.Name, i, tq.Name(), err)
 				}

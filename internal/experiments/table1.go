@@ -10,10 +10,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"noisewave/internal/core"
-	"noisewave/internal/device"
 	"noisewave/internal/eqwave"
 	"noisewave/internal/sweep"
 	"noisewave/internal/trace"
@@ -386,30 +384,3 @@ func (r *Table1Result) StatsFor(name string) (TechniqueStats, bool) {
 	}
 	return TechniqueStats{}, false
 }
-
-// Ranking returns technique names sorted by average absolute error
-// (most accurate first).
-func (r *Table1Result) Ranking() []string {
-	out := make([]string, len(r.Stats))
-	idx := make([]int, len(r.Stats))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		return r.Stats[idx[a]].AvgAbs < r.Stats[idx[b]].AvgAbs
-	})
-	for i, j := range idx {
-		out[i] = r.Stats[j].Name
-	}
-	return out
-}
-
-// DefaultConfigurations returns the paper's two configurations built on the
-// default technology.
-func DefaultConfigurations() []xtalk.Config {
-	t := device.Default130()
-	return []xtalk.Config{xtalk.ConfigurationI(t), xtalk.ConfigurationII(t)}
-}
-
-// Edge is re-exported for drivers that need the victim direction.
-type Edge = wave.Edge

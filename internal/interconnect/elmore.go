@@ -9,7 +9,9 @@ type RCLadder struct {
 
 // Ladder converts a Line (plus an optional far-end load capacitance) into
 // an RCLadder for closed-form analysis. The π-segment end half-caps are
-// folded into node capacitances.
+// folded into node capacitances. Ladder and the RCLadder methods are kept
+// for the coupled-RC noise pulse of ROADMAP item 6 (the path testbench of
+// item 3 also needs Ladder); no production code calls them yet.
 func (l Line) Ladder(loadC float64) RCLadder {
 	n := l.Segments
 	r := make([]float64, n)
@@ -31,7 +33,7 @@ func (l Line) Ladder(loadC float64) RCLadder {
 //	the source→i and source→out paths (for a ladder: ΣR up to node i).
 //
 // Elmore is the classical reference the paper's E4 technique is inspired
-// by ([2] W.C. Elmore, 1948).
+// by ([2] W.C. Elmore, 1948). Consumer: ROADMAP item 6 (see Ladder).
 func (l RCLadder) ElmoreDelay() float64 {
 	n := len(l.C)
 	d := 0.0
@@ -45,6 +47,7 @@ func (l RCLadder) ElmoreDelay() float64 {
 
 // DelayAt returns the Elmore delay from the driver to node k (0-based).
 // For a ladder: T_k = Σ_i C_i · R(min(i,k)) where R(j) = Σ_{m<=j} R_m.
+// Consumer: ROADMAP item 6 (see Ladder).
 func (l RCLadder) DelayAt(k int) float64 {
 	d := 0.0
 	rPrefix := make([]float64, len(l.R))
@@ -66,6 +69,7 @@ func (l RCLadder) DelayAt(k int) float64 {
 // Moments returns the first m moments of the far-end transfer function
 // (m1 = −Elmore). Computed by the standard recursive tree-moment algorithm
 // specialized to a ladder: moment k of node voltages given moment k−1.
+// Consumer: ROADMAP item 6 (see Ladder).
 func (l RCLadder) Moments(m int) []float64 {
 	n := len(l.C)
 	if n == 0 || m <= 0 {

@@ -16,12 +16,6 @@ func TestPaperLineSegments(t *testing.T) {
 	if l.RSeg != 8.5 || l.CSeg != 4.8e-15 {
 		t.Errorf("per-segment values %g %g", l.RSeg, l.CSeg)
 	}
-	if got := l.TotalR(); math.Abs(got-170) > 1e-9 {
-		t.Errorf("TotalR = %g", got)
-	}
-	if got := l.TotalC(); math.Abs(got-96e-15) > 1e-20 {
-		t.Errorf("TotalC = %g", got)
-	}
 	// Short lines keep the figure's minimum of 3 segments.
 	if PaperLine(50).Segments != 3 {
 		t.Errorf("50um: %d segments", PaperLine(50).Segments)

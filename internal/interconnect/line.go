@@ -40,16 +40,11 @@ func PaperLine(lengthUm float64) Line {
 	return Line{Segments: n, RSeg: 8.5, CSeg: 4.8e-15}
 }
 
-// TotalR returns the end-to-end resistance.
-func (l Line) TotalR() float64 { return float64(l.Segments) * l.RSeg }
-
-// TotalC returns the total shunt capacitance.
-func (l Line) TotalC() float64 { return float64(l.Segments) * l.CSeg }
-
 // Build instantiates the line into ckt starting at node from. Interior and
 // far-end nodes are named "<prefix>.<i>" (i = 1..Segments); the far-end
 // node ID is returned. Junction node IDs (including from and far) are
-// returned for coupling-capacitor placement.
+// returned for coupling-capacitor placement. Its consumer is the path
+// testbench of ROADMAP item 3; the Figure 1 testbench uses BuildBetween.
 func (l Line) Build(ckt *circuit.Circuit, prefix string, from circuit.NodeID) (far circuit.NodeID, junctions []circuit.NodeID) {
 	if l.Segments < 1 {
 		panic("interconnect: line needs at least one segment")

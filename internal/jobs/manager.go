@@ -143,10 +143,8 @@ func (j *Job) Progress() (done, total int) {
 	return j.done, j.total
 }
 
-// Config returns the normalized configuration the job runs.
-func (j *Job) Config() Config { return j.cfg }
-
 // Done returns a channel closed when the job reaches a terminal state.
+// Production callers block with Wait; the job-service tests select on Done.
 func (j *Job) Done() <-chan struct{} { return j.doneCh }
 
 // Wait blocks until the job is terminal or ctx is canceled, returning the

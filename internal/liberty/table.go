@@ -96,16 +96,3 @@ func (t *Table2D) At(trans, load float64) float64 {
 	b := t.Values[i+1][j]*(1-v) + t.Values[i+1][j+1]*v
 	return a*(1-u) + b*u
 }
-
-// Clone deep-copies the table.
-func (t *Table2D) Clone() *Table2D {
-	out := &Table2D{
-		Index1: append([]float64(nil), t.Index1...),
-		Index2: append([]float64(nil), t.Index2...),
-		Values: make([][]float64, len(t.Values)),
-	}
-	for i, row := range t.Values {
-		out.Values[i] = append([]float64(nil), row...)
-	}
-	return out
-}

@@ -1,7 +1,6 @@
 // Package linalg provides the small dense linear-algebra kernel used by the
 // circuit simulator and the fitting routines: dense matrices, LU
-// factorization with partial pivoting, a tridiagonal (Thomas) solver, and
-// vector helpers.
+// factorization with partial pivoting, and vector helpers.
 //
 // Circuit matrices in this project are modest (tens to a few hundred nodes),
 // so a cache-friendly dense row-major representation beats a sparse one in
@@ -10,7 +9,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -28,38 +26,8 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// NewMatrixFrom builds a matrix from a slice of rows. All rows must have the
-// same length.
-func NewMatrixFrom(rows [][]float64) *Matrix {
-	r := len(rows)
-	if r == 0 {
-		return NewMatrix(0, 0)
-	}
-	c := len(rows[0])
-	m := NewMatrix(r, c)
-	for i, row := range rows {
-		if len(row) != c {
-			panic("linalg: ragged rows in NewMatrixFrom")
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
-}
-
 // At returns element (r, c).
 func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
-
-// Set assigns element (r, c).
-func (m *Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
 
 // Add accumulates v into element (r, c). This is the natural operation for
 // MNA stamping, where several devices contribute to one entry.
@@ -87,45 +55,6 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 	copy(m.Data, src.Data)
 }
 
-// Mul returns m·b as a new matrix.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic("linalg: Mul shape mismatch")
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.Data[i*m.Cols+k]
-			if a == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j := range brow {
-				orow[j] += a * brow[j]
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns m·x as a new vector.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if m.Cols != len(x) {
-		panic("linalg: MulVec shape mismatch")
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		s := 0.0
-		for j, a := range row {
-			s += a * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // MulVecInto writes m·x into dst without allocating. dst must not alias x.
 func (m *Matrix) MulVecInto(dst, x []float64) {
 	if m.Cols != len(x) || m.Rows != len(dst) {
@@ -139,28 +68,6 @@ func (m *Matrix) MulVecInto(dst, x []float64) {
 		}
 		dst[i] = s
 	}
-}
-
-// Transpose returns mᵀ as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*out.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return out
-}
-
-// MaxAbs returns the largest absolute element, or 0 for an empty matrix.
-func (m *Matrix) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
 }
 
 // String renders the matrix for debugging.

@@ -15,10 +15,9 @@ var ErrSingular = errors.New("linalg: matrix is singular")
 // the transient simulator exploits when the Jacobian changes every Newton
 // iteration.
 type LU struct {
-	n    int
-	lu   *Matrix // combined L (unit lower) and U
-	piv  []int   // row permutation
-	sign int     // +1 or -1, determinant sign of the permutation
+	n   int
+	lu  *Matrix // combined L (unit lower) and U
+	piv []int   // row permutation
 }
 
 // NewLU factors a (copied) square matrix. The input is not modified.
@@ -46,7 +45,6 @@ func (f *LU) Refactor(a *Matrix) error {
 func (f *LU) factor() error {
 	n := f.n
 	lu := f.lu.Data
-	f.sign = 1
 	for i := range f.piv {
 		f.piv[i] = i
 	}
@@ -71,7 +69,6 @@ func (f *LU) factor() error {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
 		}
 		pivot := lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -139,16 +136,9 @@ func (f *LU) SolveInto(dst, b []float64) error {
 	return nil
 }
 
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu.Data[i*f.n+i]
-	}
-	return d
-}
-
-// SolveDense is a convenience one-shot solve of A·x = b.
+// SolveDense is a convenience one-shot solve of A·x = b. The linalg and
+// circuit tests check solutions with it; production code keeps its
+// factorization (LU, CachedLU) across solves.
 func SolveDense(a *Matrix, b []float64) ([]float64, error) {
 	f, err := NewLU(a)
 	if err != nil {

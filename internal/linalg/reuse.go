@@ -198,7 +198,7 @@ func (c *CachedLU[K]) Snapshot(prev *CachedLUState[K]) *CachedLUState[K] {
 	if c.valid && c.sparse {
 		st.vals = append([]float64(nil), c.slu.vals...)
 	} else if c.valid {
-		st.lu = &LU{n: c.lu.n, lu: c.lu.lu.Clone(), piv: append([]int(nil), c.lu.piv...), sign: c.lu.sign}
+		st.lu = &LU{n: c.lu.n, lu: c.lu.lu.Clone(), piv: append([]int(nil), c.lu.piv...)}
 	}
 	return st
 }
@@ -230,7 +230,6 @@ func (c *CachedLU[K]) Restore(st *CachedLUState[K]) {
 		}
 		c.lu.lu.CopyFrom(st.lu.lu)
 		copy(c.lu.piv, st.lu.piv)
-		c.lu.sign = st.lu.sign
 	}
 }
 

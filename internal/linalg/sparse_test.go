@@ -14,7 +14,7 @@ func randSparseSPD(t *testing.T, n int, rng *rand.Rand) (*Matrix, []int32, []int
 	t.Helper()
 	a := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
-		a.Set(i, i, 2+rng.Float64())
+		a.Data[i*n+i] = 2 + rng.Float64()
 		for k := 0; k < 3; k++ {
 			j := rng.Intn(n)
 			if j == i {
@@ -111,7 +111,7 @@ func TestSparsePivotDriftFallsBackDense(t *testing.T) {
 	// make the frozen order unstable: the guard must fire, and CachedLU
 	// must recover via the dense path.
 	n := 2
-	a := NewMatrixFrom([][]float64{{4, 1}, {1, 4}})
+	a := &Matrix{Rows: 2, Cols: 2, Data: []float64{4, 1, 1, 4}}
 	rowPtr := []int32{0, 2, 4}
 	cols := []int32{0, 1, 0, 1}
 
@@ -128,7 +128,7 @@ func TestSparsePivotDriftFallsBackDense(t *testing.T) {
 	}
 	// Same pattern, but the frozen pivot (row 0 first) is now tiny relative
 	// to its row: drift guard fires, dense fallback must still solve.
-	bad := NewMatrixFrom([][]float64{{1e-9, 1}, {1, 1e-9}})
+	bad := &Matrix{Rows: 2, Cols: 2, Data: []float64{1e-9, 1, 1, 1e-9}}
 	slu := NewSparseLU(clu.sym)
 	if err := slu.Refactor(bad); !errors.Is(err, ErrPivotDrift) {
 		t.Fatalf("want ErrPivotDrift, got %v", err)

@@ -2,55 +2,6 @@ package linalg
 
 import "math"
 
-// Dot returns the inner product of a and b (panics on length mismatch).
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: Dot length mismatch")
-	}
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// NormInf returns the max-abs norm of v.
-func NormInf(v []float64) float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// AXPY computes y += alpha*x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: AXPY length mismatch")
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// Scale multiplies every element of v by alpha in place.
-func Scale(alpha float64, v []float64) {
-	for i := range v {
-		v[i] *= alpha
-	}
-}
-
 // Fill sets every element of v to val.
 func Fill(v []float64, val float64) {
 	for i := range v {
@@ -58,7 +9,8 @@ func Fill(v []float64, val float64) {
 	}
 }
 
-// MaxAbsDiff returns max_i |a[i]-b[i]| (panics on length mismatch).
+// MaxAbsDiff returns max_i |a[i]-b[i]| (panics on length mismatch). The
+// linalg tests compare sparse and dense solutions with it.
 func MaxAbsDiff(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("linalg: MaxAbsDiff length mismatch")

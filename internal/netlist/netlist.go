@@ -55,16 +55,6 @@ type Design struct {
 	Couplings []Coupling
 }
 
-// Input returns the primary input with the given name.
-func (d *Design) Input(name string) (Port, bool) {
-	for _, p := range d.Inputs {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Port{}, false
-}
-
 // Parse reads a netlist.
 func Parse(r io.Reader) (*Design, error) {
 	d := &Design{NetCaps: make(map[string]float64), NetRes: make(map[string]float64)}

@@ -30,11 +30,13 @@ func TestParseSample(t *testing.T) {
 		t.Fatalf("counts: %d inputs %d outputs %d gates",
 			len(d.Inputs), len(d.Outputs), len(d.Gates))
 	}
-	a, ok := d.Input("a")
-	if !ok || math.Abs(a.Slew-150e-12) > 1e-18 || math.Abs(a.Arrival-10e-12) > 1e-18 {
+	a, b := d.Inputs[0], d.Inputs[1]
+	if a.Name != "a" || b.Name != "b" {
+		t.Fatalf("inputs %q, %q, want a, b", a.Name, b.Name)
+	}
+	if math.Abs(a.Slew-150e-12) > 1e-18 || math.Abs(a.Arrival-10e-12) > 1e-18 {
 		t.Errorf("input a: %+v", a)
 	}
-	b, _ := d.Input("b")
 	if b.Slew != 50e-12 { // default
 		t.Errorf("input b default slew: %g", b.Slew)
 	}

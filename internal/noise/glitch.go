@@ -77,16 +77,6 @@ func Analyze(w *wave.Waveform) (Glitch, error) {
 	return g, nil
 }
 
-// Severity classifies a glitch against a DC noise margin: the fraction of
-// the margin the peak consumes (≥ 1 means a potential functional failure
-// before considering the receiver's low-pass filtering).
-func (g Glitch) Severity(noiseMargin float64) float64 {
-	if noiseMargin <= 0 {
-		return math.Inf(1)
-	}
-	return math.Abs(g.Peak) / noiseMargin
-}
-
 // String renders the glitch summary.
 func (g Glitch) String() string {
 	return fmt.Sprintf("Glitch{peak=%+.3fV at %.3gns width=%.3gps area=%.3gV·ps}",

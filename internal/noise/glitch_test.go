@@ -61,16 +61,6 @@ func TestAnalyzeQuiet(t *testing.T) {
 	}
 }
 
-func TestSeverity(t *testing.T) {
-	g := Glitch{Peak: 0.3}
-	if s := g.Severity(0.6); math.Abs(s-0.5) > 1e-12 {
-		t.Errorf("severity = %g", s)
-	}
-	if !math.IsInf(g.Severity(0), 1) {
-		t.Error("zero margin should be infinite severity")
-	}
-}
-
 // TestCouplingGlitchGrowsWithCoupling uses the real testbench: a quiet
 // victim picks up a glitch whose peak grows with the coupling capacitance.
 func TestCouplingGlitchGrowsWithCoupling(t *testing.T) {

@@ -5,132 +5,20 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
-func TestLinearInterp(t *testing.T) {
-	xs := []float64{0, 1, 3}
-	ys := []float64{0, 2, 2}
-	cases := []struct{ x, want float64 }{
-		{-1, 0}, {0, 0}, {0.5, 1}, {1, 2}, {2, 2}, {3, 2}, {9, 2},
-	}
-	for _, c := range cases {
-		if got := LinearInterp(xs, ys, c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("LinearInterp(%g) = %g, want %g", c.x, got, c.want)
-		}
-	}
-}
-
-func TestInverseInterp(t *testing.T) {
-	xs := []float64{0, 1, 2}
-	ys := []float64{0, 10, 20}
-	x, ok := InverseInterp(xs, ys, 5)
-	if !ok || math.Abs(x-0.5) > 1e-12 {
-		t.Errorf("InverseInterp = %g, %v", x, ok)
-	}
-	if _, ok := InverseInterp(xs, ys, 25); ok {
-		t.Error("out-of-range value accepted")
-	}
-	// Decreasing series.
-	x, ok = InverseInterp(xs, []float64{20, 10, 0}, 15)
-	if !ok || math.Abs(x-0.5) > 1e-12 {
-		t.Errorf("decreasing InverseInterp = %g, %v", x, ok)
-	}
-}
-
-func TestPCHIPInterpolatesKnots(t *testing.T) {
-	xs := []float64{0, 1, 2, 4}
-	ys := []float64{0, 1, 4, 2}
-	p, err := NewPCHIP(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xs {
-		if got := p.At(xs[i]); math.Abs(got-ys[i]) > 1e-12 {
-			t.Errorf("At(knot %d) = %g, want %g", i, got, ys[i])
-		}
-	}
-}
-
-func TestPCHIPMonotonePreservation(t *testing.T) {
-	// Property: for monotone data, PCHIP never overshoots.
-	xs := []float64{0, 0.3, 1, 2, 5}
-	ys := []float64{0, 0.1, 0.9, 0.95, 1}
-	p, err := NewPCHIP(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(a float64) bool {
-		x := math.Mod(math.Abs(a), 5)
-		v := p.At(x)
-		return v >= -1e-12 && v <= 1+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-	// And it is non-decreasing on a fine scan.
-	prev := math.Inf(-1)
-	for i := 0; i <= 500; i++ {
-		v := p.At(5 * float64(i) / 500)
-		if v < prev-1e-9 {
-			t.Fatalf("not monotone at %d: %g < %g", i, v, prev)
-		}
-		prev = v
-	}
-}
-
-func TestPCHIPDeriv(t *testing.T) {
-	p, err := NewPCHIP([]float64{0, 1, 2}, []float64{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := p.DerivAt(0.5); math.Abs(d-1) > 1e-9 {
-		t.Errorf("derivative of identity = %g", d)
-	}
-	if d := p.DerivAt(-1); d != 0 {
-		t.Errorf("derivative outside domain = %g", d)
-	}
-}
-
-func TestPCHIPValidation(t *testing.T) {
-	if _, err := NewPCHIP([]float64{0}, []float64{1}); err == nil {
-		t.Error("single knot accepted")
-	}
-	if _, err := NewPCHIP([]float64{0, 0}, []float64{1, 2}); err == nil {
-		t.Error("duplicate knots accepted")
-	}
-}
-
-func TestQuadrature(t *testing.T) {
-	f := math.Sin
-	exact := 1 - math.Cos(1.0)
-	if got := Trapezoid(f, 0, 1, 1000); math.Abs(got-exact) > 1e-6 {
-		t.Errorf("Trapezoid = %g, want %g", got, exact)
-	}
-	if got := Simpson(f, 0, 1, 100); math.Abs(got-exact) > 1e-10 {
-		t.Errorf("Simpson = %g, want %g", got, exact)
-	}
-	if got := TrapezoidSamples([]float64{0, 1, 2}, []float64{0, 1, 0}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("TrapezoidSamples = %g", got)
-	}
-}
-
-func TestBisectAndBrent(t *testing.T) {
+func TestBrent(t *testing.T) {
 	f := func(x float64) float64 { return x*x*x - 2*x - 5 } // root ≈ 2.0946
 	want := 2.0945514815423265
-	for name, solver := range map[string]func(func(float64) float64, float64, float64, float64) (float64, error){
-		"bisect": Bisect, "brent": Brent,
-	} {
-		x, err := solver(f, 0, 3, 1e-12)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if math.Abs(x-want) > 1e-9 {
-			t.Errorf("%s root = %.12f, want %.12f", name, x, want)
-		}
-		if _, err := solver(f, 5, 6, 1e-12); !errors.Is(err, ErrNoBracket) {
-			t.Errorf("%s accepted non-bracketing interval", name)
-		}
+	x, err := Brent(f, 0, 3, 1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(x-want) > 1e-9 {
+		t.Errorf("root = %.12f, want %.12f", x, want)
+	}
+	if _, err := Brent(f, 5, 6, 1e-12); !errors.Is(err, ErrNoBracket) {
+		t.Error("accepted non-bracketing interval")
 	}
 }
 

@@ -1,3 +1,7 @@
+// Package numeric provides the numerical routines shared by the waveform,
+// characterization and fitting code: root finding, and (weighted)
+// least-squares line fits plus a small Gauss–Newton driver for the SGDP
+// second-order objective.
 package numeric
 
 import (
@@ -13,37 +17,11 @@ var ErrNoBracket = errors.New("numeric: interval does not bracket a root")
 // within its iteration budget.
 var ErrNoConverge = errors.New("numeric: iteration did not converge")
 
-// Bisect finds a root of f in [a, b] (f(a) and f(b) of opposite sign) to
-// within tol on x.
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if fa*fb > 0 {
-		return 0, ErrNoBracket
-	}
-	for i := 0; i < 200; i++ {
-		m := 0.5 * (a + b)
-		fm := f(m)
-		if fm == 0 || b-a < tol {
-			return m, nil
-		}
-		if fa*fm < 0 {
-			b, fb = m, fm
-		} else {
-			a, fa = m, fm
-		}
-	}
-	return 0.5 * (a + b), nil
-}
-
 // Brent finds a root of f in [a, b] with Brent's method (inverse quadratic
 // interpolation guarded by bisection). Returns ErrNoBracket if the interval
-// does not bracket a sign change.
+// does not bracket a sign change. Its consumer is the worst-alignment
+// refinement of ROADMAP item 4 (a bounded search over Cfg I's aggressor
+// offset); nothing calls it yet.
 func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
 	fa, fb := f(a), f(b)
 	if fa == 0 {

@@ -59,7 +59,7 @@ func serverFixture(t *testing.T) *Server {
 	tr := trace.New()
 	p := &obs.Progress{}
 	p.SetPhase("mini", 4)
-	_, err := sweep.Run(context.Background(), 4,
+	_, _, _, err := sweep.RunPartial(context.Background(), 4,
 		sweep.Options{Workers: 2, Telemetry: reg, Tracer: tr, Progress: p.Hook(nil)},
 		func(int) (struct{}, error) { return struct{}{}, nil },
 		func(_ context.Context, i int, _ struct{}) (int, error) { return i * i, nil })

@@ -196,13 +196,6 @@ func (s *SyncBuffer) String() string {
 	return s.b.String()
 }
 
-// Len returns the accumulated size in bytes.
-func (s *SyncBuffer) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Len()
-}
-
 // Human is the compact terminal handler:
 //
 //	15:04:05.000 WARN  sweep: case quarantined corr=j-ab12 case=7 err=...

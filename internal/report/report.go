@@ -26,12 +26,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row of formatted cells (alternating format/value is not
-// needed — each argument is rendered with %v).
-func (t *Table) AddRowf(format string, args ...interface{}) {
-	t.AddRow(strings.Split(fmt.Sprintf(format, args...), "\t")...)
-}
-
 // Render writes the aligned table.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.header))
@@ -67,29 +61,6 @@ func (t *Table) Render(w io.Writer) error {
 	for _, row := range t.rows {
 		b.WriteString(line(row))
 		b.WriteByte('\n')
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// CSV writes the table as comma-separated values.
-func (t *Table) CSV(w io.Writer) error {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = `"` + strings.ReplaceAll(c, `"`, `""`) + `"`
-			}
-			b.WriteString(c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.header)
-	for _, row := range t.rows {
-		writeRow(row)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -43,19 +43,6 @@ func TestTableShortRowPadded(t *testing.T) {
 	}
 }
 
-func TestCSVEscaping(t *testing.T) {
-	tbl := NewTable("k", "v")
-	tbl.AddRow(`with,comma`, `with"quote`)
-	var b strings.Builder
-	if err := tbl.CSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	want := "k,v\n\"with,comma\",\"with\"\"quote\"\n"
-	if b.String() != want {
-		t.Errorf("CSV = %q, want %q", b.String(), want)
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	if Ps(1.5e-12) != "1.5" {
 		t.Errorf("Ps: %s", Ps(1.5e-12))

@@ -239,6 +239,8 @@ func (s *Simulator) newton(mode circuit.StampMode, gminExtra float64) error {
 // OperatingPoint solves the DC operating point with the sources at their
 // t = Start values, using a gmin-stepping homotopy for robustness. The
 // solution is left in the assembler and also returned keyed by node name.
+// Transients solve it internally; the spice tests call it to check the DC
+// solution on its own.
 func (s *Simulator) OperatingPoint() (map[string]float64, error) {
 	if err := (&s.opts).validate(); err != nil {
 		return nil, err

@@ -44,7 +44,8 @@ func newResult(names []string) *Result {
 	return r
 }
 
-// Nodes returns the recorded node names.
+// Nodes returns the recorded node names. The spice result and
+// equivalence tests read it.
 func (r *Result) Nodes() []string { return append([]string(nil), r.names...) }
 
 // Steps returns the number of recorded timepoints.
@@ -77,7 +78,8 @@ func (r *Result) Waveform(node string) (*wave.Waveform, error) {
 	return wave.New(append([]float64(nil), r.Time...), append([]float64(nil), v...))
 }
 
-// Final returns the last recorded voltage of a node.
+// Final returns the last recorded voltage of a node. The spice tests
+// check settled values with it.
 func (r *Result) Final(node string) (float64, error) {
 	v, err := r.Voltage(node)
 	if err != nil {

@@ -117,7 +117,7 @@ func TestLevelsIgnoreGateOrder(t *testing.T) {
 	cfg.Width = 8
 	cfg.Seed = 2
 	tm := meshTimer(t, cfg, ElmoreWire)
-	fwd, err := tm.Run()
+	fwd, err := tm.RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestLevelsIgnoreGateOrder(t *testing.T) {
 	slices.Reverse(d.Gates)
 	rev := New(tm.Lib, &d)
 	rev.Wire = ElmoreWire
-	want, err := rev.RunReference()
+	want, err := rev.RunReference(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,9 @@ import (
 // internal net, the backward required-time pass must charge the same wire
 // delay and look up arc delays at the same wire-degraded transitions as the
 // forward pass, so slack is identical (±1 fs) at every net along the
-// reported critical path. Elmore is selected both on the timer and, on an
-// IdealWire timer, by RunOptions.Wire: the backward pass must follow the
-// run's model, not the timer's.
+// reported critical path. In the "timer-switched" case the timer moves to
+// IdealWire between the run and ComputeRequired: the backward pass must
+// follow the run's model, not the timer's current one.
 func TestSlackConstantAlongPathElmore(t *testing.T) {
 	d := mustParse(t, `
 design elchain
@@ -33,21 +33,20 @@ netres n1 350
 netcap n2 80fF
 netres n2 200
 `)
-	elmore := ElmoreWire
 	for _, tc := range []struct {
 		name  string
-		timer WireModel
-		run   *WireModel
+		after WireModel // the timer's model when ComputeRequired runs
 	}{
-		{"timer", ElmoreWire, nil},
-		{"run-override", IdealWire, &elmore},
+		{"timer", ElmoreWire},
+		{"timer-switched", IdealWire},
 	} {
 		timer := New(testLib(), d)
-		timer.Wire = tc.timer
-		res, err := timer.RunCtx(context.Background(), RunOptions{Workers: 1, Wire: tc.run})
+		timer.Wire = ElmoreWire
+		res, err := timer.RunCtx(context.Background(), RunOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
+		timer.Wire = tc.after
 		req, err := timer.ComputeRequired(res, map[string]float64{"y": 500e-12})
 		if err != nil {
 			t.Fatal(err)
@@ -93,7 +92,7 @@ gate u2 BUF A=n1 Y=n2
 gate u3 INV A=n2 Y=y
 `)
 	timer := New(testLib(), d)
-	res, err := timer.Run()
+	res, err := timer.RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +138,7 @@ netres n1 400
 `)
 	timer := New(testLib(), d)
 	timer.Wire = ElmoreWire
-	res, err := timer.Run()
+	res, err := timer.RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +180,7 @@ gate u1 INV A=a Y=y
 
 	good := mustParse(t, src)
 	timer := New(testLib(), good)
-	res, err := timer.Run()
+	res, err := timer.RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +248,10 @@ gate f1 BUF A=n1 Y=z
 
 	reg := telemetry.New()
 	timer := New(lib, d)
-	timer.Telemetry = reg
 	timer.Annotate("n1", &NoiseAnnotation{
 		Noisy: noisy, Noiseless: nl, NoiselessOut: out, Edge: wave.Rising,
 	})
-	res, err := timer.Run()
+	res, err := timer.RunCtx(context.Background(), RunOptions{Workers: 1, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +303,7 @@ gate u2 INV A=n1 Y=y
 	timer.Annotate("n1", &NoiseAnnotation{
 		Noisy: noisy, Noiseless: nl, NoiselessOut: out, Edge: wave.Rising,
 	})
-	res, err := timer.Run()
+	res, err := timer.RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -41,7 +42,7 @@ func TestSTAMatchesTransistorSimulation(t *testing.T) {
 	d := netlist.GenerateChain("xcheck", len(drives), names)
 	d.Inputs[0].Slew = inSlew
 	timer := New(lib, d)
-	res, err := timer.Run()
+	res, err := timer.RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatalf("STA: %v", err)
 	}

@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -16,7 +17,7 @@ output y
 gate u1 INV A=a Y=n1
 gate u2 BUF A=n1 Y=y
 `)
-	res, err := New(testLib(), d).Run()
+	res, err := New(testLib(), d).RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ gate u1 BUF  A=a Y=n1
 gate u2 BUF  A=n1 Y=n2
 gate u3 NAND A=n2 B=a Y=y
 `)
-	res, err := New(testLib(), d).Run()
+	res, err := New(testLib(), d).RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ gate g1 NAND A=a B=b Y=n1
 gate g2 INV A=n1 Y=n2
 gate g3 NAND A=n2 B=a Y=y
 `)
-	res, err := New(testLib(), d).Run()
+	res, err := New(testLib(), d).RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,7 +151,7 @@ gate u1 INVX1 A=a Y=y
 		return tech.Vdd * math.Max(0, math.Min(1, (tt-0.1e-9)/0.15e-9))
 	}, 0, 1e-9, 200)
 	tm.Annotate("a", &NoiseAnnotation{Noisy: noisy, Edge: wave.Rising})
-	_, err = tm.Run()
+	_, err = tm.RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err == nil {
 		t.Fatal("a zero propagated transition was accepted")
 	}
@@ -206,11 +206,11 @@ gate u1 INV A=a Y=n1
 gate u2 INV A=n1 Y=y
 `)
 	tm := New(testLib(), d)
-	res, err := tm.Run()
+	res, err := tm.RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := New(testLib(), d).Run()
+	other, err := New(testLib(), d).RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,26 +12,25 @@ import (
 	"noisewave/internal/wave"
 )
 
-// RunOptions is the run-control block of the context-first timing API,
-// mirroring the experiments.SweepOptions conventions: worker-pool sizing,
-// cancellation, telemetry and tracing live in one struct instead of
-// mutable Timer fields.
+// RunOptions is the run-control block of RunCtx, mirroring the
+// experiments.SweepOptions conventions: worker-pool sizing, telemetry and
+// tracing live in one struct instead of mutable Timer fields. The model
+// (design, library, technique, annotations, wire model) lives on the
+// Timer.
 //
-// The zero value reproduces Timer.Run exactly: sequential propagation, the
-// Timer's own Telemetry and Wire settings, no tracing, no cancellation.
+// The zero value runs on every available core with no telemetry and no
+// tracing; Workers: 1 gives the strictly sequential path. The numbers are
+// the same either way.
 type RunOptions struct {
-	// Ctx cancels the run between levels when the explicit ctx argument of
-	// RunCtx is nil. nil means the run cannot be canceled.
-	Ctx context.Context
 	// Workers sizes the run's worker pool: 1 runs the strictly sequential
 	// path, <= 0 uses all available cores, and any N > 1 fans the graph
 	// compile's read-only lookups, each level's independent gates and each
 	// level boundary's noise conversions out over N workers. Arrivals,
 	// slacks, back-pointers and errors are the same at any worker count.
 	Workers int
-	// Telemetry, if non-nil, overrides Timer.Telemetry for this run: gate
-	// and arc counters, noise conversions, levels/nets gauges and the
-	// sta.run_seconds wall timer.
+	// Telemetry, if non-nil, observes the run: gate and arc counters,
+	// noise conversions, levels/nets gauges and the sta.run_seconds wall
+	// timer (metric names in EXPERIMENTS.md "Observability").
 	Telemetry *telemetry.Registry
 	// Tracer, if non-nil, records hierarchical spans for the run: one
 	// sta.run root with sta.build and sta.propagate children, plus one
@@ -40,10 +39,6 @@ type RunOptions struct {
 	// sta.bind (noise binding and Result.Order). Tracing never changes the
 	// numbers.
 	Tracer *trace.Tracer
-	// Wire, if non-nil, overrides Timer.Wire for this run (take the
-	// address of an IdealWire/ElmoreWire constant). nil uses the Timer's
-	// configured model.
-	Wire *WireModel
 }
 
 // minParallelLevel is the smallest level fanned out to the pool; narrower
@@ -75,24 +70,16 @@ const checkEvery = 4096
 //
 // Noise annotations are snapshotted at run start, so Annotate may run
 // concurrently with RunCtx; the snapshot defines which annotations the run
-// sees. A canceled ctx (or opts.Ctx when ctx is nil) stops propagation at
-// the next level boundary with an error matching telemetry.ErrCanceled.
+// sees. A canceled ctx stops propagation at the next level boundary with
+// an error matching telemetry.ErrCanceled; a nil ctx means
+// context.Background().
 func (t *Timer) RunCtx(ctx context.Context, opts RunOptions) (*Result, error) {
-	if ctx == nil {
-		ctx = opts.Ctx
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	reg := opts.Telemetry
-	if reg == nil {
-		reg = t.Telemetry
-	}
 	defer reg.Timer("sta.run_seconds").Start()()
 	wire := t.Wire
-	if opts.Wire != nil {
-		wire = *opts.Wire
-	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

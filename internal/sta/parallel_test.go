@@ -64,7 +64,7 @@ func TestParallelMatchesReference(t *testing.T) {
 			cfg.Width = tc.width
 			cfg.Seed = 1
 			tm := meshTimer(t, cfg, tc.wire)
-			ref, err := tm.RunReference()
+			ref, err := tm.RunReference(nil)
 			if err != nil {
 				t.Fatalf("RunReference: %v", err)
 			}
@@ -76,7 +76,7 @@ func TestParallelMatchesReference(t *testing.T) {
 				requireSameTiming(t, ref, res)
 			}
 			// The legacy wrapper is the sequential path.
-			res, err := tm.Run()
+			res, err := tm.RunCtx(context.Background(), RunOptions{Workers: 1})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
@@ -96,7 +96,7 @@ func TestParallelSlacksMatchReference(t *testing.T) {
 		constraints[o] = 2e-9
 	}
 
-	ref, err := tm.RunReference()
+	ref, err := tm.RunReference(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +146,7 @@ func TestParallelNoiseEquivalence(t *testing.T) {
 	}
 
 	regRef := telemetry.New()
-	tm.Telemetry = regRef
-	ref, err := tm.RunReference()
+	ref, err := tm.RunReference(regRef)
 	if err != nil {
 		t.Fatalf("RunReference: %v", err)
 	}
@@ -224,19 +223,6 @@ func TestRunCtxCanceledMidPropagation(t *testing.T) {
 	}
 }
 
-// opts.Ctx is the fallback when the explicit argument is nil.
-func TestRunCtxOptsContextFallback(t *testing.T) {
-	cfg := netgen.DefaultConfig(200)
-	tm := meshTimer(t, cfg, IdealWire)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	//lint:ignore SA1012 nil ctx exercises the documented opts.Ctx fallback
-	_, err := tm.RunCtx(nil, RunOptions{Ctx: ctx, Workers: 1})
-	if !errors.Is(err, telemetry.ErrCanceled) {
-		t.Fatalf("opts.Ctx cancellation not honored: %v", err)
-	}
-}
-
 // Both engines must reject a multi-driven net with the typed error naming
 // the net and both drivers.
 func TestMultiDriverErrorTyped(t *testing.T) {
@@ -252,7 +238,7 @@ func TestMultiDriverErrorTyped(t *testing.T) {
 	tm := New(netgen.SyntheticLibrary(), d)
 
 	for name, run := range map[string]func() (*Result, error){
-		"reference": tm.RunReference,
+		"reference": func() (*Result, error) { return tm.RunReference(nil) },
 		"levelized": func() (*Result, error) { return tm.RunCtx(context.Background(), RunOptions{}) },
 	} {
 		_, err := run()
@@ -282,7 +268,7 @@ func TestUndrivenNetError(t *testing.T) {
 		Outputs: []string{"y"},
 	}
 	tm := New(netgen.SyntheticLibrary(), d)
-	if _, err := tm.RunReference(); err == nil {
+	if _, err := tm.RunReference(nil); err == nil {
 		t.Fatal("reference accepted an undriven net")
 	}
 	for _, workers := range []int{1, 4} {
@@ -307,7 +293,7 @@ func TestDisconnectedDesign(t *testing.T) {
 		Outputs: []string{"y1", "y2"},
 	}
 	tm := New(netgen.SyntheticLibrary(), d)
-	ref, err := tm.RunReference()
+	ref, err := tm.RunReference(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,45 +306,6 @@ func TestDisconnectedDesign(t *testing.T) {
 		if nt := res.Nets[o]; nt == nil || !nt.Rise.Valid || !nt.Fall.Valid {
 			t.Fatalf("output %s not fully timed: %+v", o, nt)
 		}
-	}
-}
-
-// RunOptions.Wire overrides the timer's model for one run without mutating
-// the timer.
-func TestRunOptionsWireOverride(t *testing.T) {
-	cfg := netgen.DefaultConfig(600)
-	cfg.Seed = 2
-	tm := meshTimer(t, cfg, IdealWire)
-
-	ideal, err := tm.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	elmore := ElmoreWire
-	over, err := tm.RunCtx(context.Background(), RunOptions{Workers: 1, Wire: &elmore})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tm.Wire != IdealWire {
-		t.Fatal("RunOptions.Wire mutated the timer")
-	}
-
-	tm.Wire = ElmoreWire
-	want, err := tm.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameTiming(t, want, over)
-
-	differs := false
-	for name, wn := range ideal.Nets {
-		if *wn != *over.Nets[name] {
-			differs = true
-			break
-		}
-	}
-	if !differs {
-		t.Fatal("Elmore override produced identical timing to the ideal wire on a parasitic-annotated mesh")
 	}
 }
 
@@ -473,7 +420,7 @@ func benchMesh(b *testing.B, mode string, gates, workers int, noiseFrac float64)
 	for i := 0; i < b.N; i++ {
 		switch mode {
 		case "reference":
-			_, err = tm.RunReference()
+			_, err = tm.RunReference(nil)
 		case "compile":
 			_, err = compile(d, tm.Lib, workers)
 		case "required":

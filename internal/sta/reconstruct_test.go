@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -30,7 +31,7 @@ gate u1 INVX1 A=a Y=n1
 gate u2 INVX4 A=n1 Y=y
 `)
 	timer := New(lib, d)
-	base, err := timer.Run()
+	base, err := timer.RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -52,7 +53,7 @@ gate u2 INVX4 A=n1 Y=y
 
 	noisyTimer := New(lib, d)
 	noisyTimer.Annotate("n1", &NoiseAnnotation{Noisy: noisy, Edge: wave.Falling})
-	res, err := noisyTimer.Run()
+	res, err := noisyTimer.RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatalf("noise-aware run: %v", err)
 	}
@@ -85,7 +86,7 @@ gate u2 INVX4 A=n1 Y=y
 	timer := New(lib, d)
 	noisy := wave.FromFunc(func(tt float64) float64 { return 1.2 * tt / 1e-9 }, 0, 1e-9, 100)
 	timer.Annotate("n1", &NoiseAnnotation{Noisy: noisy, Edge: wave.Rising})
-	if _, err := timer.Run(); err == nil {
+	if _, err := timer.RunCtx(context.Background(), RunOptions{Workers: 1}); err == nil {
 		t.Error("reconstruction without characterized waveforms accepted")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"noisewave/internal/liberty"
 	"noisewave/internal/netlist"
+	"noisewave/internal/telemetry"
 	"noisewave/internal/wave"
 )
 
@@ -18,10 +19,12 @@ import (
 
 // RunReference is the original sequential map-based walk, kept as the
 // equivalence oracle the levelized parallel engine is tested against and
-// as the pre-levelized baseline of BenchmarkMesh.
-func (t *Timer) RunReference() (*Result, error) {
-	defer t.Telemetry.Timer("sta.run_seconds").Start()()
-	gatesTimed := t.Telemetry.Counter("sta.gates_timed")
+// as the pre-levelized baseline of BenchmarkMesh. reg, if non-nil,
+// observes the run as RunOptions.Telemetry does.
+func (t *Timer) RunReference(reg *telemetry.Registry) (*Result, error) {
+	defer reg.Timer("sta.run_seconds").Start()()
+	gatesTimed := reg.Counter("sta.gates_timed")
+	conversions := reg.Counter("sta.noise_conversions")
 	d := t.Design
 	res := &Result{Nets: make(map[string]*NetTiming)}
 	memo := make(map[noiseKey]noiseVal)
@@ -79,7 +82,7 @@ func (t *Timer) RunReference() (*Result, error) {
 			if !ok {
 				return nil, fmt.Errorf("sta: cell %s has no arc %s->Y", cell.Name, inPin)
 			}
-			inTiming, err := t.inputTiming(res, memo, netOf(inNet), inNet, cell, arc, load)
+			inTiming, err := t.inputTiming(res, memo, netOf(inNet), inNet, cell, arc, load, conversions)
 			if err != nil {
 				return nil, fmt.Errorf("sta: gate %s input %s: %w", g.Name, inNet, err)
 			}
@@ -192,7 +195,7 @@ func (t *Timer) computeRequiredReference(res *Result, constraints map[string]flo
 			if !ok {
 				continue
 			}
-			inTiming, err := t.inputTiming(res, memo, resNet(res, inNet), inNet, cell, arc, load)
+			inTiming, err := t.inputTiming(res, memo, resNet(res, inNet), inNet, cell, arc, load, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -229,10 +232,10 @@ func (t *Timer) computeRequiredReference(res *Result, constraints map[string]flo
 // gate: the propagated timing, unless the net carries a noise annotation —
 // in which case the annotation's fit replaces the propagated values for
 // the annotated edge. The fit is memoized per (net, edge) in memo and
-// counted in sta.noise_conversions only when it runs, and the converted
+// counted in conversions (if non-nil) only when it runs, and the converted
 // timing is stamped into the result's net entry (keeping the path
 // back-pointers) so reported arrivals agree with what downstream gates saw.
-func (t *Timer) inputTiming(res *Result, memo map[noiseKey]noiseVal, base *NetTiming, net string, cell *liberty.Cell, arc *liberty.Arc, load float64) (*NetTiming, error) {
+func (t *Timer) inputTiming(res *Result, memo map[noiseKey]noiseVal, base *NetTiming, net string, cell *liberty.Cell, arc *liberty.Arc, load float64, conversions *telemetry.Counter) (*NetTiming, error) {
 	ann, ok := t.Noise[net]
 	if !ok {
 		return base, nil
@@ -245,7 +248,7 @@ func (t *Timer) inputTiming(res *Result, memo map[noiseKey]noiseVal, base *NetTi
 		if err != nil {
 			return nil, err
 		}
-		t.Telemetry.Counter("sta.noise_conversions").Inc()
+		conversions.Inc()
 		memo[key] = v
 	}
 	if nt, ok := res.Nets[net]; ok {

@@ -85,7 +85,7 @@ func TestRequiredMatchesReference(t *testing.T) {
 		Outputs: []string{"y"},
 	}
 	tm := New(netgen.SyntheticLibrary(), d)
-	res, err := tm.Run()
+	res, err := tm.RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func (r *RequiredTimes) Slack(res *Result, net string, edge wave.Edge) (float64,
 // run stamped into its arena, converted noisy edges included, under the
 // run's wire model — so slack agrees with the arrivals res reports, however
 // the timer's fields or annotations change afterwards. res must come from
-// RunCtx or Run; it is only read, so concurrent calls on one Result are
+// RunCtx; it is only read, so concurrent calls on one Result are
 // safe.
 func (t *Timer) ComputeRequired(res *Result, constraints map[string]float64) (*RequiredTimes, error) {
 	g := res.graph

@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -16,7 +17,7 @@ gate u1 INV A=a Y=n1
 gate u2 INV A=n1 Y=y
 `)
 	timer := New(testLib(), d)
-	res, err := timer.Run()
+	res, err := timer.RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ gate u1 INV A=a Y=y1
 gate u2 BUF A=a Y=y2
 `)
 	timer := New(testLib(), d)
-	res, err := timer.Run()
+	res, err := timer.RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ output y
 gate u1 INV A=a Y=y
 `)
 	timer := New(testLib(), d)
-	res, err := timer.Run()
+	res, err := timer.RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ gate u2 BUF A=a Y=n2
 gate u3 NAND A=n1 B=n2 Y=y
 `)
 	timer := New(testLib(), d)
-	res, err := timer.Run()
+	res, err := timer.RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

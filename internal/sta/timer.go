@@ -8,7 +8,6 @@
 package sta
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -17,7 +16,6 @@ import (
 	"noisewave/internal/eqwave"
 	"noisewave/internal/liberty"
 	"noisewave/internal/netlist"
-	"noisewave/internal/telemetry"
 	"noisewave/internal/wave"
 )
 
@@ -71,10 +69,9 @@ type NoiseAnnotation struct {
 
 // Timer runs static timing on a design against a library.
 //
-// The context-first entry point is RunCtx(ctx, RunOptions): cancellable,
-// parallel, traced and metered, with annotations snapshotted at run start
-// so concurrent Annotate and RunCtx calls are defined behavior. Run is the
-// retained legacy surface (a bit-identical sequential wrapper).
+// The entry point is RunCtx(ctx, RunOptions): cancellable, parallel,
+// traced and metered, with annotations snapshotted at run start so
+// concurrent Annotate and RunCtx calls are defined behavior.
 //
 // Each run compiles Design and Lib afresh into a levelized graph, which its
 // Result keeps for ComputeRequired, so a Design edited between runs is
@@ -91,16 +88,10 @@ type Timer struct {
 	// Noise maps net names to their annotations. Mutate through Annotate
 	// (not directly) when a RunCtx may be in flight on another goroutine.
 	Noise map[string]*NoiseAnnotation
-	// P is the technique sample count (default eqwave.DefaultP).
-	P int
-	// Wire selects the interconnect delay model (default IdealWire);
-	// RunOptions.Wire overrides it per run.
+	// Wire selects the interconnect delay model (default IdealWire). Each
+	// run's Result keeps the model it timed with, so ComputeRequired
+	// follows the run even if Wire changes afterwards.
 	Wire WireModel
-	// Telemetry, if non-nil, observes the run: gate and arc counters, the
-	// noise-conversion counter and the wall time of each Run (metric names
-	// in EXPERIMENTS.md "Observability"). RunOptions.Telemetry overrides
-	// it per run.
-	Telemetry *telemetry.Registry
 
 	// mu guards Noise for the Annotate/snapshotNoise pair.
 	mu sync.Mutex
@@ -153,16 +144,6 @@ type noiseVal struct {
 // ErrCombinationalLoop is returned when the gate graph has a cycle.
 var ErrCombinationalLoop = errors.New("sta: combinational loop detected")
 
-// Run propagates arrivals from the primary inputs to all nets.
-//
-// Deprecated: use RunCtx, which adds cancellation, parallelism, tracing
-// and per-run telemetry through RunOptions. Run() is exactly
-// RunCtx(context.Background(), RunOptions{Workers: 1}) and stays
-// bit-identical to it.
-func (t *Timer) Run() (*Result, error) {
-	return t.RunCtx(context.Background(), RunOptions{Workers: 1})
-}
-
 // convert resolves one annotation to its equivalent-ramp arrival and
 // transition. base is the net's propagated timing and cell/arc/load
 // describe the receiving gate; both are used only to reconstruct the
@@ -185,7 +166,6 @@ func (t *Timer) convert(net string, ann *NoiseAnnotation, base *NetTiming,
 		NoiselessOut: nlOut,
 		Vdd:          t.Lib.Vdd,
 		Edge:         ann.Edge,
-		P:            t.P,
 	})
 	if err != nil {
 		return 0, 0, fmt.Errorf("noise conversion (%s): %w", t.Technique.Name(), err)

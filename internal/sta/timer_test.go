@@ -106,7 +106,7 @@ output y
 gate u1 INV A=a Y=n1
 gate u2 INV A=n1 Y=y
 `)
-	res, err := New(testLib(), d).Run()
+	res, err := New(testLib(), d).RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -134,7 +134,7 @@ input b at=100ps
 output y
 gate u1 NAND A=a B=b Y=y
 `)
-	res, err := New(testLib(), d).Run()
+	res, err := New(testLib(), d).RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -157,7 +157,7 @@ gate u1 INV A=a Y=n1
 gate u2 BUF A=n1 Y=n2
 gate u3 INV A=n2 Y=y
 `)
-	res, err := New(testLib(), d).Run()
+	res, err := New(testLib(), d).RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -191,7 +191,7 @@ output n2
 gate u1 NAND A=a B=n2 Y=n1
 gate u2 INV A=n1 Y=n2
 `)
-	_, err := New(testLib(), d).Run()
+	_, err := New(testLib(), d).RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err == nil {
 		t.Fatal("loop accepted")
 	}
@@ -223,11 +223,11 @@ output z1
 output z2
 output z3
 `)
-	r1, err := New(lib, single).Run()
+	r1, err := New(lib, single).RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := New(lib, fanout).Run()
+	r4, err := New(lib, fanout).RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ gate u2 INV A=n1 Y=y
 	lib := testLib()
 
 	// Baseline run.
-	base, err := New(lib, d).Run()
+	base, err := New(lib, d).RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ gate u2 INV A=n1 Y=y
 	timer.Annotate("n1", &NoiseAnnotation{
 		Noisy: noisy, Noiseless: nl, NoiselessOut: out, Edge: wave.Rising,
 	})
-	res, err := timer.Run()
+	res, err := timer.RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatalf("noise-aware run: %v", err)
 	}
@@ -292,7 +292,7 @@ gate u2 INV A=n1 Y=y
 		t.Errorf("default technique = %s", timer.Technique.Name())
 	}
 	timer.Technique = eqwave.P2{}
-	if _, err := timer.Run(); err != nil {
+	if _, err := timer.RunCtx(context.Background(), RunOptions{Workers: 1}); err != nil {
 		t.Errorf("P2 conversion failed: %v", err)
 	}
 }
@@ -304,7 +304,7 @@ input a
 output y
 gate u1 NOPE A=a Y=y
 `)
-	if _, err := New(testLib(), d).Run(); err == nil {
+	if _, err := New(testLib(), d).RunCtx(context.Background(), RunOptions{Workers: 1}); err == nil {
 		t.Error("unknown cell accepted")
 	}
 	d2 := mustParse(t, `
@@ -313,7 +313,7 @@ input a
 output y
 gate u1 INV A=floating Y=y
 `)
-	if _, err := New(testLib(), d2).Run(); err == nil {
+	if _, err := New(testLib(), d2).RunCtx(context.Background(), RunOptions{Workers: 1}); err == nil {
 		t.Error("undriven input accepted")
 	}
 }

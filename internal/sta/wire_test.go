@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -43,13 +44,13 @@ netres n1 400
 	lib := testLib()
 
 	ideal := New(lib, d)
-	rIdeal, err := ideal.Run()
+	rIdeal, err := ideal.RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	elmore := New(lib, d)
 	elmore.Wire = ElmoreWire
-	rElmore, err := elmore.Run()
+	rElmore, err := elmore.RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

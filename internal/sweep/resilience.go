@@ -80,6 +80,7 @@ func (r *FailureReport) Quarantined() int {
 }
 
 // Case returns the failure record for case index i, if it was quarantined.
+// The resilience and partial-sweep tests look failures up through it.
 func (r *FailureReport) Case(i int) (CaseFailure, bool) {
 	if r == nil {
 		return CaseFailure{}, false

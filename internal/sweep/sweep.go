@@ -3,7 +3,7 @@
 // distribution and the §4.2 run-time drivers all evaluate a few hundred
 // *independent* aggressor-alignment cases — a coupled-RC transient plus
 // transistor-level Γeff replays per case — which the sequential drivers
-// executed on one core. Run fans those cases out over GOMAXPROCS workers
+// executed on one core. RunPartial fans those cases out over GOMAXPROCS workers
 // while preserving the sequential semantics the experiments rely on:
 //
 //   - Results are ordered by case index, so any order-dependent
@@ -50,7 +50,7 @@ import (
 	"noisewave/internal/trace"
 )
 
-// Options configures a Run.
+// Options configures a RunPartial sweep.
 type Options struct {
 	// Workers is the worker-pool size. Values <= 0 select
 	// runtime.GOMAXPROCS(0). Workers == 1 runs the cases strictly in index
@@ -111,8 +111,10 @@ func (o Options) workerTelemetry(w int) (*telemetry.Counter, *telemetry.Timer) {
 		o.Telemetry.Timer(fmt.Sprintf("sweep.worker.%d.busy_seconds", w))
 }
 
-// Run evaluates do(ctx, i, state) for every case index i in [0, n) over a
-// bounded pool of workers and returns the results ordered by case index.
+// RunPartial evaluates do(ctx, i, state) for every case index i in [0, n)
+// over a bounded pool of workers and returns the results ordered by case
+// index, which cases completed, and the FailureReport of the resilience
+// layer.
 //
 // newWorker is called once per worker with the worker index and builds the
 // worker-private state passed to every case that worker executes. do must
@@ -122,27 +124,11 @@ func (o Options) workerTelemetry(w int) (*telemetry.Counter, *telemetry.Timer) {
 // The first error — from a worker factory, a case, or the parent context —
 // cancels dispatch and is returned after in-flight cases drain. Case
 // errors are returned as-is (do is expected to wrap them with case
-// context). On any error the results are discarded; use RunPartial to keep
-// the completed subset (and, with Options.KeepGoing, to keep sweeping past
-// failures).
-func Run[W, R any](ctx context.Context, n int, opts Options,
-	newWorker func(worker int) (W, error),
-	do func(ctx context.Context, i int, state W) (R, error)) ([]R, error) {
-
-	results, _, _, err := RunPartial(ctx, n, opts, newWorker, do)
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// RunPartial is Run, but also reports which cases completed, keeps the
-// completed results when the sweep stops early, and returns the
-// FailureReport of the resilience layer: on cancellation (an error
-// matching telemetry.ErrCanceled) or a case failure, results holds every
-// completed case's value at its index (the zero value elsewhere) and
-// completed flags exactly those indices. Aggregating the completed subset
-// in index order stays deterministic for a deterministic do.
+// context). On cancellation (an error matching telemetry.ErrCanceled) or a
+// case failure, results holds every completed case's value at its index
+// (the zero value elsewhere) and completed flags exactly those indices.
+// Aggregating the completed subset in index order stays deterministic for
+// a deterministic do.
 //
 // The report is nil when no case failed and no worker was lost. With
 // Options.KeepGoing, failing cases are quarantined into the report and err

@@ -18,7 +18,7 @@ func noState(int) (struct{}, error) { return struct{}{}, nil }
 // completion order, even when workers finish in a scrambled sequence.
 func TestOrderingDeterminism(t *testing.T) {
 	const n = 64
-	got, err := Run(context.Background(), n, Options{Workers: 8}, noState,
+	got, _, _, err := RunPartial(context.Background(), n, Options{Workers: 8}, noState,
 		func(_ context.Context, i int, _ struct{}) (int, error) {
 			// Pseudo-random per-case delay scrambles completion order
 			// deterministically (no global rand, no shared state).
@@ -27,7 +27,7 @@ func TestOrderingDeterminism(t *testing.T) {
 			return i * i, nil
 		})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunPartial: %v", err)
 	}
 	for i, r := range got {
 		if r != i*i {
@@ -42,7 +42,7 @@ func TestWorkerState(t *testing.T) {
 	const n, workers = 32, 4
 	var created int32
 	seen := make([]int32, workers)
-	_, err := Run(context.Background(), n, Options{Workers: workers},
+	_, _, _, err := RunPartial(context.Background(), n, Options{Workers: workers},
 		func(w int) (int, error) {
 			atomic.AddInt32(&created, 1)
 			return w, nil
@@ -52,7 +52,7 @@ func TestWorkerState(t *testing.T) {
 			return i, nil
 		})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunPartial: %v", err)
 	}
 	if created > workers {
 		t.Errorf("created %d worker states, want <= %d", created, workers)
@@ -72,7 +72,7 @@ func TestErrorCancelsDispatch(t *testing.T) {
 	const n = 200
 	boom := errors.New("boom")
 	var started int32
-	_, err := Run(context.Background(), n, Options{Workers: 4}, noState,
+	_, _, _, err := RunPartial(context.Background(), n, Options{Workers: 4}, noState,
 		func(ctx context.Context, i int, _ struct{}) (int, error) {
 			atomic.AddInt32(&started, 1)
 			if i == 5 {
@@ -87,7 +87,7 @@ func TestErrorCancelsDispatch(t *testing.T) {
 			return i, nil
 		})
 	if !errors.Is(err, boom) {
-		t.Fatalf("Run error = %v, want wrapped %v", err, boom)
+		t.Fatalf("RunPartial error = %v, want wrapped %v", err, boom)
 	}
 	if s := atomic.LoadInt32(&started); s >= n {
 		t.Errorf("all %d cases were dispatched despite early error", s)
@@ -100,7 +100,7 @@ func TestLowestErrorIndexWins(t *testing.T) {
 	const n = 16
 	var wg sync.WaitGroup
 	wg.Add(n) // hold every case open until all have started
-	_, err := Run(context.Background(), n, Options{Workers: n}, noState,
+	_, _, _, err := RunPartial(context.Background(), n, Options{Workers: n}, noState,
 		func(_ context.Context, i int, _ struct{}) (int, error) {
 			wg.Done()
 			wg.Wait()
@@ -110,14 +110,14 @@ func TestLowestErrorIndexWins(t *testing.T) {
 			return i, nil
 		})
 	if err == nil || err.Error() != "case 1 failed" {
-		t.Fatalf("Run error = %v, want case 1 failed", err)
+		t.Fatalf("RunPartial error = %v, want case 1 failed", err)
 	}
 }
 
 // TestWorkerFactoryError: a failing worker factory aborts the sweep.
 func TestWorkerFactoryError(t *testing.T) {
 	bad := errors.New("no simulator")
-	_, err := Run(context.Background(), 8, Options{Workers: 2},
+	_, _, _, err := RunPartial(context.Background(), 8, Options{Workers: 2},
 		func(w int) (struct{}, error) {
 			if w == 1 {
 				return struct{}{}, bad
@@ -126,7 +126,7 @@ func TestWorkerFactoryError(t *testing.T) {
 		},
 		func(_ context.Context, i int, _ struct{}) (int, error) { return i, nil })
 	if !errors.Is(err, bad) {
-		t.Fatalf("Run error = %v, want %v", err, bad)
+		t.Fatalf("RunPartial error = %v, want %v", err, bad)
 	}
 }
 
@@ -135,13 +135,13 @@ func TestWorkerFactoryError(t *testing.T) {
 func TestProgressSerialized(t *testing.T) {
 	const n = 50
 	var calls []int
-	_, err := Run(context.Background(), n, Options{
+	_, _, _, err := RunPartial(context.Background(), n, Options{
 		Workers:  8,
-		Progress: func(done, total int) { calls = append(calls, done) }, // serialized by Run
+		Progress: func(done, total int) { calls = append(calls, done) }, // serialized by RunPartial
 	}, noState,
 		func(_ context.Context, i int, _ struct{}) (int, error) { return i, nil })
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunPartial: %v", err)
 	}
 	if len(calls) != n {
 		t.Fatalf("%d progress calls, want %d", len(calls), n)
@@ -164,7 +164,7 @@ func TestParentCancellation(t *testing.T) {
 		}
 		cancel()
 	}()
-	_, err := Run(ctx, 100, Options{Workers: 2}, noState,
+	_, _, _, err := RunPartial(ctx, 100, Options{Workers: 2}, noState,
 		func(ctx context.Context, i int, _ struct{}) (int, error) {
 			atomic.AddInt32(&started, 1)
 			select {
@@ -174,7 +174,7 @@ func TestParentCancellation(t *testing.T) {
 			return i, nil
 		})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run error = %v, want context.Canceled", err)
+		t.Fatalf("RunPartial error = %v, want context.Canceled", err)
 	}
 }
 
@@ -199,9 +199,9 @@ func TestSequentialOracle(t *testing.T) {
 
 // TestZeroCases: an empty sweep returns an empty, non-nil result.
 func TestZeroCases(t *testing.T) {
-	got, err := Run(context.Background(), 0, Options{}, noState,
+	got, _, _, err := RunPartial(context.Background(), 0, Options{}, noState,
 		func(_ context.Context, i int, _ struct{}) (int, error) { return i, nil })
 	if err != nil || got == nil || len(got) != 0 {
-		t.Fatalf("Run(0 cases) = %v, %v; want empty slice, nil error", got, err)
+		t.Fatalf("RunPartial(0 cases) = %v, %v; want empty slice, nil error", got, err)
 	}
 }

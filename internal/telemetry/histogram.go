@@ -85,9 +85,7 @@ type Histogram struct {
 	min    float64
 	max    float64
 
-	// samples is the optional ring of raw observations (see KeepSamples).
-	samples    []float64
-	sampleNext int
+	samples sampleRing // optional raw observations (KeepSamples)
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -134,14 +132,7 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 	h.counts[lo]++
-	if cap(h.samples) > 0 {
-		if len(h.samples) < cap(h.samples) {
-			h.samples = append(h.samples, v)
-		} else {
-			h.samples[h.sampleNext] = v
-			h.sampleNext = (h.sampleNext + 1) % len(h.samples)
-		}
-	}
+	h.samples.add(v)
 	h.mu.Unlock()
 }
 
@@ -156,40 +147,26 @@ func (h *Histogram) Start() func() {
 
 // KeepSamples makes the histogram retain its most recent n raw observations
 // in a ring for exact-percentile reporting (the load test reads
-// jobs.run_seconds this way). n <= 0 disables retention.
+// jobs.run_seconds this way). Resizing keeps the most recent samples that
+// fit. n <= 0 disables retention and drops any samples held.
 func (h *Histogram) KeepSamples(n int) {
 	if h == nil {
 		return
 	}
 	h.mu.Lock()
-	if n <= 0 {
-		h.samples, h.sampleNext = nil, 0
-	} else if cap(h.samples) != n {
-		old := h.samples
-		h.samples = make([]float64, 0, n)
-		h.sampleNext = 0
-		if len(old) > n {
-			old = old[len(old)-n:]
-		}
-		h.samples = append(h.samples, old...)
-	}
+	h.samples.resize(n)
 	h.mu.Unlock()
 }
 
-// Samples returns a copy of the retained raw observations (nil unless
-// KeepSamples enabled retention).
+// Samples returns a copy of the retained raw observations, oldest first
+// (nil unless KeepSamples enabled retention).
 func (h *Histogram) Samples() []float64 {
 	if h == nil {
 		return nil
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return nil
-	}
-	out := make([]float64, len(h.samples))
-	copy(out, h.samples)
-	return out
+	return h.samples.ordered()
 }
 
 // Stats returns the exported aggregate (zero stats for a nil histogram).
@@ -203,8 +180,8 @@ func (h *Histogram) Stats() HistogramStats {
 		TimerStats: timerStatsLocked(h.count, h.sum, h.min, h.max),
 		Buckets:    make([]Bucket, len(h.bounds)),
 	}
-	if len(h.samples) > 0 {
-		s.Quantiles = quantileMap(h.samples)
+	if len(h.samples.buf) > 0 {
+		s.Quantiles = quantileMap(h.samples.buf)
 	}
 	var cum int64
 	for i, b := range h.bounds {
@@ -232,7 +209,8 @@ type HistogramStats struct {
 // Merge combines two stats with identical bucket grids (bucket-wise and
 // aggregate-wise addition); it returns s unchanged when other is empty and
 // other when s is empty. Mismatched grids panic — merging histograms with
-// different resolutions silently would corrupt both.
+// different resolutions silently would corrupt both. It is kept until
+// ROADMAP item 10 settles which instruments merge per-job profiles.
 func (s HistogramStats) Merge(other HistogramStats) HistogramStats {
 	if other.Count == 0 {
 		return s

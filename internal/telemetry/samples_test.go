@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -22,8 +23,7 @@ func TestTimerKeepSamplesRing(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		tm.Observe(float64(i))
 	}
-	// Ring of 3 after 5 observations: {4, 5, 3} in ring order — contents,
-	// not order, are what percentile reporting needs.
+	// Ring of 3 after 5 observations: the 3 most recent.
 	got := tm.Samples()
 	if len(got) != 3 {
 		t.Fatalf("len(Samples) = %d, want 3", len(got))
@@ -46,6 +46,52 @@ func TestTimerKeepSamplesRing(t *testing.T) {
 	}
 	if st := tm.Stats(); st.Count != 5 {
 		t.Errorf("disable dropped aggregates: %+v", st)
+	}
+}
+
+// TestKeepSamplesResizeKeepsMostRecent: resizing a ring that has wrapped
+// keeps the most recent samples that fit, and the resized ring goes on
+// evicting the oldest first, for the Timer and the Histogram alike.
+// Observing into a full ring allocates nothing.
+func TestKeepSamplesResizeKeepsMostRecent(t *testing.T) {
+	type instrument interface {
+		Observe(float64)
+		KeepSamples(int)
+		Samples() []float64
+	}
+	for _, c := range []struct {
+		name string
+		make func() instrument
+	}{
+		{"timer", func() instrument { return New().Timer("t") }},
+		{"histogram", func() instrument { return New().Histogram("h") }},
+	} {
+		wrapped := func() instrument {
+			in := c.make()
+			in.KeepSamples(4)
+			for i := 1; i <= 6; i++ { // wraps: holds 3..6
+				in.Observe(float64(i))
+			}
+			return in
+		}
+
+		shrunk := wrapped()
+		shrunk.KeepSamples(2)
+		if got, want := shrunk.Samples(), []float64{5, 6}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: shrink to 2 holds %v, want %v", c.name, got, want)
+		}
+
+		grown := wrapped()
+		grown.KeepSamples(8)
+		for i := 7; i <= 11; i++ {
+			grown.Observe(float64(i))
+		}
+		if got, want := grown.Samples(), []float64{4, 5, 6, 7, 8, 9, 10, 11}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: grow to 8, then 7..11, holds %v, want %v", c.name, got, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { grown.Observe(12) }); allocs != 0 {
+			t.Errorf("%s: Observe into a full ring allocates %v times", c.name, allocs)
+		}
 	}
 }
 

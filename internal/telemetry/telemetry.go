@@ -167,10 +167,7 @@ type Timer struct {
 	min   float64
 	max   float64
 
-	// samples is the optional ring of raw observations; sampleNext is the
-	// ring cursor once len(samples) == cap(samples).
-	samples    []float64
-	sampleNext int
+	samples sampleRing // optional raw observations (KeepSamples)
 }
 
 // Observe records one measurement, in seconds by convention.
@@ -187,58 +184,81 @@ func (t *Timer) Observe(v float64) {
 	if v > t.max {
 		t.max = v
 	}
-	if cap(t.samples) > 0 {
-		if len(t.samples) < cap(t.samples) {
-			t.samples = append(t.samples, v)
-		} else {
-			t.samples[t.sampleNext] = v
-			t.sampleNext = (t.sampleNext + 1) % len(t.samples)
-		}
-	}
+	t.samples.add(v)
 	t.mu.Unlock()
 }
 
 // KeepSamples makes the timer retain its most recent n raw observations in
 // a ring, enabling Samples/percentile reporting (the load test reads
-// jobs.run_seconds this way). n <= 0 disables retention and drops any
-// samples held.
+// jobs.run_seconds this way). Resizing keeps the most recent samples that
+// fit. n <= 0 disables retention and drops any samples held.
 func (t *Timer) KeepSamples(n int) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	if n <= 0 {
-		t.samples, t.sampleNext = nil, 0
-	} else if cap(t.samples) != n {
-		old := t.samples
-		t.samples = make([]float64, 0, n)
-		t.sampleNext = 0
-		// Keep as much of the existing history as fits.
-		if len(old) > n {
-			old = old[len(old)-n:]
-		}
-		t.samples = append(t.samples, old...)
-		if len(t.samples) == n {
-			t.sampleNext = 0
-		}
-	}
+	t.samples.resize(n)
 	t.mu.Unlock()
 }
 
-// Samples returns a copy of the retained raw observations (nil unless
-// KeepSamples enabled retention).
+// Samples returns a copy of the retained raw observations, oldest first
+// (nil unless KeepSamples enabled retention).
 func (t *Timer) Samples() []float64 {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.samples) == 0 {
+	return t.samples.ordered()
+}
+
+// sampleRing holds the most recent observations of an instrument, up to
+// cap(buf) of them; the zero value holds none and keeps none. The owning
+// instrument's mutex guards it.
+type sampleRing struct {
+	buf  []float64
+	next int // once the ring is full, the slot of the oldest sample
+}
+
+// add records v, overwriting the oldest sample once the ring is full. It
+// never allocates.
+func (r *sampleRing) add(v float64) {
+	switch {
+	case cap(r.buf) == 0:
+	case len(r.buf) < cap(r.buf):
+		r.buf = append(r.buf, v)
+	default:
+		r.buf[r.next] = v
+		r.next = (r.next + 1) % len(r.buf)
+	}
+}
+
+// ordered returns a copy of the held samples, oldest first (nil when the
+// ring holds none).
+func (r *sampleRing) ordered() []float64 {
+	if len(r.buf) == 0 {
 		return nil
 	}
-	out := make([]float64, len(t.samples))
-	copy(out, t.samples)
-	return out
+	out := make([]float64, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
+}
+
+// resize makes the ring keep n samples, holding on to the most recent ones
+// that fit; n <= 0 drops them all.
+func (r *sampleRing) resize(n int) {
+	if n <= 0 {
+		*r = sampleRing{}
+		return
+	}
+	if cap(r.buf) == n {
+		return
+	}
+	held := r.ordered()
+	if len(held) > n {
+		held = held[len(held)-n:]
+	}
+	*r = sampleRing{buf: append(make([]float64, 0, n), held...)}
 }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) of samples using the
@@ -248,20 +268,27 @@ func Quantile(samples []float64, q float64) float64 {
 	if len(samples) == 0 {
 		return math.NaN()
 	}
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(s)))) - 1
+	return nearestRank(sortedCopy(samples), q)
+}
+
+// nearestRank returns the q-th quantile of a non-empty sorted slice: the
+// smallest sample with at least a q share of the samples at or below it,
+// clamped to the first and last sample.
+func nearestRank(sorted []float64, q float64) float64 {
+	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	return s[idx]
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
+	}
+	return sorted[idx]
+}
+
+func sortedCopy(samples []float64) []float64 {
+	s := append([]float64(nil), samples...)
+	sort.Float64s(s)
+	return s
 }
 
 // Start begins a wall-clock measurement and returns the function that
@@ -284,8 +311,8 @@ func (t *Timer) Stats() TimerStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := timerStatsLocked(t.count, t.sum, t.min, t.max)
-	if len(t.samples) > 0 {
-		s.Quantiles = quantileMap(t.samples)
+	if len(t.samples.buf) > 0 {
+		s.Quantiles = quantileMap(t.samples.buf)
 	}
 	return s
 }
@@ -293,17 +320,8 @@ func (t *Timer) Stats() TimerStats {
 // quantileMap computes the standard reporting quantiles over one sorted
 // copy of the ring.
 func quantileMap(samples []float64) map[string]float64 {
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	sort.Float64s(sorted)
-	q := func(p float64) float64 {
-		idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		return sorted[idx]
-	}
-	return map[string]float64{"0.5": q(0.5), "0.95": q(0.95), "0.99": q(0.99)}
+	s := sortedCopy(samples)
+	return map[string]float64{"0.5": nearestRank(s, 0.5), "0.95": nearestRank(s, 0.95), "0.99": nearestRank(s, 0.99)}
 }
 
 func timerStatsLocked(count int64, sum, min, max float64) TimerStats {

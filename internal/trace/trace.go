@@ -206,18 +206,9 @@ func (t *Tracer) CaseSpans(caseIndex int) []SpanRecord {
 	return out
 }
 
-// Len returns the number of completed spans stored.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
 // Dropped returns how many completed spans were discarded because the
-// store was full.
+// store was full. The trace and experiments tests check the store bound
+// with it.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0

@@ -13,8 +13,8 @@ var ErrNoCrossing = errors.New("wave: waveform does not cross level")
 // calling yield for each; yield returning false stops the scan. A sample
 // exactly on the level counts once; flat segments lying exactly on the
 // level contribute their start point only. This is the allocation-free
-// core shared by Crossings, FirstCrossing and CrossingCount (LastCrossing
-// runs the same rules backward): the first and last crossing of 0.5·Vdd
+// core shared by Crossings and FirstCrossing (LastCrossing runs the same
+// rules backward): the first and last crossing of 0.5·Vdd
 // are evaluated once per cached replay, so the arrival-time hot loop must
 // not build a slice per call.
 func (w *Waveform) scanCrossings(level float64, yield func(t float64) bool) {
@@ -60,6 +60,9 @@ func (w *Waveform) segmentCrossing(i int, level float64) float64 {
 
 // Crossings returns every time at which the waveform crosses the given
 // voltage level, in increasing order. An empty waveform has no crossings.
+// Production code asks for the first or last crossing only; Crossings is
+// the full list FuzzCrossings and the crossing tests check those against,
+// and the crossing rule of the eqwave reference fits (legacy_test.go).
 func (w *Waveform) Crossings(level float64) []float64 {
 	var out []float64
 	w.scanCrossings(level, func(t float64) bool {
@@ -102,18 +105,6 @@ func (w *Waveform) LastCrossing(level float64) (float64, error) {
 		}
 	}
 	return 0, fmt.Errorf("%w (level=%g, range [%g,%g])", ErrNoCrossing, level, w.MinV(), w.MaxV())
-}
-
-// CrossingCount returns the number of times the waveform crosses level.
-// The paper uses this to characterize how "noisy" an edge is (E4's
-// pessimism grows with the number of 0.5·Vdd crossings).
-func (w *Waveform) CrossingCount(level float64) int {
-	n := 0
-	w.scanCrossings(level, func(float64) bool {
-		n++
-		return true
-	})
-	return n
 }
 
 // CriticalRegion returns the time window [tFirst, tLast] between the first

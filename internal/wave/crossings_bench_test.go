@@ -22,7 +22,7 @@ func noisyEdgeWaveform(samples int) *Waveform {
 }
 
 // BenchmarkCrossings covers the arrival-measurement hot path. The
-// First/Last/Count variants must report 0 allocs/op: they are evaluated
+// First/Last variants must report 0 allocs/op: they are evaluated
 // once per cached replay, so a per-call slice would dominate the replay
 // cache's win.
 func BenchmarkCrossings(b *testing.B) {
@@ -50,14 +50,6 @@ func BenchmarkCrossings(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := w.LastCrossing(level); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("CrossingCount", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if w.CrossingCount(level) == 0 {
-				b.Fatal("no crossings")
 			}
 		}
 	})

@@ -14,9 +14,6 @@ func TestCrossingsEmptyWaveform(t *testing.T) {
 	if c := w.Crossings(0.5); len(c) != 0 {
 		t.Errorf("empty waveform reported crossings: %v", c)
 	}
-	if n := w.CrossingCount(0.5); n != 0 {
-		t.Errorf("empty waveform CrossingCount = %d, want 0", n)
-	}
 	if _, err := w.FirstCrossing(0.5); !errors.Is(err, ErrNoCrossing) {
 		t.Errorf("FirstCrossing on empty waveform: err = %v, want ErrNoCrossing", err)
 	}

@@ -15,53 +15,10 @@ func (w *Waveform) Shifted(dt float64) *Waveform {
 	return out
 }
 
-// ScaledV returns a copy with every voltage multiplied by k.
-func (w *Waveform) ScaledV(k float64) *Waveform {
-	out := w.Clone()
-	for i := range out.V {
-		out.V[i] *= k
-	}
-	return out
-}
-
-// OffsetV returns a copy with dv added to every voltage.
-func (w *Waveform) OffsetV(dv float64) *Waveform {
-	out := w.Clone()
-	for i := range out.V {
-		out.V[i] += dv
-	}
-	return out
-}
-
-// Resample returns the waveform sampled at n uniform points over [t0, t1]
-// (clamped evaluation outside the original span).
-func (w *Waveform) Resample(t0, t1 float64, n int) *Waveform {
-	if n < 2 {
-		n = 2
-	}
-	t := make([]float64, n)
-	v := make([]float64, n)
-	dt := (t1 - t0) / float64(n-1)
-	for i := 0; i < n; i++ {
-		t[i] = t0 + float64(i)*dt
-		v[i] = w.At(t[i])
-	}
-	return &Waveform{T: t, V: v}
-}
-
-// SampleTimes evaluates the waveform on an arbitrary increasing time grid.
-func (w *Waveform) SampleTimes(ts []float64) *Waveform {
-	t := append([]float64(nil), ts...)
-	v := make([]float64, len(ts))
-	for i, x := range t {
-		v[i] = w.At(x)
-	}
-	return &Waveform{T: t, V: v}
-}
-
 // Window returns the sub-waveform on [t0, t1], adding interpolated boundary
 // samples so the result spans exactly the window (clamped to the waveform's
-// own span).
+// own span). It is ErrEmptyWindow's only producer; the facade's error
+// contract test (api_test.go) checks that sentinel through it.
 func (w *Waveform) Window(t0, t1 float64) (*Waveform, error) {
 	if t1 <= t0 {
 		return nil, fmt.Errorf("%w: [%g,%g]", ErrEmptyWindow, t0, t1)
@@ -91,7 +48,8 @@ func (w *Waveform) Window(t0, t1 float64) (*Waveform, error) {
 
 // Derivative returns dv/dt as a waveform sampled at segment midpoints
 // projected back onto the original grid by central differences
-// (one-sided at the boundaries).
+// (one-sided at the boundaries). Production code reads slopes through
+// Sampler.Slope; Derivative is the copy its tests compare against.
 func (w *Waveform) Derivative() *Waveform {
 	t := append([]float64(nil), w.T...)
 	d := make([]float64, len(t))
@@ -122,51 +80,12 @@ func (w *Waveform) slopeAt(i int, dt float64) float64 {
 	return (w.V[i+1]*h0*h0 - w.V[i-1]*h1*h1 + w.V[i]*(h1*h1-h0*h0)) / (h0 * h1 * (h0 + h1))
 }
 
-// Integral returns ∫ v dt over [t0, t1] of the piecewise-linear waveform
-// (clamped extension outside the span).
-func (w *Waveform) Integral(t0, t1 float64) float64 {
-	if t1 < t0 {
-		return -w.Integral(t1, t0)
-	}
-	s := 0.0
-	// Clamped region before the first sample.
-	if t0 < w.Start() {
-		end := math.Min(t1, w.Start())
-		s += w.V[0] * (end - t0)
-		t0 = end
-		if t0 >= t1 {
-			return s
-		}
-	}
-	// Clamped region after the last sample.
-	var tail float64
-	if t1 > w.End() {
-		tail = w.V[len(w.V)-1] * (t1 - w.End())
-		t1 = w.End()
-	}
-	if t1 > t0 {
-		prevT := t0
-		prevV := w.At(t0)
-		i := sort.SearchFloat64s(w.T, t0)
-		for ; i < len(w.T) && w.T[i] <= t1; i++ {
-			if w.T[i] <= prevT {
-				continue
-			}
-			s += 0.5 * (prevV + w.V[i]) * (w.T[i] - prevT)
-			prevT, prevV = w.T[i], w.V[i]
-		}
-		if prevT < t1 {
-			v1 := w.At(t1)
-			s += 0.5 * (prevV + v1) * (t1 - prevT)
-		}
-	}
-	return s + tail
-}
-
 // Monotonicized returns a copy whose voltage series is forced monotonic in
 // the direction dir by running a cumulative max (rising) or min (falling).
 // This provides a well-defined inverse v→t mapping for noiseless edges that
-// carry tiny numerical ripples.
+// carry tiny numerical ripples. Production code reads the envelope through
+// Sampler.Envelope; Monotonicized is the copy its tests and the eqwave
+// reference fits (legacy_test.go) compare against.
 func (w *Waveform) Monotonicized(dir Edge) *Waveform {
 	out := w.Clone()
 	if dir == Rising {
@@ -185,20 +104,9 @@ func (w *Waveform) Monotonicized(dir Edge) *Waveform {
 	return out
 }
 
-// TimeAtVoltage inverts the waveform: it returns the first time (rising) or
-// first time (falling) at which the monotonicized waveform reaches voltage
-// v. Returns false when v lies outside the waveform's voltage range.
-func (w *Waveform) TimeAtVoltage(v float64, dir Edge) (float64, bool) {
-	m := w.Monotonicized(dir)
-	c := m.Crossings(v)
-	if len(c) == 0 {
-		return 0, false
-	}
-	return c[0], true
-}
-
 // MaxAbsDiff returns max_t |w(t) − o(t)| evaluated on the union of both
-// sample grids restricted to the overlap of the two spans.
+// sample grids restricted to the overlap of the two spans. Tests use it:
+// the crosstalk testbench test measures noise distortion with it.
 func (w *Waveform) MaxAbsDiff(o *Waveform) float64 {
 	lo := math.Max(w.Start(), o.Start())
 	hi := math.Min(w.End(), o.End())

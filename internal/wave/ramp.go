@@ -26,16 +26,6 @@ func RampThroughPoint(a, t0, v0, vlow, vhigh float64) Ramp {
 	return NewRamp(a, v0-a*t0, vlow, vhigh)
 }
 
-// RampFromCrossings builds the ramp passing through (tLo, vLo) and
-// (tHi, vHi); typical usage maps 10%/90% crossing times into a ramp.
-func RampFromCrossings(tLo, vLo, tHi, vHi, vlow, vhigh float64) (Ramp, error) {
-	if tHi == tLo {
-		return Ramp{}, fmt.Errorf("wave: degenerate ramp through identical times t=%g", tLo)
-	}
-	a := (vHi - vLo) / (tHi - tLo)
-	return NewRamp(a, vLo-a*tLo, vlow, vhigh), nil
-}
-
 // Edge returns the transition direction implied by the slope.
 func (r Ramp) Edge() Edge {
 	if r.A >= 0 {

@@ -70,19 +70,6 @@ func TestRampThroughPoint(t *testing.T) {
 	}
 }
 
-func TestRampFromCrossings(t *testing.T) {
-	r, err := RampFromCrossings(1, 0.1, 2, 0.9, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r.At(1)-0.1) > 1e-12 || math.Abs(r.At(2)-0.9) > 1e-12 {
-		t.Errorf("crossings not honored: %g %g", r.At(1), r.At(2))
-	}
-	if _, err := RampFromCrossings(1, 0.1, 1, 0.9, 0, 1); err == nil {
-		t.Error("degenerate crossings accepted")
-	}
-}
-
 func TestRampShifted(t *testing.T) {
 	r := NewRamp(2, -1, 0, 1)
 	s := r.Shifted(0.25)

@@ -1,7 +1,7 @@
 package wave
 
 // Sampler evaluates one waveform at a run of ascending times without
-// copying it. At, Slope and Envelope return exactly what the waveform's At,
+// copying it. Slope and Envelope return exactly what the waveform's
 // Derivative().At and Monotonicized(dir).At return at the same time, but
 // the sampler walks a cursor forward instead of binary-searching each
 // query, computes node slopes on demand and carries the monotone envelope
@@ -71,15 +71,6 @@ func (s *Sampler) envelopeAt(k int) float64 {
 		return s.env
 	}
 	return v
-}
-
-// At returns the waveform's voltage at t, as Waveform.At does.
-func (s *Sampler) At(t float64) float64 {
-	k, exact := s.bracket(t)
-	if exact {
-		return s.w.V[k]
-	}
-	return lerp(s.time(k-1), s.time(k), s.w.V[k-1], s.w.V[k], t)
 }
 
 // Slope returns dv/dt at t, as Derivative().At does: the node slopes of

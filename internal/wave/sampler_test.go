@@ -44,8 +44,8 @@ func samplerQueries(rng *rand.Rand, ts []float64) []float64 {
 	return q
 }
 
-// TestSamplerMatchesCopies: At, Slope and Envelope must return exactly
-// what At, Derivative().At and Monotonicized(dir).At return on the
+// TestSamplerMatchesCopies: Slope and Envelope must return exactly what
+// Derivative().At and Monotonicized(dir).At return on the
 // shifted copy the sampler stands in for — for ascending queries (the
 // cursor walk), for a shuffled order (restarts), on and between samples
 // and outside the span, unshifted and shifted.
@@ -74,7 +74,6 @@ func TestSamplerMatchesCopies(t *testing.T) {
 						name      string
 						got, want float64
 					}{
-						{"At", s.At(q), ref.At(q)},
 						{"Slope", s.Slope(q), slope.At(q)},
 						{"Envelope", s.Envelope(q), env.At(q)},
 					} {
@@ -97,7 +96,7 @@ func TestSamplerAllocatesNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() {
 		s := w.Sampler(-1e-10, Rising)
 		for _, q := range qs {
-			sink += s.At(q) + s.Slope(q) + s.Envelope(q)
+			sink += s.Slope(q) + s.Envelope(q)
 		}
 	})
 	if allocs != 0 {

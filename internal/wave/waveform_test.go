@@ -3,7 +3,6 @@ package wave
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -95,8 +94,8 @@ func TestCrossings(t *testing.T) {
 	if _, err := w.FirstCrossing(2.0); err == nil {
 		t.Error("crossing above range accepted")
 	}
-	if w.CrossingCount(0.5) != 3 {
-		t.Error("CrossingCount wrong")
+	if len(w.Crossings(0.5)) != 3 {
+		t.Error("crossing count wrong")
 	}
 }
 
@@ -142,7 +141,7 @@ func TestSlew(t *testing.T) {
 	}
 }
 
-func TestShiftScaleOffset(t *testing.T) {
+func TestShifted(t *testing.T) {
 	w := MustNew([]float64{0, 1}, []float64{0, 2})
 	s := w.Shifted(0.5)
 	if s.T[0] != 0.5 || s.T[1] != 1.5 {
@@ -150,26 +149,6 @@ func TestShiftScaleOffset(t *testing.T) {
 	}
 	if w.T[0] != 0 {
 		t.Error("Shifted mutated the original")
-	}
-	sc := w.ScaledV(2)
-	if sc.V[1] != 4 || w.V[1] != 2 {
-		t.Error("ScaledV wrong or mutated original")
-	}
-	of := w.OffsetV(1)
-	if of.V[0] != 1 || of.V[1] != 3 {
-		t.Error("OffsetV wrong")
-	}
-}
-
-func TestResampleAndSampleTimes(t *testing.T) {
-	w := MustNew([]float64{0, 1}, []float64{0, 1})
-	r := w.Resample(0, 1, 5)
-	if r.Len() != 5 || math.Abs(r.V[2]-0.5) > 1e-12 {
-		t.Errorf("Resample: %v", r.V)
-	}
-	s := w.SampleTimes([]float64{0.25, 0.75})
-	if math.Abs(s.V[0]-0.25) > 1e-12 || math.Abs(s.V[1]-0.75) > 1e-12 {
-		t.Errorf("SampleTimes: %v", s.V)
 	}
 }
 
@@ -215,44 +194,6 @@ func TestDerivativeQuadratic(t *testing.T) {
 	}
 }
 
-func TestIntegral(t *testing.T) {
-	w := MustNew([]float64{0, 1, 2}, []float64{0, 1, 0})
-	if got := w.Integral(0, 2); math.Abs(got-1) > 1e-12 {
-		t.Errorf("triangle area = %g, want 1", got)
-	}
-	// Clamped extension on both sides.
-	if got := w.Integral(-1, 0); math.Abs(got) > 1e-12 {
-		t.Errorf("left clamp area = %g, want 0", got)
-	}
-	if got := w.Integral(2, 4); math.Abs(got) > 1e-12 {
-		t.Errorf("right clamp area = %g, want 0", got)
-	}
-	// Reversed bounds negate.
-	if got := w.Integral(2, 0); math.Abs(got+1) > 1e-12 {
-		t.Errorf("reversed = %g, want -1", got)
-	}
-	// Partial interval of a linear ramp.
-	r := MustNew([]float64{0, 1}, []float64{0, 1})
-	if got := r.Integral(0.5, 1); math.Abs(got-0.375) > 1e-12 {
-		t.Errorf("partial = %g, want 0.375", got)
-	}
-}
-
-func TestIntegralAdditivityProperty(t *testing.T) {
-	w := FromFunc(func(t float64) float64 { return math.Sin(3*t) + 0.3*t }, 0, 2, 64)
-	f := func(a, b, c float64) bool {
-		// Normalize points into [0, 2].
-		norm := func(x float64) float64 { return math.Mod(math.Abs(x), 2) }
-		p, q, r := norm(a), norm(b), norm(c)
-		whole := w.Integral(p, r)
-		split := w.Integral(p, q) + w.Integral(q, r)
-		return math.Abs(whole-split) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMonotonicized(t *testing.T) {
 	w := MustNew([]float64{0, 1, 2, 3}, []float64{0, 0.8, 0.3, 1})
 	m := w.Monotonicized(Rising)
@@ -268,17 +209,6 @@ func TestMonotonicized(t *testing.T) {
 	mf := f.Monotonicized(Falling)
 	if mf.V[2] != 0.2 {
 		t.Errorf("cummin wrong: %v", mf.V)
-	}
-}
-
-func TestTimeAtVoltage(t *testing.T) {
-	w := MustNew([]float64{0, 1, 2, 3}, []float64{0, 0.8, 0.3, 1})
-	tv, ok := w.TimeAtVoltage(0.5, Rising)
-	if !ok || math.Abs(tv-0.625) > 1e-9 {
-		t.Errorf("TimeAtVoltage(0.5) = %g, %v", tv, ok)
-	}
-	if _, ok := w.TimeAtVoltage(2.0, Rising); ok {
-		t.Error("voltage above range accepted")
 	}
 }
 

@@ -141,7 +141,9 @@ func edgeSource(start, slew, vdd float64, lineEdge wave.Edge) circuit.Source {
 
 // Build constructs the full testbench circuit. victimStart is the time of
 // the victim edge at the line; aggStart[k] the edge time of aggressor k
-// (Quiet for a non-switching aggressor).
+// (Quiet for a non-switching aggressor). Production runs go through Bench,
+// which builds the circuit once per worker; Build is kept for the
+// multi-stage path testbench of ROADMAP item 3, which extends it.
 func (cfg Config) Build(victimStart float64, aggStart []float64) (*circuit.Circuit, error) {
 	ckt, _, _, err := cfg.build(victimStart, aggStart)
 	return ckt, err
@@ -298,15 +300,6 @@ func (b *Bench) RunCtx(ctx context.Context, victimStart float64, aggStart []floa
 		return nil, nil, err
 	}
 	return in, out, nil
-}
-
-// RunNoiselessCtx is Config.RunNoiselessCtx on the reusable bench.
-func (b *Bench) RunNoiselessCtx(ctx context.Context, victimStart float64) (in, out *wave.Waveform, err error) {
-	quiet := make([]float64, b.cfg.Aggressors)
-	for i := range quiet {
-		quiet[i] = Quiet
-	}
-	return b.RunCtx(ctx, victimStart, quiet)
 }
 
 // RunReportCtx is Config.RunReportCtx on the reusable bench: it re-aims the

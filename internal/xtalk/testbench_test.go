@@ -33,7 +33,7 @@ func TestNoiselessPropagation(t *testing.T) {
 		t.Errorf("gate output settles at %.3f, want ~0 (inverted)", got)
 	}
 	// The noiseless input should cross 0.5Vdd exactly once.
-	if n := in.CrossingCount(0.5 * vdd); n != 1 {
+	if n := len(in.Crossings(0.5 * vdd)); n != 1 {
 		t.Errorf("noiseless input crosses 0.5Vdd %d times, want 1", n)
 	}
 	// Gate delay (50%-to-50%) should be positive and below 500 ps.

@@ -75,8 +75,8 @@ var (
 // pipeline: spice engine counters, replay-cache outcomes, per-technique
 // fit timers, sweep worker throughput and per-experiment wall timers. Pass
 // one registry through the options structs (CompareTechniquesOpts,
-// SweepOptions, Timer.Telemetry); a nil registry disables collection at
-// zero cost.
+// SweepOptions, RunOptions); a nil registry disables collection at zero
+// cost.
 type Telemetry = telemetry.Registry
 
 // NewTelemetry returns an empty metrics registry.
@@ -236,9 +236,10 @@ func NewTimer(lib *Library, d *Design) *Timer { return sta.New(lib, d) }
 type TimingResult = sta.Result
 
 // RunOptions is the run-control block of Timer.RunCtx — the context-first
-// timing entry point: cancellation context, worker-pool size for the
-// levelized parallel engine (results are bit-identical at any worker
-// count), per-run telemetry/tracing and a per-run wire-model override.
+// timing entry point: worker-pool size for the levelized parallel engine
+// (results are bit-identical at any worker count) and per-run
+// telemetry/tracing. Cancellation comes from RunCtx's context; the wire
+// model is the Timer's Wire field.
 type RunOptions = sta.RunOptions
 
 // PathStep is one hop of an extracted critical path.

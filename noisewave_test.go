@@ -108,7 +108,7 @@ gate u1 INVX1 A=a Y=y
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewTimer(lib, d).Run()
+	res, err := NewTimer(lib, d).RunCtx(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package noisewave
 
 import (
+	"context"
 	"os"
 	"testing"
 )
@@ -59,7 +60,7 @@ func TestSampleDesignBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range []*Design{dv, dn} {
-		res, err := NewTimer(lib, d).Run()
+		res, err := NewTimer(lib, d).RunCtx(context.Background(), RunOptions{Workers: 1})
 		if err != nil {
 			t.Fatalf("timing %s: %v", d.Name, err)
 		}
