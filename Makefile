@@ -32,14 +32,15 @@ bench:
 
 # Go micro/scaling benchmarks: the parallel sweep engine, one Γeff replay
 # through the receiver chain and one golden transient of the Figure 1
-# testbench (the two transients of a Table 1 case, both from scratch), the
-# crossing scan on the arrival-measurement hot path, and the 10⁴-gate rows
-# of the full-chip timer (clean and noisy, so noise set-up that stops
-# scaling linearly shows as a gap between the two, plus the graph compile
-# alone at 1 and 4 workers).
+# testbench (the two transients of a Table 1 case, both from scratch), one
+# case's fit-and-replay step (six fits, replays shared by bit-identical
+# Γeff), the crossing scan on the arrival-measurement hot path, and the
+# 10⁴-gate rows of the full-chip timer (clean and noisy, so noise set-up
+# that stops scaling linearly shows as a gap between the two, plus the
+# graph compile alone at 1 and 4 workers).
 bench-micro:
 	$(GO) test -run XXX -bench BenchmarkTable1ParallelSweep -benchtime 3x .
-	$(GO) test -run XXX -bench 'BenchmarkGateEvaluation|BenchmarkTestbenchTransient' -benchtime 20x .
+	$(GO) test -run XXX -bench 'BenchmarkGateEvaluation|BenchmarkTestbenchTransient|BenchmarkCompareTechniques' -benchtime 20x .
 	$(GO) test -run XXX -bench BenchmarkCrossings ./internal/wave/
 	$(GO) test -run XXX -bench 'BenchmarkAssemble|BenchmarkNewtonIteration|BenchmarkTransientStep' ./internal/spice/
 	$(GO) test -run XXX -bench 'BenchmarkMesh/.*/gates=10000$$' ./internal/sta/

@@ -164,7 +164,7 @@ func (a *Assembler) SnapshotBaselineB() {
 // caller from its baseline capture) and the B entries listed in bIdx (from
 // the baseline B snapshot). Correct only when every write since the last
 // baseline restore hit those positions alone — which the Partition's slot
-// lists guarantee when NumUnknown() == 0.
+// lists guarantee for its StampNonlinear.
 func (a *Assembler) RestoreBaselineAt(aIdx []int32, aVals []float64, bIdx []int32) {
 	ad := a.A.Data
 	for i, idx := range aIdx {
@@ -249,12 +249,15 @@ func (a *Assembler) StampVSource(branch int, p, n NodeID, v float64) {
 	a.B[ib] += v
 }
 
-// Element is anything that can stamp itself into the MNA system.
+// Element is anything that can stamp itself into the MNA system. The set
+// is closed — Resistor, Capacitor, VSource and MOSFET — so NewPartition
+// classifies every element; a new element type must be classified there.
 type Element interface {
 	// Stamp adds the element's (possibly linearized) contribution for the
 	// iterate in a.X. mode selects DC (capacitors open) or transient
 	// (capacitors replaced by their companion models).
 	Stamp(a *Assembler, mode StampMode)
+	element()
 }
 
 // StampMode selects the analysis the stamp is for.

@@ -22,6 +22,8 @@ func (c *Circuit) AddResistor(p, n NodeID, r float64) *Resistor {
 	return e
 }
 
+func (*Resistor) element() {}
+
 // Stamp implements Element.
 func (r *Resistor) Stamp(a *Assembler, _ StampMode) {
 	a.StampConductance(r.P, r.N, 1/r.R)
@@ -55,6 +57,8 @@ func (cp *Capacitor) beginStep(ic IntegrationCoeffs) {
 	cp.geq = cp.C * ic.Geq
 	cp.hist = ic.HistI
 }
+
+func (*Capacitor) element() {}
 
 // Stamp implements Element. In DC mode a capacitor is open.
 func (cp *Capacitor) Stamp(a *Assembler, mode StampMode) {
@@ -107,6 +111,8 @@ func (c *Circuit) AddVSource(name string, p, n NodeID, src Source) *VSource {
 	return e
 }
 
+func (*VSource) element() {}
+
 // Stamp implements Element. The assembler's Time is the operating-point
 // time for DC solves and the end-of-step time during transients.
 func (v *VSource) Stamp(a *Assembler, _ StampMode) {
@@ -137,6 +143,8 @@ func (c *Circuit) AddMOSFET(d, g, s NodeID, params device.MOSParams, w float64, 
 	c.Add(e)
 	return e
 }
+
+func (*MOSFET) element() {}
 
 // Stamp implements Element. The device current is stamped as a linearized
 // nonlinear current for the Newton iteration.

@@ -7,17 +7,15 @@ import "noisewave/internal/device"
 // companion models), voltage sources — stamp values that are constant for a
 // fixed (StampMode, integration coefficients, time), so the solver can
 // assemble them once per solve into a baseline and copy it back each
-// iteration. Nonlinear elements (transistors, plus any element type this
-// package does not know, classified conservatively) must be restamped at
-// every iterate.
+// iteration. The MOSFETs — the only nonlinear elements — must be restamped
+// at every iterate.
 //
-// For the MOSFETs — the only nonlinear device in the reproduction — the
-// partition also precomputes the stamp slots: the six flat A-matrix indices
-// and two B indices the device writes (rows from/to × columns G, D, S, with
-// the ground exclusions already applied), so the per-iteration restamp
-// writes through cached positions instead of generic Add(i, j, ·) calls and
-// allocates nothing. The arithmetic mirrors MOSFET.Stamp exactly; the
-// slow path keeps using MOSFET.Stamp itself. Each slot also memoizes its
+// For them the partition precomputes the stamp slots: the six flat A-matrix
+// indices and two B indices the device writes (rows from/to × columns G, D,
+// S, with the ground exclusions already applied), so the per-iteration
+// restamp writes through cached positions instead of generic Add(i, j, ·)
+// calls and allocates nothing. The arithmetic mirrors MOSFET.Stamp exactly;
+// the slow path keeps using MOSFET.Stamp itself. Each slot also memoizes its
 // device's power pair (device.PowMemo): about a third of the evaluations in
 // a transient repeat the device's previous gate overdrive bit for bit.
 //
@@ -27,9 +25,6 @@ import "noisewave/internal/device"
 type Partition struct {
 	// Linear elements' stamps do not depend on the iterate X.
 	Linear []Element
-	// Nonlinear holds iterate-dependent elements other than MOSFETs
-	// (today: none; unknown element types land here conservatively).
-	Nonlinear []Element
 
 	mos  []mosSlots
 	caps []*Capacitor
@@ -94,18 +89,10 @@ func NewPartition(c *Circuit) *Partition {
 				tg: slot(to, el.G), td: slot(to, el.D), ts: slot(to, el.S),
 				bf: xIdx(from), bt: xIdx(to),
 			})
-		default:
-			p.Nonlinear = append(p.Nonlinear, e)
 		}
 	}
 	return p
 }
-
-// NumUnknown returns how many nonlinear elements were classified
-// conservatively (no cached slots). Structure-aware consumers (the sparse
-// residual) must fall back to dense handling when this is nonzero, since
-// those elements may stamp anywhere.
-func (p *Partition) NumUnknown() int { return len(p.Nonlinear) }
 
 // AppendSlotIndices appends the flat A-matrix indices every slot-cached
 // device can write, so the solver can treat them as structurally nonzero
@@ -242,10 +229,9 @@ func (p *Partition) LoadState(st *State, a *Assembler) {
 	}
 }
 
-// StampNonlinear stamps every iterate-dependent element at the current
-// iterate: the slot-cached MOSFETs first, then any conservatively
-// classified stragglers through their generic Stamp.
-func (p *Partition) StampNonlinear(a *Assembler, mode StampMode) {
+// StampNonlinear stamps every MOSFET at the current iterate through its
+// cached slots. The stamp is the same in every StampMode.
+func (p *Partition) StampNonlinear(a *Assembler) {
 	ad := a.A.Data
 	b := a.B
 	x := a.X
@@ -308,8 +294,5 @@ func (p *Partition) StampNonlinear(a *Assembler, mode StampMode) {
 		if ms.bt >= 0 {
 			b[ms.bt] += ieq
 		}
-	}
-	for _, e := range p.Nonlinear {
-		e.Stamp(a, mode)
 	}
 }

@@ -53,9 +53,11 @@ type GateSim struct {
 
 	// The persistent replay testbench: one circuit and simulator reused
 	// across every replay this backend runs, with only the input source
-	// value and the run window changing per call (each run starts from a
-	// fresh DC operating point, so no state leaks between replays). It is
-	// rebuilt when any of the configuration fields above change.
+	// value and the run window changing per call (each run starts from its
+	// own DC operating point, or resumes from a RecordPrefix checkpoint that
+	// reproduces that point and lead-in bit for bit, so no state leaks
+	// between replays). It is rebuilt when any of the configuration fields
+	// above change.
 	bench    *gateBench
 	benchCfg gateBenchCfg
 }

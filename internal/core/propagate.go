@@ -38,10 +38,9 @@ type Comparison struct {
 	TrueDelay float64
 	// Results has one entry per technique, in input order.
 	Results []TechniqueResult
-	// ReplayHits and ReplayMisses count Γeff replay-cache outcomes for
-	// this case: techniques often emit near-identical equivalent
-	// waveforms, and each hit is one transistor-level transient that was
-	// not re-simulated.
+	// ReplayHits counts techniques whose Γeff was bit-identical to an
+	// earlier technique's in this case and so took that replay's output
+	// and error; ReplayMisses counts the transistor-level replays run.
 	ReplayHits, ReplayMisses int
 }
 
@@ -54,9 +53,9 @@ type CompareOptions struct {
 	// Techniques to evaluate; nil selects eqwave.All().
 	Techniques []eqwave.Technique
 	// Telemetry, if non-nil, receives per-technique fit timers
-	// ("eqwave.fit_seconds.<name>"), the replay-cache hit/miss/eviction/
-	// extension counters and the spice engine counters of the replays (via
-	// the gate's registry, which this call temporarily sets when unset).
+	// ("eqwave.fit_seconds.<name>"), the replay hit/miss/extension
+	// counters and the spice engine counters of the replays (via the
+	// gate's registry, which this call temporarily sets when unset).
 	Telemetry *telemetry.Registry
 }
 
@@ -64,11 +63,10 @@ type CompareOptions struct {
 // replays each Γeff through the gate backend, and scores the predicted
 // output arrival against the reference noisy output.
 //
-// Replays are memoized within the case: techniques that emit
-// near-identical ramps (quantized on slope, 50% crossing, rails and replay
-// window — see replaycache.go) share one transistor-level transient. The
-// Comparison reports the hit/miss counts, and opts.Telemetry (when set)
-// accumulates them across cases.
+// A technique whose Γeff is bit-identical to an earlier technique's in the
+// case reuses that replay (see replaycache.go). The Comparison reports the
+// hit/miss counts, and opts.Telemetry (when set) accumulates them across
+// cases.
 //
 // The reference input/output pair and the noiseless pair must share the
 // same time base (the experiment drivers guarantee this by construction).
@@ -94,7 +92,7 @@ func CompareTechniquesWith(gate *GateSim, in eqwave.Input, trueOut *wave.Wavefor
 		return nil, fmt.Errorf("core: reference delay: %w", err)
 	}
 	cmp := &Comparison{TrueArrival: trueArr, TrueDelay: trueDelay}
-	cache := newReplayCache(trueOut.End())
+	cache := newReplayCache(trueOut)
 	defer cache.publish(opts.Telemetry)
 	for _, tech := range techs {
 		if ctx.Err() != nil {
@@ -117,9 +115,8 @@ func CompareTechniquesWith(gate *GateSim, in eqwave.Input, trueOut *wave.Wavefor
 			continue
 		}
 		r.Gamma = gamma
-		start, stop := WindowFor(gamma, trueOut, 0.2e-9)
 		hitsBefore := cache.hits
-		est, err := cache.outputForRamp(tctx, gate, gamma, start, stop)
+		est, err := cache.outputForRamp(tctx, gate, gamma)
 		if cache.hits > hitsBefore {
 			tspan.Event("core.replay.cache_hit")
 		} else {

@@ -11,70 +11,6 @@ import (
 	"noisewave/internal/wave"
 )
 
-// testRamps returns n clearly distinct cacheable ramps.
-func testRamps(vdd float64, n int) []wave.Ramp {
-	slope := vdd / 150e-12
-	base := wave.RampThroughPoint(slope, 0.5e-9, vdd/2, 0, vdd)
-	out := make([]wave.Ramp, n)
-	for i := range out {
-		out[i] = base.Shifted(float64(i) * 20e-12)
-	}
-	return out
-}
-
-// TestReplayCacheEviction: with the capacity forced down to 2, a third
-// distinct ramp evicts the oldest entry (FIFO), and re-requesting the
-// evicted ramp is a miss again.
-func TestReplayCacheEviction(t *testing.T) {
-	tech := device.Default130()
-	gate := NewInverterChainSim(tech, []float64{1}, 1e-12)
-	ctx := context.Background()
-
-	c := newReplayCache(2e-9)
-	c.maxEntries = 2
-	ramps := testRamps(tech.Vdd, 3)
-	for _, r := range ramps {
-		if _, err := c.outputForRamp(ctx, gate, r, 0, 2e-9); err != nil {
-			t.Fatalf("outputForRamp: %v", err)
-		}
-	}
-	if c.evictions != 1 {
-		t.Errorf("evictions = %d, want 1 after 3 inserts at capacity 2", c.evictions)
-	}
-	if len(c.entries) != 2 || len(c.order) != 2 {
-		t.Errorf("cache holds %d entries / %d order slots, want 2/2", len(c.entries), len(c.order))
-	}
-	// ramps[0] was evicted first (FIFO): a repeat is a miss. ramps[2] is
-	// still resident: a repeat is a hit.
-	misses := c.misses
-	if _, err := c.outputForRamp(ctx, gate, ramps[0], 0, 2e-9); err != nil {
-		t.Fatal(err)
-	}
-	if c.misses != misses+1 {
-		t.Error("evicted ramp should miss on re-request")
-	}
-	hits := c.hits
-	if _, err := c.outputForRamp(ctx, gate, ramps[2], 0, 2e-9); err != nil {
-		t.Fatal(err)
-	}
-	if c.hits != hits+1 {
-		t.Error("resident ramp should hit on re-request")
-	}
-
-	reg := telemetry.New()
-	c.publish(reg)
-	snap := reg.Snapshot()
-	if got := snap.Counters["core.replay_evictions"]; got != 2 {
-		t.Errorf("published core.replay_evictions = %d, want 2", got)
-	}
-	if got := snap.Counters["core.replay_hits"]; got != int64(c.hits) {
-		t.Errorf("published core.replay_hits = %d, want %d", got, c.hits)
-	}
-	if got := snap.Counters["core.replay_misses"]; got != int64(c.misses) {
-		t.Errorf("published core.replay_misses = %d, want %d", got, c.misses)
-	}
-}
-
 // compareFixture builds the synthetic single-case comparison workload used
 // by the options-struct tests.
 func compareFixture(t *testing.T) (*GateSim, eqwave.Input, *wave.Waveform, []eqwave.Technique) {

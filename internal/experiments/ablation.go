@@ -33,12 +33,12 @@ func AblationVariants() []AblationVariant {
 }
 
 // RunAblation sweeps the ablation variants over a Table 1-style alignment
-// sweep and returns one stats row per variant. workers sizes the sweep
-// worker pool exactly as Table1Options.Workers does (the SGDP variants
-// hold configuration only, so sharing them across workers is safe). Its
+// sweep and returns one stats row per variant. so controls the sweep
+// exactly as Table1Options' block does (the SGDP variants hold
+// configuration only, so sharing them across workers is safe). Its
 // consumer is go test: the ablation tests regenerate EXPERIMENTS.md's
-// ablation table through it.
-func RunAblation(cfg xtalk.Config, cases, workers int) ([]TechniqueStats, error) {
+// ablation table through it and pin its replay reuse.
+func RunAblation(cfg xtalk.Config, cases int, so SweepOptions) ([]TechniqueStats, error) {
 	variants := AblationVariants()
 	techs := make([]eqwave.Technique, 0, len(variants))
 	for _, v := range variants {
@@ -46,7 +46,7 @@ func RunAblation(cfg xtalk.Config, cases, workers int) ([]TechniqueStats, error)
 	}
 	res, err := RunTable1(cfg, Table1Options{
 		Cases: cases, Range: 1e-9, P: eqwave.DefaultP, Techniques: techs,
-		SweepOptions: SweepOptions{Workers: workers},
+		SweepOptions: so,
 	})
 	if err != nil {
 		return nil, err

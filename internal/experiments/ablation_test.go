@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"noisewave/internal/device"
+	"noisewave/internal/telemetry"
 	"noisewave/internal/xtalk"
 )
 
@@ -14,7 +15,7 @@ import (
 func TestAblationConfigurationI(t *testing.T) {
 	cfg := xtalk.ConfigurationI(device.Default130())
 	cfg.Step = 2e-12
-	stats, err := RunAblation(cfg, sweepCases(t, 20), 0)
+	stats, err := RunAblation(cfg, sweepCases(t, 20), SweepOptions{})
 	if err != nil {
 		t.Fatalf("RunAblation: %v", err)
 	}
@@ -45,7 +46,7 @@ func TestAblationSafeguardMatters(t *testing.T) {
 	}
 	cfg := xtalk.ConfigurationII(device.Default130())
 	cfg.Step = 2e-12
-	stats, err := RunAblation(cfg, sweepCases(t, 20), 0)
+	stats, err := RunAblation(cfg, sweepCases(t, 20), SweepOptions{})
 	if err != nil {
 		t.Fatalf("RunAblation: %v", err)
 	}
@@ -60,5 +61,32 @@ func TestAblationSafeguardMatters(t *testing.T) {
 	if full.MaxAbs >= raw.MaxAbs {
 		t.Errorf("safeguard should reduce the worst case: full %.1f ps vs raw %.1f ps",
 			full.MaxAbs*1e12, raw.MaxAbs*1e12)
+	}
+}
+
+// TestAblationReplayReuse pins how many replays the ablation shares on a
+// reduced sweep (8 cases, 2 ps step). A variant takes an earlier variant's
+// replay in its case only when their Γeff are bit-identical; on these
+// cases that happens 8 times of 40 on Cfg I and 11 of 40 on Cfg II.
+func TestAblationReplayReuse(t *testing.T) {
+	tech := device.Default130()
+	for _, c := range []struct {
+		cfg          xtalk.Config
+		hits, misses int64
+	}{
+		{xtalk.ConfigurationI(tech), 8, 32},
+		{xtalk.ConfigurationII(tech), 11, 29},
+	} {
+		cfg := c.cfg
+		cfg.Step = 2e-12
+		reg := telemetry.New()
+		if _, err := RunAblation(cfg, 8, SweepOptions{Telemetry: reg}); err != nil {
+			t.Fatalf("config %s: RunAblation: %v", cfg.Name, err)
+		}
+		snap := reg.Snapshot()
+		if hits, misses := snap.Counters["core.replay_hits"], snap.Counters["core.replay_misses"]; hits != c.hits || misses != c.misses {
+			t.Errorf("config %s: %d replay hits, %d misses; want %d, %d",
+				cfg.Name, hits, misses, c.hits, c.misses)
+		}
 	}
 }

@@ -26,7 +26,7 @@ import (
 type Table1Options struct {
 	// Cases is the number of aggressor alignment cases (paper: 200).
 	Cases int
-	// RangeNs is the alignment window in seconds (paper: 1 ns), centered
+	// Range is the alignment window in seconds (paper: 1 ns), centered
 	// on the victim transition.
 	Range float64
 	// P is the sample count for the fitting techniques (paper: 35).

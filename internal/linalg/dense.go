@@ -55,21 +55,6 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 	copy(m.Data, src.Data)
 }
 
-// MulVecInto writes m·x into dst without allocating. dst must not alias x.
-func (m *Matrix) MulVecInto(dst, x []float64) {
-	if m.Cols != len(x) || m.Rows != len(dst) {
-		panic("linalg: MulVecInto shape mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		s := 0.0
-		for j, a := range row {
-			s += a * x[j]
-		}
-		dst[i] = s
-	}
-}
-
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
 	var b strings.Builder

@@ -69,7 +69,7 @@ func BenchmarkAssemble(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.asm.RestoreBaseline()
-			s.part.StampNonlinear(s.asm, circuit.Transient)
+			s.part.StampNonlinear(s.asm)
 		}
 	})
 }

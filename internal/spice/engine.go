@@ -399,8 +399,9 @@ func (s *Simulator) alignStep(t, h float64) (float64, bool) {
 // RunWindow re-targets the simulator at a new run window and context, then
 // performs the transient. It exists for callers that reuse one Simulator
 // (and circuit) across many cases, replacing only the source values and
-// the window between runs; every Run starts from a fresh DC operating
-// point, so no state leaks from the previous case.
+// the window between runs. Every Run starts from its own DC operating
+// point, or resumes from a recorded prefix checkpoint that reproduces it
+// bit for bit (see Run), so no state leaks from the previous case.
 func (s *Simulator) RunWindow(ctx context.Context, start, stop float64) (*Result, error) {
 	s.opts.Ctx = ctx
 	s.opts.Start = start

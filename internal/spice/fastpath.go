@@ -132,18 +132,9 @@ func (s *Simulator) armSparse() {
 
 // residual computes r = B − A·x into s.resid over the structural nonzeros
 // of A. Skipped zero entries contribute exactly 0 to each dot product, so
-// this equals the dense product for any finite iterate. Conservatively
-// classified nonlinear elements can stamp anywhere; with any present the
-// pattern is unsound and the dense product is used instead.
+// this equals the dense product for any finite iterate.
 func (s *Simulator) residual(key luKey) {
 	n := s.ckt.Size()
-	if s.part.NumUnknown() > 0 {
-		s.asm.A.MulVecInto(s.resid, s.asm.X)
-		for i := 0; i < n; i++ {
-			s.resid[i] = s.asm.B[i] - s.resid[i]
-		}
-		return
-	}
 	if !s.sp.valid || s.sp.key != key {
 		s.refreshPattern(key)
 	}
@@ -219,11 +210,10 @@ func (s *Simulator) newtonFast(mode circuit.StampMode, gminExtra float64) error 
 	if mode == circuit.Transient {
 		key.geq, key.hist = s.ic.Geq, s.ic.HistI
 	}
-	// With every nonlinear element slot-cached, all writes since the last
-	// baseline are at known positions, so baselines can be restored
-	// slot-sparsely instead of by full matrix copies. Conservatively
-	// classified elements can stamp anywhere and disable this.
-	slotRestore := s.part.NumUnknown() == 0 && mode == circuit.Transient
+	// Every nonlinear element is slot-cached, so all writes since the last
+	// baseline are at known positions and transient baselines can be
+	// restored slot-sparsely instead of by full matrix copies.
+	slotRestore := mode == circuit.Transient
 	if slotRestore && s.bl.valid && s.bl.key == key {
 		// A still holds baseline(bl.key) plus stale slot writes from the
 		// previous solve: restore the slots, then rebuild only the
@@ -244,7 +234,7 @@ func (s *Simulator) newtonFast(mode circuit.StampMode, gminExtra float64) error 
 			s.bl.valid = false
 		}
 	}
-	if mode == circuit.Transient && !s.spArmed && s.sp.valid && s.sp.key == key && s.part.NumUnknown() == 0 {
+	if mode == circuit.Transient && !s.spArmed && s.sp.valid && s.sp.key == key {
 		// A previous run left a matching residual pattern; re-arm the
 		// sparse path for this run (refreshPattern won't fire on a key hit).
 		s.armSparse()
@@ -259,7 +249,7 @@ func (s *Simulator) newtonFast(mode circuit.StampMode, gminExtra float64) error 
 		} else {
 			s.asm.RestoreBaseline()
 		}
-		s.part.StampNonlinear(s.asm, mode)
+		s.part.StampNonlinear(s.asm)
 		s.stats.restamps++
 		// Residual at the current iterate: r = B − A·x.
 		s.residual(key)

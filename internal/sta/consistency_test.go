@@ -4,8 +4,10 @@ import (
 	"context"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"noisewave/internal/eqwave"
 	"noisewave/internal/telemetry"
 	"noisewave/internal/wave"
 )
@@ -212,11 +214,22 @@ func TestCriticalPathCycleErrors(t *testing.T) {
 	}
 }
 
+// countingTechnique counts every fit its technique runs, whichever pass
+// asks for it.
+type countingTechnique struct {
+	eqwave.Technique
+	fits *atomic.Int64
+}
+
+func (c countingTechnique) Equivalent(in eqwave.Input) (wave.Ramp, error) {
+	c.fits.Add(1)
+	return c.Technique.Equivalent(in)
+}
+
 // TestNoiseConversionMemoized: the technique fit of an annotated net must
 // run once per (net, edge) within a Timer run — further fanouts and the
 // whole backward pass reuse the converted (arrival, transition), so the
-// sta.noise_conversions counter stays at one and slacks are consistent with
-// the forward arrivals.
+// technique fits once and slacks are consistent with the forward arrivals.
 func TestNoiseConversionMemoized(t *testing.T) {
 	d := mustParse(t, `
 design noisy
@@ -247,7 +260,9 @@ gate f1 BUF A=n1 Y=z
 	}, 0, 1.5e-9, 800)
 
 	reg := telemetry.New()
+	var fits atomic.Int64
 	timer := New(lib, d)
+	timer.Technique = countingTechnique{timer.Technique, &fits}
 	timer.Annotate("n1", &NoiseAnnotation{
 		Noisy: noisy, Noiseless: nl, NoiselessOut: out, Edge: wave.Rising,
 	})
@@ -259,13 +274,16 @@ gate f1 BUF A=n1 Y=z
 	if got := reg.Counter("sta.noise_conversions").Value(); got != 1 {
 		t.Errorf("forward pass ran %d conversions, want 1 (memoized across fanouts)", got)
 	}
+	if got := fits.Load(); got != 1 {
+		t.Errorf("forward pass ran %d fits, want 1 (memoized across fanouts)", got)
+	}
 	if _, err := timer.ComputeRequired(res, map[string]float64{"y": 2e-9, "z": 2e-9}); err != nil {
 		t.Fatal(err)
 	}
 	// The backward pass revisits the annotated net on every backward arc;
 	// it must read the converted timing, never refit.
-	if got := reg.Counter("sta.noise_conversions").Value(); got != 1 {
-		t.Errorf("forward+backward ran %d conversions, want 1 (backward pass must reuse the cache)", got)
+	if got := fits.Load(); got != 1 {
+		t.Errorf("forward+backward ran %d fits, want 1 (backward pass must reuse the cache)", got)
 	}
 }
 

@@ -23,22 +23,23 @@ var ErrCaseTimeout = errors.New("sweep: case timeout")
 // never produced state. Remaining cases are left incomplete.
 var ErrWorkersLost = errors.New("sweep: all workers lost")
 
-// CaseFailure records one quarantined case: which case, the final error,
-// how the failure manifested, and the per-attempt log (the "attempt log"
-// drivers print in failure reports).
+// CaseFailure records one quarantined case: which case, its error, how the
+// failure manifested, and the attempt log drivers print in failure
+// reports.
 type CaseFailure struct {
 	// Index is the case index in [0, n).
 	Index int
-	// Err is the error of the final attempt. For timeouts it matches
-	// ErrCaseTimeout; for panics it carries the recovered panic value.
+	// Err is the case's error. For timeouts it matches ErrCaseTimeout; for
+	// panics it carries the recovered panic value.
 	Err error
-	// Panicked is set when any attempt panicked (the worker recovered and,
-	// if needed, rebuilt its state).
+	// Panicked is set when the case panicked (the worker recovered, then
+	// rebuilt its state or, if the rebuild failed, exited).
 	Panicked bool
-	// TimedOut is set when the final attempt exceeded Options.CaseTimeout.
+	// TimedOut is set when the case exceeded Options.CaseTimeout.
 	TimedOut bool
-	// Attempts logs every attempt's outcome in order, e.g.
-	// "attempt 1/2: panic: boom".
+	// Attempts logs the case's one attempt, e.g. "attempt 1/1: panic:
+	// boom", followed by a "rebuild: ..." line when the worker state could
+	// not be rebuilt after a panic.
 	Attempts []string
 }
 
@@ -47,8 +48,6 @@ type CaseFailure struct {
 func (f CaseFailure) String() string {
 	kind := "error"
 	switch {
-	case f.Panicked && f.TimedOut:
-		kind = "panic+timeout"
 	case f.Panicked:
 		kind = "panic"
 	case f.TimedOut:
@@ -155,11 +154,11 @@ func trimStack(s []byte) string {
 	return strings.Join(lines, "\n")
 }
 
-// runCase executes case i with the full resilience ladder: per-attempt
-// deadline (Options.CaseTimeout), panic recovery with worker-state rebuild,
-// and up to Options.CaseRetries retries. rebuild re-invokes the worker
-// factory after a panic, because a panic mid-case may have left the
-// worker-private state (a simulator mid-assembly) unusable.
+// runCase executes case i once under the resilience ladder: a per-case
+// deadline (Options.CaseTimeout) and panic recovery with worker-state
+// rebuild. rebuild re-invokes the worker factory after a panic, because a
+// panic mid-case may have left the worker-private state (a simulator
+// mid-assembly) unusable for the worker's next case.
 //
 // The returned state is the (possibly rebuilt) worker state the caller
 // must carry forward.
@@ -167,77 +166,65 @@ func runCase[W, R any](ctx context.Context, opts Options, i int, state W,
 	rebuild func() (W, error),
 	do func(context.Context, int, W) (R, error)) (caseOutcome[R], W) {
 
-	attempts := 1 + opts.CaseRetries
-	if attempts < 1 {
-		attempts = 1
-	}
 	ctx, root := opts.Tracer.Root(ctx, "sweep.case", i)
 	defer root.End()
+	caseCtx, cancel := ctx, context.CancelFunc(func() {})
+	if opts.CaseTimeout > 0 {
+		caseCtx, cancel = context.WithTimeout(ctx, opts.CaseTimeout)
+	}
+	r, err, panicked, stack := attemptCase(caseCtx, opts, i, state, do)
+	timedOut := caseCtx.Err() == context.DeadlineExceeded && ctx.Err() == nil
+	cancel()
+
+	if err == nil {
+		root.SetAttr(trace.String("status", "ok"), trace.Int("attempts", 1))
+		return caseOutcome[R]{value: r}, state
+	}
+	if ctx.Err() != nil && !panicked {
+		// The parent died while the case ran: this is a sweep
+		// cancellation, not a case failure.
+		root.SetAttr(trace.String("status", "canceled"))
+		return caseOutcome[R]{cancel: err}, state
+	}
 	fail := CaseFailure{Index: i}
-	for a := 0; a < attempts; a++ {
-		caseCtx, cancel := ctx, context.CancelFunc(func() {})
-		if opts.CaseTimeout > 0 {
-			caseCtx, cancel = context.WithTimeout(ctx, opts.CaseTimeout)
+	switch {
+	case panicked:
+		fail.Panicked = true
+		opts.Telemetry.Counter("sweep.worker_panics").Inc()
+		note := fmt.Sprintf("attempt 1/1: %v", err)
+		if stack != "" {
+			note += "\n    " + strings.ReplaceAll(stack, "\n", "\n    ")
 		}
-		r, err, panicked, stack := attemptCase(caseCtx, opts, i, state, do)
-		timedOut := caseCtx.Err() == context.DeadlineExceeded && ctx.Err() == nil
-		cancel()
+		fail.Attempts = append(fail.Attempts, note)
+	case timedOut:
+		fail.TimedOut = true
+		opts.Telemetry.Counter("sweep.case_timeouts").Inc()
+		// %v (not %w) on the underlying error: it usually wraps the
+		// deadline's context error, which must not make the timeout
+		// match telemetry.ErrCanceled.
+		err = fmt.Errorf("%w: case %d exceeded %v (%v)", ErrCaseTimeout, i, opts.CaseTimeout, err)
+		fail.Attempts = append(fail.Attempts, fmt.Sprintf("attempt 1/1: timeout after %v", opts.CaseTimeout))
+	default:
+		fail.Attempts = append(fail.Attempts, fmt.Sprintf("attempt 1/1: %v", err))
+	}
+	fail.Err = err
 
-		if err == nil {
-			root.SetAttr(trace.String("status", "ok"), trace.Int("attempts", a+1))
-			return caseOutcome[R]{value: r}, state
-		}
-		if ctx.Err() != nil && !panicked {
-			// The parent died while the case ran: this is a sweep
-			// cancellation, not a case failure.
-			root.SetAttr(trace.String("status", "canceled"))
-			return caseOutcome[R]{cancel: err}, state
-		}
-		switch {
-		case panicked:
-			fail.Panicked = true
-			opts.Telemetry.Counter("sweep.worker_panics").Inc()
-			note := fmt.Sprintf("attempt %d/%d: %v", a+1, attempts, err)
-			if stack != "" {
-				note += "\n    " + strings.ReplaceAll(stack, "\n", "\n    ")
-			}
-			fail.Attempts = append(fail.Attempts, note)
-		case timedOut:
-			fail.TimedOut = true
-			opts.Telemetry.Counter("sweep.case_timeouts").Inc()
-			// %v (not %w) on the underlying error: it usually wraps the
-			// deadline's context error, which must not make the timeout
-			// match telemetry.ErrCanceled.
-			err = fmt.Errorf("%w: case %d exceeded %v (%v)", ErrCaseTimeout, i, opts.CaseTimeout, err)
-			fail.Attempts = append(fail.Attempts, fmt.Sprintf("attempt %d/%d: timeout after %v", a+1, attempts, opts.CaseTimeout))
-		default:
-			fail.TimedOut = false
-			fail.Attempts = append(fail.Attempts, fmt.Sprintf("attempt %d/%d: %v", a+1, attempts, err))
-		}
-		fail.Err = err
-
-		if panicked {
-			// The panic may have corrupted the worker-private state
-			// (half-assembled matrices, dangling history). Rebuild it
-			// before any further attempt or case.
-			ns, rerr := rebuild()
-			if rerr != nil {
-				fail.Err = fmt.Errorf("sweep: case %d: worker state rebuild after panic failed: %w (panic: %v)", i, rerr, err)
-				fail.Attempts = append(fail.Attempts, fmt.Sprintf("rebuild: %v", rerr))
-				failSpan(root, fail)
-				logQuarantine(ctx, fail)
-				return caseOutcome[R]{failure: &fail, workerDead: true}, state
-			}
+	out := caseOutcome[R]{failure: &fail}
+	if panicked {
+		// The panic may have corrupted the worker-private state
+		// (half-assembled matrices, dangling history). Rebuild it before
+		// the worker's next case.
+		if ns, rerr := rebuild(); rerr != nil {
+			fail.Err = fmt.Errorf("sweep: case %d: worker state rebuild after panic failed: %w (panic: %v)", i, rerr, err)
+			fail.Attempts = append(fail.Attempts, fmt.Sprintf("rebuild: %v", rerr))
+			out.workerDead = true
+		} else {
 			state = ns
-		}
-		if a+1 < attempts {
-			opts.Telemetry.Counter("sweep.case_retries").Inc()
-			root.Event("sweep.retry", trace.Int("attempt", a+2))
 		}
 	}
 	failSpan(root, fail)
 	logQuarantine(ctx, fail)
-	return caseOutcome[R]{failure: &fail}, state
+	return out, state
 }
 
 // logQuarantine emits the structured quarantine event; the correlation ID

@@ -16,13 +16,16 @@ import (
 // TestChaosWorkerPanicQuarantines: injected worker panics are recovered —
 // the process never crashes — and with KeepGoing the affected cases are
 // quarantined with a panic-tagged failure record while every other case
-// completes.
+// completes. Each panic rebuilds its worker's state through the factory
+// before the worker's next case.
 func TestChaosWorkerPanicQuarantines(t *testing.T) {
-	const n = 24
+	const n, workers = 24, 4
 	inj := faultinject.New(faultinject.Config{Seed: 3, PanicEvery: 5, PanicMax: 2})
 	reg := telemetry.New()
+	var builds atomic.Int64
 	results, completed, report, err := RunPartial(context.Background(), n,
-		Options{Workers: 4, KeepGoing: true, Inject: inj, Telemetry: reg}, noState,
+		Options{Workers: workers, KeepGoing: true, Inject: inj, Telemetry: reg},
+		func(int) (struct{}, error) { builds.Add(1); return struct{}{}, nil },
 		func(ctx context.Context, i int, _ struct{}) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatalf("KeepGoing sweep errored: %v", err)
@@ -60,33 +63,9 @@ func TestChaosWorkerPanicQuarantines(t *testing.T) {
 	if snap.Counters["sweep.cases_quarantined"] != 2 {
 		t.Errorf("sweep.cases_quarantined = %d, want 2", snap.Counters["sweep.cases_quarantined"])
 	}
-}
-
-// TestChaosPanicRetryRebuildsWorker: a case that panics once succeeds on
-// its retry, and the worker state is rebuilt through the factory before
-// the retry runs.
-func TestChaosPanicRetryRebuildsWorker(t *testing.T) {
-	var builds, tries atomic.Int64
-	results, completed, report, err := RunPartial(context.Background(), 6,
-		Options{Workers: 2, KeepGoing: true, CaseRetries: 1},
-		func(w int) (int, error) { builds.Add(1); return w, nil },
-		func(ctx context.Context, i int, _ int) (int, error) {
-			if i == 3 && tries.Add(1) == 1 {
-				panic("transient corruption")
-			}
-			return i, nil
-		})
-	if err != nil {
-		t.Fatalf("sweep errored: %v", err)
-	}
-	if report.Quarantined() != 0 {
-		t.Fatalf("retryable panic still quarantined: %v", report)
-	}
-	if !completed[3] || results[3] != 3 {
-		t.Errorf("case 3 not recovered by retry: completed=%v r=%d", completed[3], results[3])
-	}
-	if builds.Load() != 3 { // 2 workers + 1 rebuild after the panic
-		t.Errorf("worker factory ran %d times, want 3 (2 workers + 1 rebuild)", builds.Load())
+	if got := builds.Load(); got != workers+2 {
+		t.Errorf("worker factory ran %d times, want %d (%d workers + 2 rebuilds after the panics)",
+			got, workers+2, workers)
 	}
 }
 

@@ -34,7 +34,7 @@
 // On top of those semantics sits a resilience layer (see resilience.go): a
 // panicking case is recovered instead of crashing the process, cases can
 // carry a per-case deadline (CaseTimeout), and KeepGoing mode quarantines
-// failing cases — recording index, final error and attempt log in a
+// failing cases — recording index, error and attempt log in a
 // FailureReport — while the rest of the sweep completes.
 package sweep
 
@@ -72,32 +72,27 @@ type Options struct {
 	// early errors and cancellation.
 	Telemetry *telemetry.Registry
 	// Tracer, if non-nil, records one hierarchical root span per case
-	// ("sweep.case", trace.Case = the case index) covering every attempt.
+	// ("sweep.case", trace.Case = the case index).
 	// The span's context is what do receives, so instrumented layers
 	// below (core, spice, xtalk) nest their spans under it. The root
 	// carries a "status" attr (ok / failed / canceled); failed cases add
-	// "failure" (the final error), "panicked", "timed_out" and "attempts",
-	// and each retry is an event. Nil — the default — costs one nil check
-	// per case and changes nothing else: results are bit-identical with
-	// tracing on or off.
+	// "failure" (the error), "panicked", "timed_out" and "attempts". Nil —
+	// the default — costs one nil check per case and changes nothing else:
+	// results are bit-identical with tracing on or off.
 	Tracer *trace.Tracer
 
 	// KeepGoing quarantines failing cases instead of aborting the sweep:
 	// a case error, panic or timeout is recorded in the FailureReport
-	// (index, final error, attempt log) and the remaining cases still run.
+	// (index, error, attempt log) and the remaining cases still run.
 	// The sweep then returns a nil error as long as the pool survived and
 	// the parent context stayed alive; consult the report for failures.
 	KeepGoing bool
-	// CaseTimeout, if > 0, bounds each case attempt with its own deadline
+	// CaseTimeout, if > 0, bounds each case with its own deadline
 	// (derived from the sweep context). A case that exceeds it fails with
 	// an error matching ErrCaseTimeout — which deliberately does not match
 	// telemetry.ErrCanceled, so a slow case cannot masquerade as a sweep
 	// cancellation.
 	CaseTimeout time.Duration
-	// CaseRetries is how many extra attempts a failing case gets before it
-	// counts as failed (0 = single attempt). After a panic the worker
-	// state is rebuilt through the factory before the retry.
-	CaseRetries int
 	// Inject, if non-nil, is the deterministic fault injector driving the
 	// chaos suite: it can stall case dispatch (honoring the case context)
 	// and panic workers. Nil — the production default — costs one nil

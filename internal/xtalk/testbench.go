@@ -251,9 +251,11 @@ func (cfg Config) RunReportCtx(ctx context.Context, victimStart float64, aggStar
 // Bench is a built testbench whose edge times can be re-aimed between runs:
 // the circuit and simulator are constructed once and reused for every case,
 // so a sweep worker replaying hundreds of alignments stops paying circuit
-// construction and simulator allocation per case. Each run starts from a
-// fresh DC operating point, so no electrical state leaks between cases.
-// A Bench is not safe for concurrent use; sweeps hold one per worker.
+// construction and simulator allocation per case. Each run starts from its
+// own DC operating point, or resumes from a checkpoint of the recorded
+// quiet prefix (RecordPrefix) that reproduces that DC point and lead-in
+// bit for bit, so no electrical state leaks between cases. A Bench is not
+// safe for concurrent use; sweeps hold one per worker.
 type Bench struct {
 	cfg  Config
 	vsrc *circuit.VSource

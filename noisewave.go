@@ -183,8 +183,9 @@ type CompareTechniquesOpts = core.CompareOptions
 
 // CompareTechniquesWith runs the selected techniques on one noisy case and
 // scores the predicted output arrivals against the reference output. A
-// canceled opts.Ctx aborts between techniques and inside the gate replays
-// with an error matching ErrCanceled.
+// technique whose Γeff is bit-identical to an earlier technique's reuses
+// that gate replay. A canceled opts.Ctx aborts between techniques and
+// inside the gate replays with an error matching ErrCanceled.
 func CompareTechniquesWith(gate *GateSim, in TechniqueInput, trueOut *Waveform, opts CompareTechniquesOpts) (*Comparison, error) {
 	return core.CompareTechniquesWith(gate, in, trueOut, opts)
 }
