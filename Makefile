@@ -44,6 +44,7 @@ bench-micro:
 	$(GO) test -run XXX -bench BenchmarkCrossings ./internal/wave/
 	$(GO) test -run XXX -bench 'BenchmarkAssemble|BenchmarkNewtonIteration|BenchmarkTransientStep' ./internal/spice/
 	$(GO) test -run XXX -bench 'BenchmarkMesh/.*/gates=10000$$' ./internal/sta/
+	$(GO) test -run XXX -bench BenchmarkRegistryObserve ./internal/telemetry/
 
 # Fault-injection suite under the race detector: every chaos test drives the
 # recovery ladder, the quarantine path or the degraded fallback through the

@@ -17,7 +17,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -97,7 +99,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "noisesta: exactly one of -netlist, -verilog or -gen-gates is required")
 		os.Exit(2)
 	}
-	if err := run(opts); err != nil {
+	if err := run(os.Stdout, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "noisesta:", err)
 		os.Exit(1)
 	}
@@ -154,7 +156,7 @@ func loadLibrary(opts options) (*liberty.Library, error) {
 	return charlib.Characterize(tech, charlib.StandardCells(tech), charlib.FastOptions())
 }
 
-func run(opts options) error {
+func run(w io.Writer, opts options) error {
 	design, err := loadDesign(opts)
 	if err != nil {
 		return err
@@ -214,7 +216,7 @@ func run(opts options) error {
 	}
 	wall := time.Since(start)
 
-	fmt.Printf("design %s: %d gates, %d inputs, %d outputs (technique %s, %d workers, %.1f ms)\n\n",
+	fmt.Fprintf(w, "design %s: %d gates, %d inputs, %d outputs (technique %s, %d workers, %.1f ms)\n\n",
 		design.Name, len(design.Gates), len(design.Inputs), len(design.Outputs),
 		tech.Name(), opts.workers, float64(wall.Microseconds())/1000)
 
@@ -234,7 +236,7 @@ func run(opts options) error {
 			pinCell(n.Rise), pinTrans(n.Rise),
 			pinCell(n.Fall), pinTrans(n.Fall))
 	}
-	if err := tbl.Render(os.Stdout); err != nil {
+	if err := tbl.Render(w); err != nil {
 		return err
 	}
 
@@ -242,12 +244,12 @@ func run(opts options) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nworst output: %s (%v) arrival %s ps\n", net, edge, report.Ps(at.Arrival))
+	fmt.Fprintf(w, "\nworst output: %s (%v) arrival %s ps\n", net, edge, report.Ps(at.Arrival))
 	path, err := res.CriticalPath(net, edge)
 	if err != nil {
 		return err
 	}
-	fmt.Println("\ncritical path:")
+	fmt.Fprintln(w, "\ncritical path:")
 	ptbl := report.NewTable("Net", "Edge", "AT (ps)", "Trans (ps)", "Via")
 	for _, s := range path {
 		via := s.ViaGate
@@ -256,7 +258,7 @@ func run(opts options) error {
 		}
 		ptbl.AddRow(s.Net, s.Edge.String(), report.Ps(s.Arrival), report.Ps(s.Trans), via)
 	}
-	if err := ptbl.Render(os.Stdout); err != nil {
+	if err := ptbl.Render(w); err != nil {
 		return err
 	}
 
@@ -265,9 +267,12 @@ func run(opts options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("\nslack report:")
+		fmt.Fprintln(w, "\nslack report:")
 		stbl := report.NewTable("Net", "Edge", "AT (ps)", "Required (ps)", "Slack (ps)")
-		for netName, rt := range opts.requires {
+		// Rows in net-name order, as the STA job's slack list: ranging
+		// over the map would reorder them between identical runs.
+		for _, netName := range sortedNets(opts.requires) {
+			rt := opts.requires[netName]
 			for _, e := range []sta.PathStep{{Edge: 0}, {Edge: 1}} {
 				s, ok := req.Slack(res, netName, e.Edge)
 				if !ok {
@@ -281,7 +286,7 @@ func run(opts options) error {
 				stbl.AddRow(netName, e.Edge.String(), report.Ps(pt.Arrival), report.Ps(rt), report.Ps(s))
 			}
 		}
-		if err := stbl.Render(os.Stdout); err != nil {
+		if err := stbl.Render(w); err != nil {
 			return err
 		}
 		if wnet, wedge, ws, ok := req.WorstSlack(res); ok {
@@ -289,7 +294,7 @@ func run(opts options) error {
 			if ws < 0 {
 				verdict = "VIOLATED"
 			}
-			fmt.Printf("\nworst slack: %s ps at %s (%v) — %s\n", report.Ps(ws), wnet, wedge, verdict)
+			fmt.Fprintf(w, "\nworst slack: %s ps at %s (%v) — %s\n", report.Ps(ws), wnet, wedge, verdict)
 		}
 	}
 	return nil
@@ -307,4 +312,14 @@ func pinTrans(p sta.PinTiming) string {
 		return "-"
 	}
 	return report.Ps(p.Trans)
+}
+
+// sortedNets returns the constrained net names in ascending order.
+func sortedNets(requires requireFlags) []string {
+	nets := make([]string, 0, len(requires))
+	for net := range requires {
+		nets = append(nets, net)
+	}
+	sort.Strings(nets)
+	return nets
 }

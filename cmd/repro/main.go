@@ -549,7 +549,8 @@ func fmtOffsetsPs(offsets []float64) string {
 }
 
 func runPSweep(e env, cfg xtalk.Config, cases int) error {
-	rows, err := experiments.RunPSweep(cfg, nil, cases, e.workers)
+	e.progress.SetPhase("psweep config "+cfg.Name, cases)
+	rows, err := experiments.RunPSweep(cfg, nil, cases, e.sweepOpts())
 	if err != nil {
 		return err
 	}

@@ -31,7 +31,6 @@ var exportAllowlist = map[string]string{
 	"interconnect.RCLadder.ElmoreDelay": "ROADMAP item 6: coupled-RC noise pulse",
 	"interconnect.RCLadder.DelayAt":     "ROADMAP item 6: coupled-RC noise pulse",
 	"interconnect.RCLadder.Moments":     "ROADMAP item 6: coupled-RC noise pulse",
-	"telemetry.HistogramStats.Merge":    "ROADMAP item 10: per-job cost profiles",
 
 	// Test oracles: the copies the production paths are checked against.
 	"wave.Waveform.Derivative":    "oracle of Sampler.Slope",

@@ -152,3 +152,29 @@ func TestPushoutCancelPartial(t *testing.T) {
 		t.Errorf("Pushouts holds %d values, want %d", len(st.Pushouts), st.Cases)
 	}
 }
+
+// TestPSweepCancel: canceling during the second P's accuracy sweep stops
+// the P sweep with an error matching telemetry.ErrCanceled and keeps the
+// row of the P value that finished.
+func TestPSweepCancel(t *testing.T) {
+	cfg := xtalk.ConfigurationI(device.Default130())
+	cfg.Step = 2e-12
+	const cases = 4
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	rows, err := RunPSweep(cfg, []int{9, 35, 71}, cases, SweepOptions{
+		Workers: 1, Ctx: ctx,
+		Progress: func(done, total int) {
+			if calls++; calls == cases+1 {
+				cancel()
+			}
+		},
+	})
+	if !errors.Is(err, telemetry.ErrCanceled) {
+		t.Fatalf("error %v does not match telemetry.ErrCanceled", err)
+	}
+	if len(rows) != 1 || rows[0].P != 9 {
+		t.Errorf("rows = %+v, want the P=9 row alone", rows)
+	}
+}

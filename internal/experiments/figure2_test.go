@@ -124,7 +124,7 @@ func TestPSweep(t *testing.T) {
 	}
 	cfg := xtalk.ConfigurationI(device.Default130())
 	cfg.Step = 2e-12
-	rows, err := RunPSweep(cfg, []int{9, 35}, 6, 0)
+	rows, err := RunPSweep(cfg, []int{9, 35}, 6, SweepOptions{})
 	if err != nil {
 		t.Fatalf("RunPSweep: %v", err)
 	}

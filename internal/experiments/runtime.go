@@ -129,42 +129,48 @@ func runtimeWorkload(ctx context.Context, cfg xtalk.Config, offset float64, p in
 
 // RunPSweep measures SGDP accuracy and run time across sample counts,
 // reproducing the §4.2 trade-off remark ("smaller P reduces run time but
-// tends to lower accuracy"). workers parallelizes the accuracy sweep run
-// for each P (as in SweepOptions.Workers); the per-gate fit timing loop
-// stays on the calling goroutine so the reported wall-clock per fit is not
-// distorted by concurrent load.
-func RunPSweep(cfg xtalk.Config, ps []int, cases, workers int) ([]RuntimeRow, error) {
+// tends to lower accuracy"). so controls each P's accuracy sweep exactly as
+// Table1Options' block does, and its Ctx and Telemetry also reach the
+// workload transients. The per-gate fit timing loop stays on the calling
+// goroutine, on a private timer per P, so the reported wall-clock per fit
+// is neither distorted by concurrent load nor mixed with other fits. A
+// canceled run returns the rows of the P values that finished, with an
+// error matching telemetry.ErrCanceled.
+func RunPSweep(cfg xtalk.Config, ps []int, cases int, so SweepOptions) ([]RuntimeRow, error) {
 	if len(ps) == 0 {
 		ps = []int{9, 17, 35, 71, 141}
 	}
 	if cases <= 0 {
 		cases = 20
 	}
+	ctx := so.ctx()
 	var rows []RuntimeRow
 	for _, p := range ps {
 		res, err := RunTable1(cfg, Table1Options{
 			Cases: cases, Range: 1e-9, P: p,
 			Techniques:   []eqwave.Technique{eqwave.NewSGDP()},
-			SweepOptions: SweepOptions{Workers: workers},
+			SweepOptions: so,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: P sweep (P=%d): %w", p, err)
+			return rows, fmt.Errorf("experiments: P sweep (P=%d): %w", p, err)
 		}
 		st, _ := res.StatsFor("SGDP")
-		reg := telemetry.New()
-		in, err := runtimeWorkload(context.Background(), cfg, 0.05e-9, p, reg)
+		in, err := runtimeWorkload(ctx, cfg, 0.05e-9, p, so.Telemetry)
 		if err != nil {
-			return nil, err
+			return rows, err
 		}
 		sgdp := eqwave.NewSGDP()
-		fit := reg.Timer("eqwave.fit_seconds.SGDP")
+		fit := telemetry.New().Timer("eqwave.fit_seconds.SGDP")
 		const reps = 100
 		for i := 0; i < reps; i++ {
+			if ctx.Err() != nil {
+				return rows, telemetry.Canceled(ctx, "experiments: P sweep canceled during SGDP fits (P=%d)", p)
+			}
 			stop := fit.Start()
 			_, err := sgdp.Equivalent(in)
 			stop()
 			if err != nil {
-				return nil, err
+				return rows, err
 			}
 		}
 		stats := fit.Stats()

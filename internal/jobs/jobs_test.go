@@ -408,6 +408,34 @@ func TestPriorityOrdering(t *testing.T) {
 	}
 }
 
+// TestJobsListsMostRecentFirst: the listing behind GET /jobs is ordered by
+// descending submission sequence, whatever order the ID map yields, on a
+// listing large enough that a quadratic sort would show.
+func TestJobsListsMostRecentFirst(t *testing.T) {
+	lib := testLibertyText(t)
+	const n = 2000
+	m := newStoppedManager(Options{Backlog: n, TenantQuota: n})
+	ids := make([]string, n)
+	for i := range ids {
+		cfg := staConfig(60 + i)
+		cfg.Liberty = lib
+		j, err := m.Submit(cfg, "t", i%3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = j.ID
+	}
+	all := m.Jobs()
+	if len(all) != n {
+		t.Fatalf("Jobs() lists %d jobs, want %d", len(all), n)
+	}
+	for k, j := range all {
+		if want := ids[n-1-k]; j.ID != want {
+			t.Fatalf("Jobs()[%d] = %s, want %s (most recent first)", k, j.ID, want)
+		}
+	}
+}
+
 // TestCancelQueuedReleasesQuota: canceling a queued job frees its tenant
 // slot and terminates the job.
 func TestCancelQueuedReleasesQuota(t *testing.T) {

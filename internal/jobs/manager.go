@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"sort"
 	"sync"
 	"time"
 
@@ -458,20 +459,17 @@ func (m *Manager) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs returns every known job, most recently submitted first.
+// Jobs returns every known job, most recently submitted first. Only the
+// copy holds the manager lock; the sort (by descending submission
+// sequence, which never changes once a job exists) runs outside it.
 func (m *Manager) Jobs() []*Job {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]*Job, 0, len(m.byID))
 	for _, j := range m.byID {
 		out = append(out, j)
 	}
-	// Sort by descending submission sequence.
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && out[k].seq > out[k-1].seq; k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
-	}
+	m.mu.Unlock()
+	sort.Slice(out, func(a, b int) bool { return out[a].seq > out[b].seq })
 	return out
 }
 

@@ -28,12 +28,13 @@ func promName(name string) string {
 
 // WritePrometheus renders a telemetry snapshot in the Prometheus text
 // exposition format (version 0.0.4). Counters map to counter, gauges to
-// gauge, timers to a summary (quantile lines when a KeepSamples ring is
-// retained, then _count/_sum) plus _min/_max gauges, and histograms to a
-// true histogram family (cumulative _bucket lines with an explicit +Inf,
-// then _sum/_count). Output is sorted by source name, so two equal
-// snapshots expose byte-identical pages — the same determinism contract as
-// telemetry.Snapshot.WriteText.
+// gauge, timers (histograms without buckets) to a summary (quantile lines
+// when a KeepSamples ring is retained, then _count/_sum) plus _min/_max
+// gauges, and bucketed histograms to a true histogram family (cumulative
+// _bucket lines with an explicit +Inf, then _sum/_count). The registry
+// keeps one instrument per name, so each name declares one family. Output
+// is sorted by source name, so two equal snapshots expose byte-identical
+// pages — the same determinism contract as telemetry.Snapshot.WriteText.
 func WritePrometheus(w io.Writer, s telemetry.Snapshot) error {
 	names := make([]string, 0, len(s.Counters))
 	for k := range s.Counters {

@@ -259,3 +259,28 @@ func TestPrometheusGrammar(t *testing.T) {
 		prev = n
 	}
 }
+
+// TestPrometheusOneFamilyPerName registers one name through both Timer and
+// Histogram. The registry keeps one instrument per name (the first
+// registration, here the bucketless timer), so the page declares a single
+// family that holds both observations.
+func TestPrometheusOneFamilyPerName(t *testing.T) {
+	reg := telemetry.New()
+	reg.Timer("x.seconds").Observe(0.25)
+	reg.Histogram("x.seconds").Observe(0.5)
+
+	var b strings.Builder
+	if err := WritePrometheus(&b, reg.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	page := b.String()
+	parseProm(t, page)
+	if n := strings.Count(page, "# TYPE noisewave_x_seconds "); n != 1 {
+		t.Errorf("page declares %d noisewave_x_seconds families, want 1:\n%s", n, page)
+	}
+	for _, want := range []string{"noisewave_x_seconds_count 2\n", "noisewave_x_seconds_sum 0.75\n"} {
+		if !strings.Contains(page, want) {
+			t.Errorf("page missing %q:\n%s", want, page)
+		}
+	}
+}

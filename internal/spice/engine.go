@@ -174,7 +174,7 @@ func (s *Simulator) assemble(mode circuit.StampMode) {
 	}
 	n := s.ckt.NumNodes()
 	for i := 0; i < n; i++ {
-		s.asm.A.Add(i, i, s.opts.Gmin)
+		s.asm.A.Add(i, i, gmin)
 	}
 }
 
@@ -194,7 +194,7 @@ func (s *Simulator) solve(mode circuit.StampMode, gminExtra float64) error {
 func (s *Simulator) newton(mode circuit.StampMode, gminExtra float64) error {
 	n := s.ckt.Size()
 	nNodes := s.ckt.NumNodes()
-	for iter := 0; iter < s.opts.MaxNewton; iter++ {
+	for iter := 0; iter < maxNewton; iter++ {
 		s.stats.nrIters++
 		s.assemble(mode)
 		if gminExtra > 0 {
@@ -223,8 +223,8 @@ func (s *Simulator) newton(mode circuit.StampMode, gminExtra float64) error {
 				maxDV = dv
 			}
 		}
-		if maxDV > s.opts.MaxDeltaV {
-			lambda = s.opts.MaxDeltaV / maxDV
+		if maxDV > maxDeltaV {
+			lambda = maxDeltaV / maxDV
 		}
 		for i := 0; i < n; i++ {
 			s.asm.X[i] += lambda * (s.xNew[i] - s.asm.X[i])

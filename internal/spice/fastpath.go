@@ -158,7 +158,7 @@ func (s *Simulator) residual(key luKey) {
 func (s *Simulator) buildBaseline(mode circuit.StampMode, gminExtra float64) {
 	s.asm.Reset()
 	s.part.StampLinear(s.asm, mode)
-	g := s.opts.Gmin + gminExtra
+	g := gmin + gminExtra
 	n := s.ckt.NumNodes()
 	for i := 0; i < n; i++ {
 		s.asm.A.Add(i, i, g)
@@ -242,7 +242,7 @@ func (s *Simulator) newtonFast(mode circuit.StampMode, gminExtra float64) error 
 	prevMaxDV := math.Inf(1)
 	force := false
 	staleConv := 0
-	for iter := 0; iter < s.opts.MaxNewton; iter++ {
+	for iter := 0; iter < maxNewton; iter++ {
 		s.stats.nrIters++
 		if s.bl.valid && s.bl.key == key {
 			s.asm.RestoreBaselineAt(s.bl.aIdx, s.bl.aVals, s.bl.bIdx)
@@ -283,8 +283,8 @@ func (s *Simulator) newtonFast(mode circuit.StampMode, gminExtra float64) error 
 			}
 		}
 		lambda := 1.0
-		if maxDV > s.opts.MaxDeltaV {
-			lambda = s.opts.MaxDeltaV / maxDV
+		if maxDV > maxDeltaV {
+			lambda = maxDeltaV / maxDV
 		}
 		for i := 0; i < n; i++ {
 			s.asm.X[i] += lambda * s.delta[i]

@@ -31,6 +31,13 @@ func (m Method) String() string {
 	return "TR"
 }
 
+// Solver constants every run shares.
+const (
+	maxNewton = 80    // Newton iterations per solve
+	gmin      = 1e-12 // conductance from every node to ground (S)
+	maxDeltaV = 0.4   // per-iteration node voltage damping clamp (V)
+)
+
 // Options configures a transient run.
 type Options struct {
 	Start float64 // first timepoint (default 0)
@@ -39,10 +46,7 @@ type Options struct {
 
 	Method Method
 
-	MaxNewton int     // Newton iterations per solve (default 80)
-	VTol      float64 // node-voltage convergence tolerance (default 1 µV)
-	Gmin      float64 // conductance from every node to ground (default 1e-12 S)
-	MaxDeltaV float64 // per-iteration node voltage damping clamp (default 0.4 V)
+	VTol float64 // node-voltage convergence tolerance (default 1 µV)
 
 	// Probes limits recording to these node names; empty records all.
 	Probes []string
@@ -118,17 +122,8 @@ func (o *Options) validate() error {
 	if o.Stop <= o.Start {
 		return fmt.Errorf("spice: Stop (%g) must be > Start (%g)", o.Stop, o.Start)
 	}
-	if o.MaxNewton == 0 {
-		o.MaxNewton = 80
-	}
 	if o.VTol == 0 {
 		o.VTol = 1e-6
-	}
-	if o.Gmin == 0 {
-		o.Gmin = 1e-12
-	}
-	if o.MaxDeltaV == 0 {
-		o.MaxDeltaV = 0.4
 	}
 	if o.RecoveryBudget == 0 {
 		o.RecoveryBudget = 25

@@ -101,7 +101,7 @@ type Options struct {
 }
 
 // workerTelemetry returns the per-worker instruments (nil-safe).
-func (o Options) workerTelemetry(w int) (*telemetry.Counter, *telemetry.Timer) {
+func (o Options) workerTelemetry(w int) (*telemetry.Counter, *telemetry.Histogram) {
 	return o.Telemetry.Counter(fmt.Sprintf("sweep.worker.%d.cases", w)),
 		o.Telemetry.Timer(fmt.Sprintf("sweep.worker.%d.busy_seconds", w))
 }

@@ -31,28 +31,34 @@ func LogBuckets(lo, hi float64, n int) []float64 {
 	return bounds
 }
 
-// DefaultLatencyBounds spans 100 µs to 100 s in half-decade steps — wide
-// enough for both a sub-millisecond cache-hit job and a multi-minute
-// full-chip sweep. Shared by every duration histogram unless the
-// instrumentation site picks its own grid via HistogramWith.
-func DefaultLatencyBounds() []float64 { return LogBuckets(1e-4, 100, 13) }
+// latencyBounds spans 100 µs to 100 s in half-decade steps — wide enough
+// for both a sub-millisecond cache-hit job and a multi-minute full-chip
+// sweep. Every Histogram gets it unless the site picks its own grid via
+// HistogramWith.
+var latencyBounds = LogBuckets(1e-4, 100, 13)
 
 // IterationBounds is the power-of-two grid for count-shaped histograms
 // (Newton iterations per run): 1, 2, 4, … 2^20.
 func IterationBounds() []float64 { return LogBuckets(1, 1<<20, 21) }
 
+// Timer returns (creating if needed) the named Histogram with no buckets:
+// count, sum, min, max and an optional sample ring, filed under
+// Snapshot.Timers. Nil-safe: a nil registry returns a nil histogram whose
+// methods are no-ops.
+func (r *Registry) Timer(name string) *Histogram { return r.HistogramWith(name, nil) }
+
 // Histogram returns (creating if needed) the named histogram with the
-// default latency bounds. Nil-safe: a nil registry returns a nil histogram
-// whose methods are no-ops.
+// default latency bounds (100 µs to 100 s, half-decade steps). Nil-safe.
 func (r *Registry) Histogram(name string) *Histogram {
-	return r.HistogramWith(name, nil)
+	return r.HistogramWith(name, latencyBounds)
 }
 
 // HistogramWith returns (creating if needed) the named histogram. On first
-// creation the given bounds become the fixed bucket grid (nil means
-// DefaultLatencyBounds); later calls return the existing instrument
-// unchanged, so the first registration wins — bounds are part of the
-// instrument's identity and never move once observations exist.
+// creation the given bounds become the fixed bucket grid (nil means no
+// buckets, as Timer); later calls return the existing instrument
+// unchanged, so the first registration of a name wins, through Timer,
+// Histogram or HistogramWith alike — bounds are part of the instrument's
+// identity and never move once observations exist.
 func (r *Registry) HistogramWith(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
@@ -61,24 +67,23 @@ func (r *Registry) HistogramWith(name string, bounds []float64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.histograms[name]
 	if !ok {
-		if bounds == nil {
-			bounds = DefaultLatencyBounds()
-		}
 		h = newHistogram(bounds)
 		r.histograms[name] = h
 	}
 	return h
 }
 
-// Histogram aggregates observations into fixed log-spaced buckets alongside
-// the same count/sum/min/max aggregate a Timer keeps, so it can replace a
-// Timer at any call site (Observe, Start, KeepSamples, Samples all match).
-// Unlike a Timer it preserves the shape of the distribution: per-bucket
-// counts are exported through Snapshot and rendered as a true Prometheus
-// histogram. Safe for concurrent use; all methods are nil-receiver-safe.
+// Histogram aggregates observations into count, sum, min and max and, when
+// it has bounds, into fixed buckets that preserve the shape of the
+// distribution: per-bucket counts are exported through Snapshot and
+// rendered as a true Prometheus histogram. With no bounds it is a timer.
+// Either kind can keep a bounded ring of raw samples (KeepSamples) for
+// percentile reporting — off by default so hot solver timers stay
+// allocation-lean. Safe for concurrent use; all methods are
+// nil-receiver-safe.
 type Histogram struct {
 	mu     sync.Mutex
-	bounds []float64 // sorted upper bounds; immutable after construction
+	bounds []float64 // sorted upper bounds (none for a timer); immutable
 	counts []int64   // len(bounds)+1; last slot is the +Inf overflow
 	count  int64
 	sum    float64
@@ -89,8 +94,7 @@ type Histogram struct {
 }
 
 func newHistogram(bounds []float64) *Histogram {
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
+	b := append([]float64(nil), bounds...)
 	for i := 1; i < len(b); i++ {
 		if b[i] <= b[i-1] {
 			panic("telemetry: histogram bounds must be strictly increasing")
@@ -105,7 +109,7 @@ func newHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one measurement, in seconds by convention for latency
-// histograms (count-shaped grids observe plain counts).
+// instruments (count-shaped grids observe plain counts).
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
@@ -137,18 +141,18 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Start begins a wall-clock measurement and returns the function that
-// records it, mirroring Timer.Start:
+// records it:
 //
-//	defer reg.Histogram("jobs.run_seconds").Start()()
+//	defer reg.Timer("spice.transient_seconds").Start()()
 func (h *Histogram) Start() func() {
 	start := time.Now()
 	return func() { h.Observe(time.Since(start).Seconds()) }
 }
 
-// KeepSamples makes the histogram retain its most recent n raw observations
-// in a ring for exact-percentile reporting (the load test reads
-// jobs.run_seconds this way). Resizing keeps the most recent samples that
-// fit. n <= 0 disables retention and drops any samples held.
+// KeepSamples makes the instrument retain its most recent n raw
+// observations in a ring for exact-percentile reporting (the load test
+// reads jobs.run_seconds this way). Resizing keeps the most recent samples
+// that fit. n <= 0 disables retention and drops any samples held.
 func (h *Histogram) KeepSamples(n int) {
 	if h == nil {
 		return
@@ -170,6 +174,10 @@ func (h *Histogram) Samples() []float64 {
 }
 
 // Stats returns the exported aggregate (zero stats for a nil histogram).
+// When the instrument retains a sample ring (KeepSamples), the stats carry
+// p50/p95/p99 computed over the ring; a timer's surface as summary
+// quantile lines in the Prometheus exposition. Buckets is empty for a
+// timer.
 func (h *Histogram) Stats() HistogramStats {
 	if h == nil {
 		return HistogramStats{}
@@ -177,8 +185,11 @@ func (h *Histogram) Stats() HistogramStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s := HistogramStats{
-		TimerStats: timerStatsLocked(h.count, h.sum, h.min, h.max),
+		TimerStats: TimerStats{Count: h.count, Sum: h.sum},
 		Buckets:    make([]Bucket, len(h.bounds)),
+	}
+	if h.count > 0 {
+		s.Min, s.Max, s.Avg = h.min, h.max, h.sum/float64(h.count)
 	}
 	if len(h.samples.buf) > 0 {
 		s.Quantiles = quantileMap(h.samples.buf)
@@ -199,48 +210,28 @@ type Bucket struct {
 }
 
 // HistogramStats is the exported aggregate of a Histogram: the familiar
-// TimerStats plus cumulative buckets. Cumulative counts make stats from
-// shards with identical grids mergeable by plain addition (Merge).
+// TimerStats plus cumulative buckets (none for a timer).
 type HistogramStats struct {
 	TimerStats
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
-// Merge combines two stats with identical bucket grids (bucket-wise and
-// aggregate-wise addition); it returns s unchanged when other is empty and
-// other when s is empty. Mismatched grids panic — merging histograms with
-// different resolutions silently would corrupt both. It is kept until
-// ROADMAP item 10 settles which instruments merge per-job profiles.
-func (s HistogramStats) Merge(other HistogramStats) HistogramStats {
-	if other.Count == 0 {
-		return s
+// delta returns the change from prev to s: count and sum are subtracted,
+// buckets too where prev has the same bound at the same slot, and Avg is
+// the windowed Sum/Count. Min, Max and Quantiles cannot be recovered for
+// the window, so they carry s's values.
+func (s HistogramStats) delta(prev HistogramStats) HistogramStats {
+	d := s
+	d.Count, d.Sum, d.Avg = s.Count-prev.Count, s.Sum-prev.Sum, 0
+	if d.Count > 0 {
+		d.Avg = d.Sum / float64(d.Count)
 	}
-	if s.Count == 0 {
-		return other
-	}
-	if len(s.Buckets) != len(other.Buckets) {
-		panic("telemetry: merging histograms with different bucket grids")
-	}
-	out := HistogramStats{
-		TimerStats: TimerStats{
-			Count: s.Count + other.Count,
-			Sum:   s.Sum + other.Sum,
-			Min:   math.Min(s.Min, other.Min),
-			Max:   math.Max(s.Max, other.Max),
-		},
-		Buckets: make([]Bucket, len(s.Buckets)),
-	}
-	if out.Count > 0 {
-		out.Avg = out.Sum / float64(out.Count)
-	}
-	for i := range s.Buckets {
-		if s.Buckets[i].UpperBound != other.Buckets[i].UpperBound {
-			panic("telemetry: merging histograms with different bucket grids")
-		}
-		out.Buckets[i] = Bucket{
-			UpperBound: s.Buckets[i].UpperBound,
-			Count:      s.Buckets[i].Count + other.Buckets[i].Count,
+	d.Buckets = make([]Bucket, len(s.Buckets))
+	for i, b := range s.Buckets {
+		d.Buckets[i] = b
+		if i < len(prev.Buckets) && prev.Buckets[i].UpperBound == b.UpperBound {
+			d.Buckets[i].Count = b.Count - prev.Buckets[i].Count
 		}
 	}
-	return out
+	return d
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -45,9 +46,13 @@ func TestHistogramObserve(t *testing.T) {
 			t.Errorf("bucket le=%g count=%d, want %d", b.UpperBound, b.Count, wantCum[i])
 		}
 	}
-	// Same name returns the same instrument; bounds don't move.
+	// Same name returns the same instrument, through any constructor;
+	// bounds don't move.
 	if h2 := r.HistogramWith("h", []float64{42}); h2 != h {
 		t.Error("second HistogramWith returned a different instrument")
+	}
+	if tm := r.Timer("h"); tm != h {
+		t.Error("Timer returned a different instrument for a histogram's name")
 	}
 }
 
@@ -87,29 +92,6 @@ func TestHistogramSamplesRing(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := newHistogram([]float64{1, 10})
-	b := newHistogram([]float64{1, 10})
-	a.Observe(0.5)
-	a.Observe(20)
-	b.Observe(5)
-	m := a.Stats().Merge(b.Stats())
-	if m.Count != 3 || m.Min != 0.5 || m.Max != 20 {
-		t.Fatalf("merged aggregate = %+v", m.TimerStats)
-	}
-	if m.Buckets[0].Count != 1 || m.Buckets[1].Count != 2 {
-		t.Errorf("merged buckets = %+v", m.Buckets)
-	}
-	// Empty sides pass through untouched.
-	empty := newHistogram([]float64{5}).Stats()
-	if got := a.Stats().Merge(empty); got.Count != 2 {
-		t.Errorf("merge with empty drifted: %+v", got)
-	}
-	if got := empty.Merge(b.Stats()); got.Count != 1 || got.Min != 5 {
-		t.Errorf("empty.Merge drifted: %+v", got)
-	}
-}
-
 func TestHistogramDelta(t *testing.T) {
 	r := New()
 	h := r.HistogramWith("d", []float64{1, 10})
@@ -125,6 +107,56 @@ func TestHistogramDelta(t *testing.T) {
 	if hs.Buckets[0].Count != 0 || hs.Buckets[1].Count != 2 {
 		t.Errorf("delta buckets = %+v", hs.Buckets)
 	}
+
+	// With a kept sample ring, timers and histograms take the same rule:
+	// count and sum are the window's, while min, max and the ring
+	// quantiles are the current instrument's.
+	for _, kind := range []string{"timer", "histogram"} {
+		r := New()
+		var in *Histogram
+		if kind == "timer" {
+			in = r.Timer("ring")
+		} else {
+			in = r.HistogramWith("ring", []float64{1, 10})
+		}
+		in.KeepSamples(2)
+		in.Observe(20)
+		before := r.Snapshot()
+		in.Observe(3)
+		in.Observe(5)
+		d := r.Snapshot().Delta(before)
+		got := d.Timers["ring"]
+		if kind == "histogram" {
+			got = d.Histograms["ring"].TimerStats
+			if b := d.Histograms["ring"].Buckets; b[0].Count != 0 || b[1].Count != 2 {
+				t.Errorf("%s: delta buckets = %+v", kind, b)
+			}
+		}
+		want := TimerStats{Count: 2, Sum: 8, Min: 3, Max: 20, Avg: 4,
+			Quantiles: map[string]float64{"0.5": 3, "0.95": 5, "0.99": 5}}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: delta = %+v, want %+v", kind, got, want)
+		}
+	}
+}
+
+// BenchmarkRegistryObserve times the per-observation cost of a timer and a
+// bucketed histogram: the registry lookup and Observe, as call sites that
+// do not hoist the instrument pay it.
+func BenchmarkRegistryObserve(b *testing.B) {
+	r := New()
+	b.Run("timer", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.Timer("bench.timer_seconds").Observe(1e-3)
+		}
+	})
+	b.Run("histogram", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.Histogram("bench.histogram_seconds").Observe(1e-3)
+		}
+	})
 }
 
 func TestHistogramConcurrent(t *testing.T) {

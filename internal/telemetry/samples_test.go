@@ -51,7 +51,7 @@ func TestTimerKeepSamplesRing(t *testing.T) {
 
 // TestKeepSamplesResizeKeepsMostRecent: resizing a ring that has wrapped
 // keeps the most recent samples that fit, and the resized ring goes on
-// evicting the oldest first, for the Timer and the Histogram alike.
+// evicting the oldest first, for a timer and a bucketed histogram alike.
 // Observing into a full ring allocates nothing.
 func TestKeepSamplesResizeKeepsMostRecent(t *testing.T) {
 	type instrument interface {
@@ -96,7 +96,7 @@ func TestKeepSamplesResizeKeepsMostRecent(t *testing.T) {
 }
 
 func TestTimerKeepSamplesNilSafe(t *testing.T) {
-	var tm *Timer
+	var tm *Histogram
 	tm.KeepSamples(4)
 	tm.Observe(1)
 	if s := tm.Samples(); s != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 )
 
@@ -24,7 +25,8 @@ type Snapshot struct {
 	Histograms map[string]HistogramStats `json:"histograms"`
 }
 
-// Snapshot captures the current state of the registry. Nil-safe: a nil
+// Snapshot captures the current state of the registry: a Histogram with
+// no buckets goes under Timers, any other under Histograms. Nil-safe: a nil
 // registry yields an empty snapshot. The copy is not atomic across
 // instruments (each instrument is read consistently, but instruments are
 // read one after another); deltas over a quiesced registry are exact.
@@ -39,22 +41,7 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	timers := make(map[string]*Timer, len(r.timers))
-	for k, v := range r.timers {
-		timers[k] = v
-	}
-	histograms := make(map[string]*Histogram, len(r.histograms))
-	for k, v := range r.histograms {
-		histograms[k] = v
-	}
+	counters, gauges, histograms := maps.Clone(r.counters), maps.Clone(r.gauges), maps.Clone(r.histograms)
 	r.mu.Unlock()
 
 	for k, c := range counters {
@@ -63,21 +50,23 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, g := range gauges {
 		s.Gauges[k] = g.Value()
 	}
-	for k, t := range timers {
-		s.Timers[k] = t.Stats()
-	}
 	for k, h := range histograms {
-		s.Histograms[k] = h.Stats()
+		if st := h.Stats(); len(st.Buckets) == 0 {
+			s.Timers[k] = st.TimerStats
+		} else {
+			s.Histograms[k] = st
+		}
 	}
 	return s
 }
 
-// Delta returns the change from prev to s: counters and timer count/sum are
-// subtracted (instruments absent from prev count from zero), gauges keep
-// their current level (a gauge is a level, not an accumulation), and timer
-// Min/Max/Avg are recomputed where possible — Min and Max cannot be
-// recovered for the window, so they carry the current cumulative values and
-// Avg is the windowed Sum/Count.
+// Delta returns the change from prev to s. Counters are subtracted
+// (instruments absent from prev count from zero) and gauges keep their
+// current level (a gauge is a level, not an accumulation). Timers and
+// histograms share one rule: count, sum and matching buckets are
+// subtracted, Avg is the windowed Sum/Count, and Min, Max and ring
+// Quantiles — which cannot be recovered for the window — carry the current
+// values.
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	d := Snapshot{
 		Counters:   make(map[string]int64, len(s.Counters)),
@@ -88,33 +77,13 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	for k, v := range s.Counters {
 		d.Counters[k] = v - prev.Counters[k]
 	}
-	for k, v := range s.Gauges {
-		d.Gauges[k] = v
-	}
+	maps.Copy(d.Gauges, s.Gauges)
 	for k, v := range s.Timers {
-		p := prev.Timers[k]
-		t := TimerStats{Count: v.Count - p.Count, Sum: v.Sum - p.Sum, Min: v.Min, Max: v.Max, Quantiles: v.Quantiles}
-		if t.Count > 0 {
-			t.Avg = t.Sum / float64(t.Count)
-		}
-		d.Timers[k] = t
+		p := HistogramStats{TimerStats: prev.Timers[k]}
+		d.Timers[k] = HistogramStats{TimerStats: v}.delta(p).TimerStats
 	}
 	for k, v := range s.Histograms {
-		p := prev.Histograms[k]
-		h := HistogramStats{
-			TimerStats: TimerStats{Count: v.Count - p.Count, Sum: v.Sum - p.Sum, Min: v.Min, Max: v.Max},
-			Buckets:    make([]Bucket, len(v.Buckets)),
-		}
-		if h.Count > 0 {
-			h.Avg = h.Sum / float64(h.Count)
-		}
-		for i, b := range v.Buckets {
-			h.Buckets[i] = b
-			if i < len(p.Buckets) && p.Buckets[i].UpperBound == b.UpperBound {
-				h.Buckets[i].Count = b.Count - p.Buckets[i].Count
-			}
-		}
-		d.Histograms[k] = h
+		d.Histograms[k] = v.delta(prev.Histograms[k])
 	}
 	return d
 }
@@ -128,44 +97,24 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 
 // WriteText renders the snapshot as sorted human-readable lines.
 func (s Snapshot) WriteText(w io.Writer) error {
-	names := make([]string, 0, len(s.Counters))
-	for k := range s.Counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
+	for _, k := range sortedKeys(s.Counters) {
 		if _, err := fmt.Fprintf(w, "counter %-44s %d\n", k, s.Counters[k]); err != nil {
 			return err
 		}
 	}
-	names = names[:0]
-	for k := range s.Gauges {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
+	for _, k := range sortedKeys(s.Gauges) {
 		if _, err := fmt.Fprintf(w, "gauge   %-44s %g\n", k, s.Gauges[k]); err != nil {
 			return err
 		}
 	}
-	names = names[:0]
-	for k := range s.Timers {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
+	for _, k := range sortedKeys(s.Timers) {
 		t := s.Timers[k]
 		if _, err := fmt.Fprintf(w, "timer   %-44s count=%d sum=%.6gs avg=%.6gs min=%.6gs max=%.6gs\n",
 			k, t.Count, t.Sum, t.Avg, t.Min, t.Max); err != nil {
 			return err
 		}
 	}
-	names = names[:0]
-	for k := range s.Histograms {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
+	for _, k := range sortedKeys(s.Histograms) {
 		h := s.Histograms[k]
 		if _, err := fmt.Fprintf(w, "hist    %-44s count=%d sum=%.6gs avg=%.6gs min=%.6gs max=%.6gs buckets=%d\n",
 			k, h.Count, h.Sum, h.Avg, h.Min, h.Max, len(h.Buckets)); err != nil {
@@ -173,4 +122,14 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// sortedKeys returns m's names in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

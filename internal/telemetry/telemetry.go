@@ -1,9 +1,15 @@
 // Package telemetry is the observability and run-control layer of the
 // simulation pipeline: a zero-dependency, concurrency-safe metrics registry
-// (counters, gauges and timers with snapshot/delta semantics) and the
+// (counters, gauges and histograms with snapshot/delta semantics) and the
 // cancellation sentinel the pipeline reports when a run is stopped by a
 // context. Hierarchical span tracing lives in the sibling package
 // internal/trace; this package stays purely aggregate.
+//
+// Latency has one instrument, the Histogram. A timer is a Histogram with
+// no buckets (Registry.Timer): it keeps count, sum, min, max and an
+// optional sample ring, and Snapshot files it under Timers rather than
+// Histograms. Timers and histograms share one name map, so a name is one
+// instrument whichever constructor registers it first.
 //
 // The package is designed for hot paths: every instrument is nil-safe, so
 // instrumented code threads an optional *Registry unconditionally —
@@ -11,8 +17,8 @@
 //	reg.Counter("spice.steps_accepted").Inc()
 //
 // is a no-op (a single nil check, no allocation) when reg is nil. Hot loops
-// should hoist the instrument out of the loop: Counter/Gauge/Timer lookups
-// take a registry-wide lock, while Add/Set/Observe on the returned
+// should hoist the instrument out of the loop: Counter/Gauge/Timer/Histogram
+// lookups take a registry-wide lock, while Add/Set/Observe on the returned
 // instrument are lock-free or per-instrument.
 //
 // Metric names are dot-separated, lowercase, with the owning package as the
@@ -26,7 +32,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Registry holds named instruments. The zero value is not usable; call New.
@@ -36,8 +41,7 @@ type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	timers     map[string]*Timer
-	histograms map[string]*Histogram
+	histograms map[string]*Histogram // timers too: one name, one instrument
 }
 
 // New returns an empty registry.
@@ -45,7 +49,6 @@ func New() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
-		timers:     make(map[string]*Timer),
 		histograms: make(map[string]*Histogram),
 	}
 }
@@ -79,21 +82,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Timer returns (creating if needed) the named timer. Nil-safe.
-func (r *Registry) Timer(name string) *Timer {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{min: math.Inf(1), max: math.Inf(-1)}
-		r.timers[name] = t
-	}
-	return t
 }
 
 // Counter is a monotonically increasing int64. Lock-free; safe for
@@ -152,64 +140,6 @@ func (g *Gauge) Value() float64 {
 		return 0
 	}
 	return math.Float64frombits(g.bits.Load())
-}
-
-// Timer aggregates duration (or any other) observations: count, sum, min
-// and max. It doubles as a histogram-lite: Avg is Sum/Count, and the
-// min/max pair bounds the distribution. A timer can additionally keep a
-// bounded ring of raw samples (KeepSamples) for percentile reporting —
-// off by default so hot solver timers stay allocation-lean. Safe for
-// concurrent use; all methods are nil-receiver-safe.
-type Timer struct {
-	mu    sync.Mutex
-	count int64
-	sum   float64
-	min   float64
-	max   float64
-
-	samples sampleRing // optional raw observations (KeepSamples)
-}
-
-// Observe records one measurement, in seconds by convention.
-func (t *Timer) Observe(v float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.count++
-	t.sum += v
-	if v < t.min {
-		t.min = v
-	}
-	if v > t.max {
-		t.max = v
-	}
-	t.samples.add(v)
-	t.mu.Unlock()
-}
-
-// KeepSamples makes the timer retain its most recent n raw observations in
-// a ring, enabling Samples/percentile reporting (the load test reads
-// jobs.run_seconds this way). Resizing keeps the most recent samples that
-// fit. n <= 0 disables retention and drops any samples held.
-func (t *Timer) KeepSamples(n int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.samples.resize(n)
-	t.mu.Unlock()
-}
-
-// Samples returns a copy of the retained raw observations, oldest first
-// (nil unless KeepSamples enabled retention).
-func (t *Timer) Samples() []float64 {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.samples.ordered()
 }
 
 // sampleRing holds the most recent observations of an instrument, up to
@@ -291,32 +221,6 @@ func sortedCopy(samples []float64) []float64 {
 	return s
 }
 
-// Start begins a wall-clock measurement and returns the function that
-// records it:
-//
-//	defer reg.Timer("spice.transient_seconds").Start()()
-func (t *Timer) Start() func() {
-	start := time.Now()
-	return func() { t.Observe(time.Since(start).Seconds()) }
-}
-
-// Stats returns the aggregate view (zero stats for a nil timer). When the
-// timer retains a sample ring (KeepSamples), the stats carry p50/p95/p99
-// computed over the ring — these surface as summary quantile lines in the
-// Prometheus exposition.
-func (t *Timer) Stats() TimerStats {
-	if t == nil {
-		return TimerStats{}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := timerStatsLocked(t.count, t.sum, t.min, t.max)
-	if len(t.samples.buf) > 0 {
-		s.Quantiles = quantileMap(t.samples.buf)
-	}
-	return s
-}
-
 // quantileMap computes the standard reporting quantiles over one sorted
 // copy of the ring.
 func quantileMap(samples []float64) map[string]float64 {
@@ -324,16 +228,9 @@ func quantileMap(samples []float64) map[string]float64 {
 	return map[string]float64{"0.5": nearestRank(s, 0.5), "0.95": nearestRank(s, 0.95), "0.99": nearestRank(s, 0.99)}
 }
 
-func timerStatsLocked(count int64, sum, min, max float64) TimerStats {
-	s := TimerStats{Count: count, Sum: sum}
-	if count > 0 {
-		s.Min, s.Max, s.Avg = min, max, sum/float64(count)
-	}
-	return s
-}
-
-// TimerStats is the exported aggregate of a Timer. Quantiles is populated
-// (keys "0.5", "0.95", "0.99") only for timers with a KeepSamples ring;
+// TimerStats is the aggregate every Histogram keeps, and all that a timer
+// (a Histogram with no buckets) exports. Quantiles is populated (keys
+// "0.5", "0.95", "0.99") only for instruments with a KeepSamples ring;
 // like Min/Max in Delta, quantiles are a property of the retained window,
 // not of a diff.
 type TimerStats struct {

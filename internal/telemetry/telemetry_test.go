@@ -36,6 +36,14 @@ func TestCounterGaugeTimerBasics(t *testing.T) {
 	if st.Count != 2 || st.Sum != 2.0 || st.Min != 0.5 || st.Max != 1.5 || st.Avg != 1.0 {
 		t.Errorf("timer stats = %+v", st)
 	}
+	// A timer's name is taken: Histogram returns the same bucketless
+	// instrument, which the snapshot keeps under Timers.
+	if r.Histogram("a.seconds") != tm {
+		t.Error("Histogram returned a different instrument for a timer's name")
+	}
+	if s := r.Snapshot(); s.Timers["a.seconds"].Count != 2 || len(s.Histograms) != 0 {
+		t.Errorf("snapshot timers = %+v, histograms = %+v", s.Timers, s.Histograms)
+	}
 }
 
 func TestNilRegistryIsNoOp(t *testing.T) {
