@@ -8,9 +8,12 @@
 //
 // Usage:
 //
-//	noisesta -netlist design.nl  [-lib cells.lib] [-technique SGDP]
+//	noisesta -netlist design.nl  [-lib cells.lib]
 //	noisesta -verilog design.v   [-spef design.spef] [-require y=500ps]
 //	noisesta -gen-gates 100000   [-gen-seed 7] [-workers 8] [-write-netlist mesh.nl]
+//
+// No flag selects a noise conversion technique: nothing here attaches a
+// noise annotation, so the timer's technique could not change a number.
 package main
 
 import (
@@ -25,7 +28,6 @@ import (
 
 	"noisewave/internal/charlib"
 	"noisewave/internal/device"
-	"noisewave/internal/eqwave"
 	"noisewave/internal/liberty"
 	"noisewave/internal/netgen"
 	"noisewave/internal/netlist"
@@ -61,7 +63,6 @@ type options struct {
 	verilogPath string
 	spefPath    string
 	libPath     string
-	techName    string
 	defSlew     string
 	genGates    int
 	genSeed     int64
@@ -78,7 +79,6 @@ func main() {
 	flag.StringVar(&opts.verilogPath, "verilog", "", "structural Verilog file")
 	flag.StringVar(&opts.spefPath, "spef", "", "SPEF parasitics to annotate")
 	flag.StringVar(&opts.libPath, "lib", "", "Liberty library, or \"synthetic\" for the mesh library (default: characterize built-in cells; generated meshes use the synthetic library)")
-	flag.StringVar(&opts.techName, "technique", "SGDP", "noise conversion technique (P1,P2,LSF3,E4,WLS5,SGDP)")
 	flag.StringVar(&opts.defSlew, "slew", "100ps", "default primary-input slew for Verilog input")
 	flag.IntVar(&opts.genGates, "gen-gates", 0, "generate a synthetic mesh with this many gates instead of reading a file")
 	flag.Int64Var(&opts.genSeed, "gen-seed", 1, "seed for the generated mesh")
@@ -193,12 +193,7 @@ func run(w io.Writer, opts options) error {
 	if err != nil {
 		return err
 	}
-	tech, err := eqwave.ByName(opts.techName)
-	if err != nil {
-		return err
-	}
 	timer := sta.New(lib, design)
-	timer.Technique = tech
 	if opts.genGates > 0 {
 		timer.Wire = sta.ElmoreWire // generated meshes carry RC annotations
 	}
@@ -216,9 +211,9 @@ func run(w io.Writer, opts options) error {
 	}
 	wall := time.Since(start)
 
-	fmt.Fprintf(w, "design %s: %d gates, %d inputs, %d outputs (technique %s, %d workers, %.1f ms)\n\n",
+	fmt.Fprintf(w, "design %s: %d gates, %d inputs, %d outputs (%d workers, %.1f ms)\n\n",
 		design.Name, len(design.Gates), len(design.Inputs), len(design.Outputs),
-		tech.Name(), opts.workers, float64(wall.Microseconds())/1000)
+		opts.workers, float64(wall.Microseconds())/1000)
 
 	tbl := report.NewTable("Net", "Rise AT (ps)", "Rise Tr (ps)", "Fall AT (ps)", "Fall Tr (ps)")
 	shown := 0

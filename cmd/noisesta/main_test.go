@@ -11,7 +11,7 @@ import (
 // order, the same on every run, whatever order -require named the nets in.
 func TestSlackReportSortedByNet(t *testing.T) {
 	opts := options{
-		genGates: 200, genSeed: 1, workers: 1, techName: "SGDP",
+		genGates: 200, genSeed: 1, workers: 1,
 		requires: requireFlags{},
 	}
 	for _, c := range []string{"l15_n3=800ps", "l15_n0=800ps", "l15_n2=800ps", "l15_n1=800ps"} {

@@ -479,7 +479,7 @@ func runTable1(e env, cfgs []xtalk.Config) error {
 
 func runFigure2(e env, cfg xtalk.Config) error {
 	series, err := experiments.RunFigure2(cfg, experiments.Figure2Options{
-		P: e.p, SweepOptions: e.sweepOpts(),
+		P: e.p, Ctx: e.ctx, Telemetry: e.reg,
 	})
 	if err != nil {
 		return err
@@ -559,5 +559,11 @@ func runPSweep(e env, cfg xtalk.Config, cases int) error {
 	for _, r := range rows {
 		tbl.AddRow(fmt.Sprint(r.P), r.PerGate.String(), report.Ps(r.AvgAbsErr))
 	}
-	return tbl.Render(os.Stdout)
+	err = tbl.Render(os.Stdout)
+	for _, r := range rows {
+		label := fmt.Sprintf("%s, P=%d", cfg.Name, r.P)
+		e.noteFailures("psweep config "+label, r.Failures)
+		printFailures(label, r.Excluded, r.Failures)
+	}
+	return err
 }

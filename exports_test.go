@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -50,6 +51,29 @@ var exportAllowlist = map[string]string{
 	"jobs.Job.Done":                  "job-service tests",
 }
 
+// optionFieldAllowlist names the exported fields of exported *Options
+// structs under internal/ that no non-test code outside the field's own
+// package sets, each with what keeps it. Keys are the package path below
+// internal/, then the struct, then the field.
+var optionFieldAllowlist = map[string]string{
+	"charlib.Options.Slews":     "public API: the facade's CharacterizationOptions",
+	"charlib.Options.Loads":     "public API: the facade's CharacterizationOptions",
+	"charlib.Options.Step":      "public API: the facade's CharacterizationOptions",
+	"charlib.Options.WithWaves": "ROADMAP items 1, 3 and 6: libraries characterized with waves",
+
+	"spice.Options.VTol":     "ROADMAP items 4 and 5: convergence study at VTol/4",
+	"spice.Options.Adaptive": "ROADMAP items 4 and 5: LTE step control",
+	"spice.Options.LTETol":   "ROADMAP items 4 and 5: LTE step control",
+	"spice.Options.MaxStep":  "ROADMAP items 4 and 5: LTE step control",
+	"spice.Options.MinStep":  "ROADMAP items 4 and 5: LTE step control",
+
+	"spice.Options.Method":         "test oracle: the equivalence and integration-order tests",
+	"spice.Options.RecordSteps":    "diagnostics: the step trace the breakpoint and prefix tests read",
+	"spice.Options.RecoveryBudget": "diagnostics: the recovery-ladder tests bound or disable the ladder",
+	"spice.Options.Start":          "set inside spice by RunWindow",
+	"spice.Options.Ctx":            "set inside spice by RunWindow",
+}
+
 // TestNoUnconsumedExports type-checks the module and the benchmark module
 // (perfbench/) from source and fails on every exported function, type,
 // variable, constant or method under internal/ that no non-test code
@@ -61,39 +85,9 @@ func TestNoUnconsumedExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source")
 	}
-	l := &moduleLoader{
-		fset:  token.NewFileSet(),
-		std:   importer.Default(),
-		pkgs:  map[string]*types.Package{},
-		spans: map[types.Object][2]token.Pos{},
-		info: &types.Info{
-			Uses: map[*ast.Ident]types.Object{},
-			Defs: map[*ast.Ident]types.Object{},
-		},
-	}
-	var paths []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		if files, _ := goFiles(path); len(files) > 0 {
-			paths = append(paths, importPath(path))
-		}
-		return nil
-	})
+	l, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, p := range paths {
-		if _, err := l.load(p); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	// Every use outside the object's own declaration is a consumer.
@@ -110,7 +104,7 @@ func TestNoUnconsumedExports(t *testing.T) {
 	ifaces := l.interfaces()
 
 	unconsumed := map[string]bool{}
-	for _, p := range paths {
+	for _, p := range l.paths {
 		rel, ok := strings.CutPrefix(p, "noisewave/internal/")
 		if !ok {
 			continue
@@ -138,27 +132,154 @@ func TestNoUnconsumedExports(t *testing.T) {
 		}
 	}
 
+	checkAllowlist(t, unconsumed, exportAllowlist,
+		"exported identifiers under internal/ have no non-test consumer; delete them, or allowlist them with the consumer that keeps them")
+}
+
+// TestNoUnsetOptionFields fails on every exported field of an exported
+// *Options struct under internal/ that no non-test code outside the
+// field's own package sets: names as a composite-literal key, assigns,
+// increments or takes the address of. A field only its own package or a
+// test sets is a setting no product caller can change; it becomes a
+// constant or goes on optionFieldAllowlist with the reason it stays.
+func TestNoUnsetOptionFields(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module from source")
+	}
+	l, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	set := map[*types.Var]bool{}
+	for _, p := range l.paths {
+		// mark records the field that e names, if it names one.
+		mark := func(e ast.Expr) {
+			var id *ast.Ident
+			switch e := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				id = e.Sel
+			case *ast.Ident: // a composite-literal key names a field bare
+				id = e
+			default:
+				return
+			}
+			if v, ok := l.info.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg().Path() != p {
+				set[v] = true
+			}
+		}
+		for _, f := range l.files[p] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					mark(n.Key)
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						mark(lhs)
+					}
+				case *ast.IncDecStmt:
+					mark(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						mark(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	unset := map[string]bool{}
+	for _, p := range l.paths {
+		rel, ok := strings.CutPrefix(p, "noisewave/internal/")
+		if !ok {
+			continue
+		}
+		scope := l.pkgs[p].Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() || !strings.HasSuffix(name, "Options") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !set[f] {
+					unset[rel+"."+name+"."+f.Name()] = true
+				}
+			}
+		}
+	}
+	checkAllowlist(t, unset, optionFieldAllowlist,
+		"exported *Options fields under internal/ are set by no non-test code outside their package; make them constants, or allowlist them with the reason they stay")
+}
+
+// checkAllowlist fails on every found identifier the allowlist does not
+// name, and on every allowlist entry that is no longer found.
+func checkAllowlist(t *testing.T, found map[string]bool, allow map[string]string, what string) {
+	t.Helper()
 	var bad, stale []string
-	for id := range unconsumed {
-		if _, ok := exportAllowlist[id]; !ok {
+	for id := range found {
+		if _, ok := allow[id]; !ok {
 			bad = append(bad, id)
 		}
 	}
-	for id := range exportAllowlist {
-		if !unconsumed[id] {
+	for id := range allow {
+		if !found[id] {
 			stale = append(stale, id)
 		}
 	}
 	sort.Strings(bad)
 	sort.Strings(stale)
 	if len(bad) > 0 {
-		t.Errorf("%d exported identifiers under internal/ have no non-test consumer; delete them, or allowlist them with the consumer that keeps them:\n\t%s",
-			len(bad), strings.Join(bad, "\n\t"))
+		t.Errorf("%d %s:\n\t%s", len(bad), what, strings.Join(bad, "\n\t"))
 	}
 	if len(stale) > 0 {
-		t.Errorf("allowlist entries that are consumed or gone; remove them:\n\t%s", strings.Join(stale, "\n\t"))
+		t.Errorf("allowlist entries that are no longer found; remove them:\n\t%s", strings.Join(stale, "\n\t"))
 	}
 }
+
+// loadModule type-checks the module and the benchmark module (perfbench/)
+// from source, once for both scans.
+var loadModule = sync.OnceValues(func() (*moduleLoader, error) {
+	l := &moduleLoader{
+		fset:  token.NewFileSet(),
+		std:   importer.Default(),
+		pkgs:  map[string]*types.Package{},
+		files: map[string][]*ast.File{},
+		spans: map[types.Object][2]token.Pos{},
+		info: &types.Info{
+			Uses: map[*ast.Ident]types.Object{},
+			Defs: map[*ast.Ident]types.Object{},
+		},
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() {
+			return nil
+		}
+		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		if files, _ := goFiles(path); len(files) > 0 {
+			l.paths = append(l.paths, importPath(path))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range l.paths {
+		if _, err := l.load(p); err != nil {
+			return nil, err
+		}
+	}
+	return l, nil
+})
 
 // importPath maps a directory relative to the repository root to its
 // import path. The benchmark module's path, noisewave/perfbench, follows
@@ -176,7 +297,9 @@ func importPath(dir string) string {
 type moduleLoader struct {
 	fset  *token.FileSet
 	std   types.Importer
+	paths []string // every package of the repository, in walk order
 	pkgs  map[string]*types.Package
+	files map[string][]*ast.File // each package's non-test files
 	info  *types.Info
 	spans map[types.Object][2]token.Pos // function declaration extents
 }
@@ -236,6 +359,7 @@ func (l *moduleLoader) load(path string) (*types.Package, error) {
 		return nil, err
 	}
 	l.pkgs[path] = pkg
+	l.files[path] = files
 	for _, f := range files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok {

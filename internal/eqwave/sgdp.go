@@ -54,9 +54,10 @@ type SGDP struct {
 	ShiftGammaForward bool
 	// NoSafeguard disables the slope-collapse fallback (ablation).
 	NoSafeguard bool
-	// GaussNewtonIters bounds the Eq. 3 iteration (default 20).
-	GaussNewtonIters int
 }
+
+// gaussNewtonIters bounds the Eq. 3 iteration.
+const gaussNewtonIters = 20
 
 // collapseFactor is the safeguard threshold: a fit whose 10–90% transition
 // time exceeds collapseFactor × the noiseless transition time is
@@ -66,10 +67,9 @@ const collapseFactor = 2.5
 // NewSGDP returns SGDP with the paper's full feature set enabled.
 func NewSGDP() *SGDP {
 	return &SGDP{
-		SecondOrder:      true,
-		VoltageRemap:     true,
-		DeltaShift:       true,
-		GaussNewtonIters: 20,
+		SecondOrder:  true,
+		VoltageRemap: true,
+		DeltaShift:   true,
 	}
 }
 
@@ -197,10 +197,6 @@ func (s *SGDP) fit(ts, vs, rho, drho []float64, in Input) (wave.Ramp, error) {
 	if !s.SecondOrder {
 		return ramp, nil
 	}
-	iters := s.GaussNewtonIters
-	if iters <= 0 {
-		iters = 20
-	}
 	P := len(ts)
 	p, ok := numeric.GaussNewton2([2]float64{a0, b0}, P,
 		func(p [2]float64, resid []float64, jac [][2]float64) {
@@ -211,7 +207,7 @@ func (s *SGDP) fit(ts, vs, rho, drho []float64, in Input) (wave.Ramp, error) {
 				jac[k][0] = g * ts[k]
 				jac[k][1] = g
 			}
-		}, iters, 1e-12)
+		}, gaussNewtonIters, 1e-12)
 	if ok && s.withinTrustRegion(p, a0, b0, ts, in) {
 		ramp = wave.NewRamp(p[0], p[1], 0, in.Vdd)
 	}

@@ -119,3 +119,23 @@ func TestChaosPushoutKeepGoing(t *testing.T) {
 		t.Errorf("distribution over %d cases (%d pushouts), want 3", st.Cases, len(st.Pushouts))
 	}
 }
+
+// TestChaosPSweepKeepGoingReportsFailures: a keep-going P sweep keeps each
+// accuracy sweep's exclusion count and failure report on its row, as
+// Table1Result does, so a row's Avg |err| never covers fewer cases
+// silently.
+func TestChaosPSweepKeepGoingReportsFailures(t *testing.T) {
+	cfg := xtalk.ConfigurationI(device.Default130())
+	cfg.Step = 2e-12
+	inj := faultinject.New(faultinject.Config{PanicEvery: 1, PanicMax: 1})
+	rows, err := RunPSweep(cfg, []int{9}, 3, SweepOptions{Workers: 2, KeepGoing: true, Inject: inj})
+	if err != nil {
+		t.Fatalf("KeepGoing P sweep errored: %v", err)
+	}
+	if len(rows) != 1 {
+		t.Fatalf("rows = %+v, want one", rows)
+	}
+	if r := rows[0]; r.Excluded != 1 || r.Failures.Quarantined() != 1 {
+		t.Fatalf("P=%d row: Excluded=%d report=%v, want exactly 1 quarantined", r.P, r.Excluded, r.Failures)
+	}
+}

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"noisewave/internal/core"
 	"noisewave/internal/eqwave"
+	"noisewave/internal/telemetry"
 	"noisewave/internal/wave"
 	"noisewave/internal/xtalk"
 )
@@ -30,43 +32,34 @@ type Figure2Series struct {
 	EstOut    *wave.Waveform // v_out^eff (proposed)
 }
 
-// Figure2Options selects the noisy case shown in panel (b). The embedded
-// SweepOptions carries cancellation and telemetry; Workers/Seed/Progress
-// are ignored (Figure 2 is a single case, not a sweep).
+// Figure2Options configures the Figure 2 run. Panel (b) always shows the
+// representative noisy case, aggressor k switching 0.05 ns + k·40 ps after
+// the victim; Figure 2 is one case, not a sweep, so it takes no
+// sweep-control block.
 type Figure2Options struct {
-	// Offset of the aggressor edge relative to the victim edge (a mid-
-	// transition hit by default).
-	Offset float64
 	// P is the technique sample count.
 	P int
-
-	SweepOptions
+	// Ctx, if non-nil, cancels the run: the in-flight transient stops at
+	// its next time step and RunFigure2 returns an error matching
+	// telemetry.ErrCanceled.
+	Ctx context.Context
+	// Telemetry, if non-nil, observes the transients and the
+	// "experiments.figure2.seconds" wall timer.
+	Telemetry *telemetry.Registry
 }
 
 // RunFigure2 regenerates both panels of Figure 2 for the given
 // configuration. Cancellation via opts.Ctx aborts the in-flight transient
 // and returns an error matching telemetry.ErrCanceled (no partial series).
 func RunFigure2(cfg xtalk.Config, opts Figure2Options) (*Figure2Series, error) {
-	const victimStart = 0.3e-9
-	if opts.Offset == 0 {
-		opts.Offset = 0.05e-9
-	}
 	defer opts.Telemetry.Timer("experiments.figure2.seconds").Start()()
-	cfg.Telemetry = opts.Telemetry
-	ctx := opts.ctx()
-
-	nlIn, nlOut, err := cfg.RunNoiselessCtx(ctx, victimStart)
+	ctx := orBackground(opts.Ctx)
+	in, nOut, err := representativeCase(ctx, cfg, opts.Telemetry)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: figure2 noiseless: %w", err)
+		return nil, fmt.Errorf("experiments: figure2: %w", err)
 	}
-	starts := make([]float64, cfg.Aggressors)
-	for k := range starts {
-		starts[k] = victimStart + opts.Offset + float64(k)*40e-12
-	}
-	nIn, nOut, err := cfg.RunCtx(ctx, victimStart, starts)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: figure2 noisy: %w", err)
-	}
+	in.P = opts.P
+	nlIn, nlOut, nIn := in.Noiseless, in.NoiselessOut, in.Noisy
 
 	vdd := cfg.Tech.Vdd
 	sens, err := eqwave.ComputeSensitivity(nlIn, nlOut, vdd, cfg.VictimEdge, 512)
@@ -75,10 +68,6 @@ func RunFigure2(cfg xtalk.Config, opts Figure2Options) (*Figure2Series, error) {
 	}
 	rhoNl := wave.MustNew(append([]float64(nil), sens.T...), scale(sens.Rho, 0.2))
 
-	in := eqwave.Input{
-		Noisy: nIn, Noiseless: nlIn, NoiselessOut: nlOut,
-		Vdd: vdd, Edge: cfg.VictimEdge, P: opts.P,
-	}
 	sgdp := eqwave.NewSGDP()
 	gamma, err := sgdp.Equivalent(in)
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 func TestFigure2Series(t *testing.T) {
 	cfg := xtalk.ConfigurationI(device.Default130())
 	cfg.Step = 2e-12
-	s, err := RunFigure2(cfg, Figure2Options{Offset: 0.05e-9})
+	s, err := RunFigure2(cfg, Figure2Options{})
 	if err != nil {
 		t.Fatalf("RunFigure2: %v", err)
 	}
@@ -74,7 +74,7 @@ func TestFigure2EstOutSpansReference(t *testing.T) {
 	tech := device.Default130()
 	for _, cfg := range []xtalk.Config{xtalk.ConfigurationI(tech), xtalk.ConfigurationII(tech)} {
 		cfg.Step = 2e-12
-		s, err := RunFigure2(cfg, Figure2Options{Offset: 0.05e-9})
+		s, err := RunFigure2(cfg, Figure2Options{})
 		if err != nil {
 			t.Fatalf("config %s: RunFigure2: %v", cfg.Name, err)
 		}
@@ -92,7 +92,7 @@ func TestFigure2EstOutSpansReference(t *testing.T) {
 func TestRuntimeComparison(t *testing.T) {
 	cfg := xtalk.ConfigurationI(device.Default130())
 	cfg.Step = 2e-12
-	rows, err := RunRuntime(cfg, RuntimeOptions{Repeats: 30, P: 35})
+	rows, err := RunRuntime(cfg, RuntimeOptions{P: 35})
 	if err != nil {
 		t.Fatalf("RunRuntime: %v", err)
 	}

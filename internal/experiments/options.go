@@ -11,9 +11,9 @@ import (
 	"noisewave/internal/trace"
 )
 
-// SweepOptions is the shared sweep-control block embedded by every
-// experiment's option struct (Table1Options, PushoutOptions,
-// Figure2Options): worker-pool sizing, deterministic seeding, progress
+// SweepOptions is the shared sweep-control block embedded by every sweep
+// experiment's option struct (Table1Options, PushoutOptions) and passed to
+// RunPSweep: worker-pool sizing, deterministic seeding, progress
 // reporting, cancellation and telemetry live here once instead of being
 // duplicated per experiment.
 //
@@ -75,9 +75,12 @@ type SweepOptions struct {
 }
 
 // ctx returns the configured context, defaulting to Background.
-func (o SweepOptions) ctx() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
+func (o SweepOptions) ctx() context.Context { return orBackground(o.Ctx) }
+
+// orBackground returns ctx, or context.Background when ctx is nil.
+func orBackground(ctx context.Context) context.Context {
+	if ctx != nil {
+		return ctx
 	}
 	return context.Background()
 }

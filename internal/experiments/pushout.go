@@ -78,7 +78,6 @@ func RunPushout(cfg xtalk.Config, opts PushoutOptions) (*PushoutStats, error) {
 	cfg.Inject = opts.Inject
 	cfg.NoFastPath = opts.noFastPath
 
-	const victimStart = 0.3e-9
 	// The quiet baseline runs once, outside any case; give it a run-level
 	// trace so the artifacts show where the reference arrival came from.
 	blCtx, blSpan := opts.Tracer.Root(opts.ctx(), "experiments.pushout.baseline", trace.NoCase)

@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"noisewave/internal/eqwave"
+	"noisewave/internal/sweep"
 	"noisewave/internal/telemetry"
+	"noisewave/internal/wave"
 	"noisewave/internal/xtalk"
 )
 
@@ -21,16 +23,31 @@ type RuntimeRow struct {
 	// remarks that small P is faster but less accurate); zero when not
 	// measured.
 	AvgAbsErr float64
+	// Excluded counts the P sweep's cases kept out of AvgAbsErr, and
+	// Failures names each quarantined one (nil when none was), as in
+	// Table1Result.
+	Excluded int
+	Failures *sweep.FailureReport
 }
+
+const (
+	// victimStart is when the victim edge starts, in every experiment.
+	victimStart = 0.3e-9
+	// The representative noisy case hits the victim mid-transition:
+	// aggressor k switches at victimStart + representativeOffset +
+	// k·aggressorStagger. Figure 2's panel (b) shows it, and the run-time
+	// comparison and the P sweep time their fits on it.
+	representativeOffset = 0.05e-9
+	aggressorStagger     = 40e-12
+)
+
+// runtimeRepeats is the number of Γeff fits timed per technique.
+const runtimeRepeats = 200
 
 // RuntimeOptions parameterizes the run-time experiment.
 type RuntimeOptions struct {
-	// Repeats is the number of Γeff fits timed per technique (default 200).
-	Repeats int
 	// P is the sample count (paper: 35).
 	P int
-	// Offset selects the noisy case used as the fitting workload.
-	Offset float64
 	// Ctx, if non-nil, cancels the experiment between fits and inside the
 	// workload transients; the error matches telemetry.ErrCanceled.
 	Ctx context.Context
@@ -40,14 +57,7 @@ type RuntimeOptions struct {
 	Telemetry *telemetry.Registry
 }
 
-func (o RuntimeOptions) ctx() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
-	}
-	return context.Background()
-}
-
-// RunRuntime measures per-gate propagation time for each technique on a
+// RunRuntime measures per-gate propagation time for each technique on the
 // representative noisy case, reproducing the §4.2 comparison. The timed
 // fit loops run strictly sequentially on the calling goroutine by design:
 // per-gate wall clock is the measurement, so fanning the repeats out over
@@ -56,24 +66,19 @@ func (o RuntimeOptions) ctx() context.Context {
 // the reported PerGate is the timer's average over the run — the same live
 // counter a Table 1 sweep feeds — rather than a separate stopwatch.
 func RunRuntime(cfg xtalk.Config, opts RuntimeOptions) ([]RuntimeRow, error) {
-	if opts.Repeats <= 0 {
-		opts.Repeats = 200
-	}
 	if opts.P <= 0 {
 		opts.P = eqwave.DefaultP
-	}
-	if opts.Offset == 0 {
-		opts.Offset = 0.05e-9
 	}
 	reg := opts.Telemetry
 	if reg == nil {
 		reg = telemetry.New()
 	}
-	ctx := opts.ctx()
-	in, err := runtimeWorkload(ctx, cfg, opts.Offset, opts.P, opts.Telemetry)
+	ctx := orBackground(opts.Ctx)
+	in, _, err := representativeCase(ctx, cfg, opts.Telemetry)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: runtime workload: %w", err)
 	}
+	in.P = opts.P
 	var rows []RuntimeRow
 	for _, tech := range eqwave.All() {
 		// Warm-up fit, also validating the technique on this workload.
@@ -82,7 +87,7 @@ func RunRuntime(cfg xtalk.Config, opts RuntimeOptions) ([]RuntimeRow, error) {
 		}
 		fit := reg.Timer("eqwave.fit_seconds." + tech.Name())
 		before := fit.Stats()
-		for i := 0; i < opts.Repeats; i++ {
+		for i := 0; i < runtimeRepeats; i++ {
 			if ctx.Err() != nil {
 				return rows, telemetry.Canceled(ctx, "experiments: runtime canceled during %s", tech.Name())
 			}
@@ -104,27 +109,27 @@ func RunRuntime(cfg xtalk.Config, opts RuntimeOptions) ([]RuntimeRow, error) {
 	return rows, nil
 }
 
-// runtimeWorkload builds the eqwave input for one representative noisy
-// case of the configuration.
-func runtimeWorkload(ctx context.Context, cfg xtalk.Config, offset float64, p int, reg *telemetry.Registry) (eqwave.Input, error) {
-	const victimStart = 0.3e-9
+// representativeCase runs the noiseless and noisy transients of the
+// configuration's representative noisy case. It returns the technique
+// input, with P left for the caller, and the reference noisy output.
+func representativeCase(ctx context.Context, cfg xtalk.Config, reg *telemetry.Registry) (eqwave.Input, *wave.Waveform, error) {
 	cfg.Telemetry = reg
 	nlIn, nlOut, err := cfg.RunNoiselessCtx(ctx, victimStart)
 	if err != nil {
-		return eqwave.Input{}, err
+		return eqwave.Input{}, nil, fmt.Errorf("noiseless: %w", err)
 	}
 	starts := make([]float64, cfg.Aggressors)
 	for k := range starts {
-		starts[k] = victimStart + offset + float64(k)*40e-12
+		starts[k] = victimStart + representativeOffset + float64(k)*aggressorStagger
 	}
-	nIn, _, err := cfg.RunCtx(ctx, victimStart, starts)
+	nIn, nOut, err := cfg.RunCtx(ctx, victimStart, starts)
 	if err != nil {
-		return eqwave.Input{}, err
+		return eqwave.Input{}, nil, fmt.Errorf("noisy: %w", err)
 	}
 	return eqwave.Input{
 		Noisy: nIn, Noiseless: nlIn, NoiselessOut: nlOut,
-		Vdd: cfg.Tech.Vdd, Edge: cfg.VictimEdge, P: p,
-	}, nil
+		Vdd: cfg.Tech.Vdd, Edge: cfg.VictimEdge,
+	}, nOut, nil
 }
 
 // RunPSweep measures SGDP accuracy and run time across sample counts,
@@ -155,10 +160,11 @@ func RunPSweep(cfg xtalk.Config, ps []int, cases int, so SweepOptions) ([]Runtim
 			return rows, fmt.Errorf("experiments: P sweep (P=%d): %w", p, err)
 		}
 		st, _ := res.StatsFor("SGDP")
-		in, err := runtimeWorkload(ctx, cfg, 0.05e-9, p, so.Telemetry)
+		in, _, err := representativeCase(ctx, cfg, so.Telemetry)
 		if err != nil {
-			return rows, err
+			return rows, fmt.Errorf("experiments: P sweep workload (P=%d): %w", p, err)
 		}
+		in.P = p
 		sgdp := eqwave.NewSGDP()
 		fit := telemetry.New().Timer("eqwave.fit_seconds.SGDP")
 		const reps = 100
@@ -179,6 +185,8 @@ func RunPSweep(cfg xtalk.Config, ps []int, cases int, so SweepOptions) ([]Runtim
 			P:         p,
 			PerGate:   time.Duration(stats.Sum / float64(stats.Count) * float64(time.Second)),
 			AvgAbsErr: st.AvgAbs,
+			Excluded:  res.Excluded,
+			Failures:  res.Failures,
 		})
 	}
 	return rows, nil

@@ -169,7 +169,6 @@ func RunTable1(cfg xtalk.Config, opts Table1Options) (*Table1Result, error) {
 	cfg.Inject = opts.Inject
 	cfg.NoFastPath = opts.noFastPath
 
-	const victimStart = 0.3e-9
 	// The noiseless reference runs once, outside any case; it gets its own
 	// run-level trace so the artifact timeline starts with it.
 	nlCtx, nlSpan := opts.Tracer.Root(opts.ctx(), "experiments.table1.noiseless", trace.NoCase)

@@ -9,9 +9,9 @@ import (
 
 // FuzzConfigNormalized checks the canonical form the job cache keys on:
 // Normalized never panics on a decoded config and rejects only with
-// ErrInvalidConfig; a config it accepts normalizes to itself with the same
-// Hash, and keeps that Hash across the JSON round trip the journal puts it
-// through.
+// ErrInvalidConfig; a config it accepts carries no field its experiment
+// ignores, normalizes to itself with the same Hash, and keeps that Hash
+// across the JSON round trip the journal puts it through.
 func FuzzConfigNormalized(f *testing.F) {
 	for _, seed := range []string{
 		`{"experiment":"table1"}`,
@@ -19,7 +19,8 @@ func FuzzConfigNormalized(f *testing.F) {
 		`{"experiment":"pushout","seed":7,"monte_carlo":true,"keep_going":true}`,
 		`{"experiment":"pushout","cases":-3,"p":0,"range_s":-0}`,
 		`{"experiment":"sta","netlist":"design d\ninput a\n","liberty":"library(x){}","wire":"elmore","require":{"y":"400ps"}}`,
-		`{"experiment":"sta","netlist":"n","liberty":"l","technique":"WLS5","techniques":[]}`,
+		`{"experiment":"sta","netlist":"n","liberty":"l","require":{"y":"banana"},"techniques":[]}`,
+		`{"experiment":"pushout","p":35,"techniques":["SGDP"],"seed":7}`,
 		`{"experiment":"table1","cases":10001}`,
 		`{"experiment":"table1","range_s":1e300}`,
 		`{"experiment":"bogus"}`,
@@ -38,6 +39,15 @@ func FuzzConfigNormalized(f *testing.F) {
 				t.Fatalf("Normalized rejected %s with %v, not ErrInvalidConfig", data, err)
 			}
 			return
+		}
+		sweepFields := n.Config != "" || n.Cases != 0 || n.P != 0 || n.RangeS != 0 ||
+			len(n.Techniques) > 0 || n.Seed != 0 || n.MonteCarlo || n.KeepGoing
+		staFields := n.Netlist != "" || n.Liberty != "" || n.Wire != "" || len(n.Require) > 0
+		switch {
+		case n.Experiment == ExpTable1 && (n.Seed != 0 || n.MonteCarlo || staFields),
+			n.Experiment == ExpPushout && (n.P != 0 || len(n.Techniques) > 0 || (n.Seed != 0 && !n.MonteCarlo) || staFields),
+			n.Experiment == ExpSTA && sweepFields:
+			t.Fatalf("accepted %s carries a field its experiment ignores: %+v", data, n)
 		}
 		again, err := n.Normalized()
 		if err != nil {

@@ -110,12 +110,12 @@ func Open(opts Options) (*Manager, error) {
 			stop()
 			return nil, fmt.Errorf("jobs: create data dir: %w", err)
 		}
-		store, err := openResultStore(filepath.Join(opts.DataDir, resultsDir), opts.Disk)
+		store, err := openResultStore(filepath.Join(opts.DataDir, resultsDir), opts.disk)
 		if err != nil {
 			stop()
 			return nil, err
 		}
-		jn, recs, torn, err := openJournal(filepath.Join(opts.DataDir, journalFile), opts.Disk)
+		jn, recs, torn, err := openJournal(filepath.Join(opts.DataDir, journalFile), opts.disk)
 		if err != nil {
 			stop()
 			return nil, err
@@ -285,7 +285,7 @@ func (m *Manager) rehydrateTerminal(j *Job, state State, err error, finished tim
 
 // liveRecords renders the manager's current state as the minimal journal:
 // every non-terminal job (submitted, plus running marker), and the most
-// recent Options.RetainTerminal terminal jobs. Jobs older than the
+// recent Options.retainTerminal terminal jobs. Jobs older than the
 // retention window drop out of the journal — and out of byID, bounding
 // both — while their results stay in the content-addressed store, so
 // resubmitting them is still a zero-solve durable cache hit. Caller holds
@@ -303,7 +303,7 @@ func (m *Manager) liveRecords() []journalRecord {
 			terminal++
 		}
 	}
-	dropTerminal := terminal - m.opts.RetainTerminal
+	dropTerminal := terminal - m.opts.retainTerminal
 	var recs []journalRecord
 	for _, j := range all {
 		j.mu.Lock()
@@ -372,7 +372,7 @@ func (m *Manager) appendLocked(rec journalRecord) {
 // maybeCompactLocked rewrites the journal once enough records accumulated.
 // Caller holds m.mu.
 func (m *Manager) maybeCompactLocked() {
-	if m.journal == nil || m.journal.appends < m.opts.CompactEvery {
+	if m.journal == nil || m.journal.appends < m.opts.compactEvery {
 		return
 	}
 	if err := m.journal.compact(m.liveRecords()); err != nil {

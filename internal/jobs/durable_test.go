@@ -150,6 +150,56 @@ func TestDurableResultsSurviveRestart(t *testing.T) {
 	}
 }
 
+// TestOpenReplaysLegacyJournal: a data directory written while STA jobs
+// still carried a technique and pushout jobs a technique sample count
+// opens, as every journal of those versions holds both. The fixture holds
+// a done STA job with "technique":"WLS5", a done pushout job with "p":17,
+// a clean-shutdown record, and then an acknowledged STA job with
+// "technique":"P1" that never ran. The done jobs rehydrate under their
+// stored hashes; the queued one runs and returns the done STA job's
+// numbers, which no technique ever changed.
+func TestOpenReplaysLegacyJournal(t *testing.T) {
+	dir := t.TempDir()
+	copyTree(t, filepath.Join("testdata", "legacy-journal"), dir)
+	m, err := Open(Options{DataDir: dir, Telemetry: telemetry.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if rep := m.Recovery(); rep.Rehydrated != 2 || rep.Requeued != 1 {
+		t.Errorf("recovery = %+v, want 2 rehydrated and 1 requeued", rep)
+	}
+	done := map[string]*Job{}
+	for id, hash := range map[string]string{
+		"job-1": "3c28dbc591158eb16779d3400a41a1f5c2c3ff944d10bdd9014cee00b7fdd28d",
+		"job-2": "b3ca71c9796169d1deaf38f06b4f487269d787e4930cb2d86476441abd9a5af2",
+	} {
+		j, ok := m.Get(id)
+		if !ok {
+			t.Fatalf("job %s lost", id)
+		}
+		if j.State() != StateDone || j.Hash != hash || j.Result() == nil {
+			t.Fatalf("job %s: state %s, hash %s, result %v; want done under %s",
+				id, j.State(), j.Hash, j.Result(), hash)
+		}
+		done[id] = j
+	}
+	if p := done["job-2"].Result().Pushout; p == nil || p.Cases != 2 {
+		t.Errorf("pushout job rehydrated as %+v", done["job-2"].Result())
+	}
+	queued, ok := m.Get("job-3")
+	if !ok {
+		t.Fatal("queued job lost")
+	}
+	waitDone(t, queued)
+	if err := queued.Err(); err != nil {
+		t.Fatalf("queued job failed: %v", err)
+	}
+	if got, want := resultJSON(t, queued.Result()), resultJSON(t, done["job-1"].Result()); got != want {
+		t.Errorf("replayed STA job differs from the stored one:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestCrashRecoveryProperty is the crash-injection property test: build a
 // durable workload, image the data directory as a crash would leave it,
 // truncate the journal at a seeded random offset (the unsynced tail), and
@@ -483,7 +533,7 @@ func TestJournalCompactionBoundsState(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.New()
 	m, err := Open(Options{
-		DataDir: dir, Runners: 1, RetainTerminal: 2, CompactEvery: 8,
+		DataDir: dir, Runners: 1, retainTerminal: 2, compactEvery: 8,
 		Telemetry: reg,
 	})
 	if err != nil {
@@ -507,25 +557,25 @@ func TestJournalCompactionBoundsState(t *testing.T) {
 	if reg.Counter("jobs.journal_compactions").Value() == 0 {
 		t.Error("no compaction fired across the workload")
 	}
-	// Between compactions up to CompactEvery appends (~CompactEvery/3 jobs)
+	// Between compactions up to compactEvery appends (~compactEvery/3 jobs)
 	// accumulate past the retention window; the listing must stay well
 	// bounded below the workload size either way.
 	if got := len(m.Jobs()); got > 2+8 {
-		t.Errorf("job listing holds %d jobs, want <= retention+CompactEvery slack", got)
+		t.Errorf("job listing holds %d jobs, want <= retention+compactEvery slack", got)
 	}
 	m.Drain(time.Second)
 
-	m2, err := Open(Options{DataDir: dir, Runners: 1, RetainTerminal: 2, Telemetry: reg})
+	m2, err := Open(Options{DataDir: dir, Runners: 1, retainTerminal: 2, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m2.Close()
 	if got := m2.Recovery().Rehydrated; got > 2+8 {
-		t.Errorf("restart rehydrated %d jobs, want <= retention+CompactEvery slack", got)
+		t.Errorf("restart rehydrated %d jobs, want <= retention+compactEvery slack", got)
 	}
 	// Boot-time compaction trims the listing to exactly the retention window.
 	if got := len(m2.Jobs()); got != 2 {
-		t.Errorf("post-compaction listing holds %d jobs, want RetainTerminal=2", got)
+		t.Errorf("post-compaction listing holds %d jobs, want retainTerminal=2", got)
 	}
 	// The first config was evicted from the journal long ago; its result
 	// must still be durable.
@@ -560,7 +610,7 @@ func TestDurableSubmitFailsClosedOnJournalFault(t *testing.T) {
 	// the acknowledgement append, fails.
 	m, err := Open(Options{
 		DataDir: t.TempDir(), Runners: 1, Telemetry: reg,
-		Disk: faultinject.New(faultinject.Config{DiskEvery: 1, DiskAfter: 1}),
+		disk: faultinject.New(faultinject.Config{DiskEvery: 1, DiskAfter: 1}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -593,7 +643,7 @@ func TestResultStorePutFaultFailsJob(t *testing.T) {
 	// put — fail.
 	m, err := Open(Options{
 		DataDir: dir, Runners: 1, Telemetry: reg,
-		Disk: faultinject.New(faultinject.Config{DiskEvery: 1, DiskAfter: 2}),
+		disk: faultinject.New(faultinject.Config{DiskEvery: 1, DiskAfter: 2}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"noisewave/internal/eqwave"
+	"noisewave/internal/netlist"
 )
 
 // Experiment names accepted by Config.Experiment.
@@ -48,19 +49,18 @@ type Config struct {
 	// Sweep jobs (table1, pushout).
 	Config     string   `json:"config,omitempty"`      // crosstalk configuration: I | II (default I)
 	Cases      int      `json:"cases,omitempty"`       // alignment cases (default 200 table1 / 100 pushout)
-	P          int      `json:"p,omitempty"`           // technique sample count (default 35)
+	P          int      `json:"p,omitempty"`           // table1: technique sample count (default 35)
 	RangeS     float64  `json:"range_s,omitempty"`     // alignment window in seconds (default 1e-9)
 	Techniques []string `json:"techniques,omitempty"`  // table1 techniques (default: all)
-	Seed       int64    `json:"seed,omitempty"`        // pushout Monte-Carlo seed
+	Seed       int64    `json:"seed,omitempty"`        // pushout Monte-Carlo seed (with monte_carlo only)
 	MonteCarlo bool     `json:"monte_carlo,omitempty"` // pushout: random alignments
 	KeepGoing  bool     `json:"keep_going,omitempty"`  // quarantine failing cases
 
 	// STA jobs.
-	Netlist   string            `json:"netlist,omitempty"`   // native netlist text
-	Liberty   string            `json:"liberty,omitempty"`   // Liberty library text
-	Wire      string            `json:"wire,omitempty"`      // ideal | elmore (default ideal)
-	Technique string            `json:"technique,omitempty"` // noise conversion technique (default SGDP)
-	Require   map[string]string `json:"require,omitempty"`   // net -> required arrival ("500ps")
+	Netlist string            `json:"netlist,omitempty"` // native netlist text
+	Liberty string            `json:"liberty,omitempty"` // Liberty library text
+	Wire    string            `json:"wire,omitempty"`    // ideal | elmore (default ideal)
+	Require map[string]string `json:"require,omitempty"` // net -> required arrival ("500ps")
 }
 
 // Submission errors. The HTTP layer maps ErrBacklogFull and ErrQuota to
@@ -92,7 +92,9 @@ const (
 )
 
 // Normalized returns the config with defaults applied and every field
-// validated — the canonical form the content hash is computed over.
+// validated — the canonical form the content hash is computed over. A
+// field the experiment does not read is rejected, not ignored: it would
+// give equal results two cache addresses.
 func (c Config) Normalized() (Config, error) {
 	switch c.Experiment {
 	case ExpTable1, ExpPushout:
@@ -110,11 +112,17 @@ func (c Config) Normalized() (Config, error) {
 				c.Cases = 100
 			}
 		}
-		if c.P <= 0 {
+		if c.Experiment == ExpTable1 && c.P <= 0 {
 			c.P = eqwave.DefaultP
 		}
 		if c.RangeS <= 0 {
 			c.RangeS = 1e-9
+		}
+		if c.Experiment == ExpPushout && (c.P != 0 || len(c.Techniques) > 0) {
+			return c, fmt.Errorf("%w: p/techniques apply to table1 jobs only", ErrInvalidConfig)
+		}
+		if c.Experiment == ExpPushout && c.Seed != 0 && !c.MonteCarlo {
+			return c, fmt.Errorf("%w: seed applies to monte_carlo pushout jobs only", ErrInvalidConfig)
 		}
 		if c.Cases > maxCases {
 			return c, fmt.Errorf("%w: cases %d exceeds the limit of %d", ErrInvalidConfig, c.Cases, maxCases)
@@ -133,8 +141,8 @@ func (c Config) Normalized() (Config, error) {
 		if c.Experiment == ExpTable1 && (c.Seed != 0 || c.MonteCarlo) {
 			return c, fmt.Errorf("%w: seed/monte_carlo apply to pushout jobs only", ErrInvalidConfig)
 		}
-		if c.Netlist != "" || c.Liberty != "" || c.Wire != "" || c.Technique != "" || len(c.Require) > 0 {
-			return c, fmt.Errorf("%w: netlist/liberty/wire/technique/require apply to sta jobs only", ErrInvalidConfig)
+		if c.Netlist != "" || c.Liberty != "" || c.Wire != "" || len(c.Require) > 0 {
+			return c, fmt.Errorf("%w: netlist/liberty/wire/require apply to sta jobs only", ErrInvalidConfig)
 		}
 	case ExpSTA:
 		if c.Netlist == "" {
@@ -149,11 +157,10 @@ func (c Config) Normalized() (Config, error) {
 		if c.Wire != "ideal" && c.Wire != "elmore" {
 			return c, fmt.Errorf("%w: wire %q (want ideal or elmore)", ErrInvalidConfig, c.Wire)
 		}
-		if c.Technique == "" {
-			c.Technique = "SGDP"
-		}
-		if _, err := eqwave.ByName(c.Technique); err != nil {
-			return c, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
+		for _, net := range sortedRequireNets(c.Require) {
+			if _, err := netlist.ParseQuantity(c.Require[net]); err != nil {
+				return c, fmt.Errorf("%w: require %s: %v", ErrInvalidConfig, net, err)
+			}
 		}
 		if c.Config != "" || c.Cases != 0 || c.P != 0 || c.RangeS != 0 ||
 			len(c.Techniques) > 0 || c.Seed != 0 || c.MonteCarlo || c.KeepGoing {

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"noisewave/internal/eqwave"
 	"noisewave/internal/experiments"
 	"noisewave/internal/liberty"
 	"noisewave/internal/telemetry"
@@ -500,8 +501,9 @@ func TestConfigValidation(t *testing.T) {
 		{Experiment: ExpSTA},
 		{Experiment: ExpSTA, Netlist: "design x"},
 		{Experiment: ExpSTA, Netlist: "design x", Liberty: "library(l){}", Wire: "rc-tree"},
-		{Experiment: ExpSTA, Netlist: "design x", Liberty: "library(l){}", Technique: "NOPE"},
 		{Experiment: ExpSTA, Netlist: "design x", Liberty: "library(l){}", Cases: 5},
+		{Experiment: ExpSTA, Netlist: "design x", Liberty: "library(l){}", Require: map[string]string{"y": "banana"}},
+		{Experiment: ExpSTA, Netlist: "design x", Liberty: "library(l){}", Require: map[string]string{"a": "1ns", "y": ""}},
 	}
 	for i, c := range bad {
 		if _, err := c.Normalized(); !errors.Is(err, ErrInvalidConfig) {
@@ -528,8 +530,8 @@ func TestConfigUpperBounds(t *testing.T) {
 	}{
 		{"cases at limit", Config{Experiment: ExpTable1, Cases: maxCases}, ""},
 		{"cases over limit", Config{Experiment: ExpTable1, Cases: maxCases + 1}, "cases 10001 exceeds the limit of 10000"},
-		{"p at limit", Config{Experiment: ExpPushout, P: maxP}, ""},
-		{"p over limit", Config{Experiment: ExpPushout, P: maxP + 1}, "p 1001 exceeds the limit of 1000"},
+		{"p at limit", Config{Experiment: ExpTable1, P: maxP}, ""},
+		{"p over limit", Config{Experiment: ExpTable1, P: maxP + 1}, "p 1001 exceeds the limit of 1000"},
 		{"range at limit", Config{Experiment: ExpTable1, RangeS: maxRangeS}, ""},
 		{"range over limit", Config{Experiment: ExpTable1, RangeS: 2e-8}, "range_s 2e-08 exceeds the limit of 1e-08 s"},
 		{"range NaN", Config{Experiment: ExpTable1, RangeS: math.NaN()}, "range_s NaN exceeds the limit of 1e-08 s"},
@@ -541,6 +543,46 @@ func TestConfigUpperBounds(t *testing.T) {
 		case tc.want != "" && (!errors.Is(err, ErrInvalidConfig) || !strings.Contains(fmt.Sprint(err), tc.want)):
 			t.Errorf("%s: err = %v, want ErrInvalidConfig with %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestConfigRejectsUnreadFields: a config that differs from an accepted
+// one only in a field its experiment does not read is rejected, so equal
+// results never sit under two cache addresses. RunPushout reads neither
+// the technique settings nor, on the deterministic grid, the seed.
+func TestConfigRejectsUnreadFields(t *testing.T) {
+	pushout := Config{Experiment: ExpPushout, Cases: 3, RangeS: 0.4e-9}
+	monteCarlo := pushout
+	monteCarlo.MonteCarlo = true
+	for _, base := range []Config{pushout, monteCarlo} {
+		if _, err := base.Normalized(); err != nil {
+			t.Fatalf("base config %+v rejected: %v", base, err)
+		}
+	}
+	withP, withTechs, withSeed := pushout, pushout, pushout
+	withP.P = eqwave.DefaultP
+	withTechs.Techniques = []string{"SGDP"}
+	withSeed.Seed = 7
+	for name, c := range map[string]Config{"p": withP, "techniques": withTechs, "seed without monte_carlo": withSeed} {
+		if _, err := c.Normalized(); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("pushout with %s: err = %v, want ErrInvalidConfig", name, err)
+		}
+	}
+	seeded := monteCarlo
+	seeded.Seed = 7
+	a, err := monteCarlo.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := seeded.Normalized()
+	if err != nil {
+		t.Fatalf("monte_carlo pushout with a seed rejected: %v", err)
+	}
+	if a.Hash() == b.Hash() {
+		t.Error("Monte-Carlo seeds 0 and 7 share a cache address")
+	}
+	if a.P != 0 {
+		t.Errorf("pushout normalized with p = %d, want none", a.P)
 	}
 }
 

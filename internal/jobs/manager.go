@@ -48,16 +48,6 @@ type Options struct {
 	// Recover selects what boot-time replay does with jobs that were
 	// running when the previous process died (default: re-enqueue).
 	Recover RecoverPolicy
-	// RetainTerminal bounds how many terminal jobs the journal (and the
-	// job listing) keeps across compactions. <= 0 selects 256. Results
-	// evicted from the listing remain durable in the result store.
-	RetainTerminal int
-	// CompactEvery is the number of journal appends between compaction
-	// passes. <= 0 selects 1024.
-	CompactEvery int
-	// Disk, when set, injects deterministic disk faults into journal
-	// appends and result-store writes (crash-recovery tests).
-	Disk *faultinject.Injector
 	// Log receives structured lifecycle events (queued, running, done,
 	// failed…), each carrying the job ID as the "corr" attribute. Tee it
 	// with a FlightRecorder handler (logctx.Tee) to feed the flight ring.
@@ -67,6 +57,13 @@ type Options struct {
 	// job's artifact directory (flight.json) — the events leading up to the
 	// failure become part of the audit trail.
 	Flight *obs.FlightRecorder
+
+	// Knobs only this package's tests set: how many terminal jobs the
+	// journal and the listing keep across compactions (0 selects 256),
+	// the journal appends between compactions (0 selects 1024), and a
+	// deterministic disk-fault injector for journal and store writes.
+	retainTerminal, compactEvery int
+	disk                         *faultinject.Injector
 }
 
 func (o Options) withDefaults() Options {
@@ -79,11 +76,11 @@ func (o Options) withDefaults() Options {
 	if o.Runners <= 0 {
 		o.Runners = 1
 	}
-	if o.RetainTerminal <= 0 {
-		o.RetainTerminal = 256
+	if o.retainTerminal <= 0 {
+		o.retainTerminal = 256
 	}
-	if o.CompactEvery <= 0 {
-		o.CompactEvery = 1024
+	if o.compactEvery <= 0 {
+		o.compactEvery = 1024
 	}
 	return o
 }

@@ -257,12 +257,7 @@ func runSTA(ctx context.Context, cfg Config, reg *telemetry.Registry, tracer *tr
 	if err != nil {
 		return nil, fmt.Errorf("%w: liberty: %v", ErrInvalidConfig, err)
 	}
-	tech, err := eqwave.ByName(cfg.Technique)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
-	}
 	timer := sta.New(lib, design)
-	timer.Technique = tech
 	if cfg.Wire == "elmore" {
 		timer.Wire = sta.ElmoreWire
 	}

@@ -43,8 +43,7 @@ type Config struct {
 	// (default 0.25).
 	InvX4Frac float64
 	// WireCap is the mean per-net wire capacitance in farads, jittered
-	// ±50% per net (default 3 fF). 0 disables netcap annotations — set
-	// NoWire to disable with the default config.
+	// ±50% per net (default 3 fF). 0 disables netcap annotations.
 	WireCap float64
 	// WireRes is the mean per-net wire resistance in ohms, jittered ±50%
 	// (default 150 Ω); feeds the ElmoreWire model.
@@ -58,8 +57,6 @@ type Config struct {
 	// (default 50 ps).
 	InputSlew   float64
 	InputSpread float64
-	// NoWire suppresses all parasitic annotations (pure gate-delay mesh).
-	NoWire bool
 }
 
 // DefaultConfig returns the standard mesh of a given size: 40% NAND2,
@@ -103,9 +100,6 @@ func (c Config) normalized() (Config, error) {
 	}
 	if c.InputSlew == 0 {
 		c.InputSlew = 100e-12
-	}
-	if c.NoWire {
-		c.WireCap, c.WireRes, c.CoupleFrac = 0, 0, 0
 	}
 	return c, nil
 }

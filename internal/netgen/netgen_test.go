@@ -76,16 +76,17 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// NoWire must strip every parasitic annotation.
+// Zero wire parameters give a pure gate-delay mesh: no parasitic
+// annotation at all.
 func TestGenerateNoWire(t *testing.T) {
 	cfg := DefaultConfig(500)
-	cfg.NoWire = true
+	cfg.WireCap, cfg.WireRes, cfg.CoupleFrac = 0, 0, 0
 	d, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(d.NetCaps) != 0 || len(d.NetRes) != 0 || len(d.Couplings) != 0 {
-		t.Fatalf("NoWire left parasitics: %d caps, %d res, %d couplings",
+		t.Fatalf("zero wire parameters left parasitics: %d caps, %d res, %d couplings",
 			len(d.NetCaps), len(d.NetRes), len(d.Couplings))
 	}
 }

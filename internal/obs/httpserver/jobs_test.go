@@ -195,6 +195,29 @@ func TestJobsAPIErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "cases 10001 exceeds the limit of 10000") {
 		t.Errorf("over-limit cases: status %d, error %q; want 400 naming the limit", resp.StatusCode, e.Error)
 	}
+
+	// A field the experiment does not read, and a required time that does
+	// not parse, are refused at the door too: accepted, they would split
+	// the cache or fail only after queueing.
+	const sta = `"experiment":"sta","netlist":"design d","liberty":"library(l){}"`
+	for _, tc := range []struct{ body, want string }{
+		{`{"config":{` + sta + `,"technique":"SGDP"}}`, `unknown field "technique"`},
+		{`{"config":{"experiment":"pushout","p":35}}`, "p/techniques apply to table1 jobs only"},
+		{`{"config":{"experiment":"pushout","techniques":["SGDP"]}}`, "p/techniques apply to table1 jobs only"},
+		{`{"config":{"experiment":"pushout","seed":7}}`, "seed applies to monte_carlo pushout jobs only"},
+		{`{"config":{` + sta + `,"require":{"y":"banana"}}}`, `require y: bad quantity "banana"`},
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorBody
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, tc.want) {
+			t.Errorf("%s: status %d, error %q; want 400 with %q", tc.body, resp.StatusCode, e.Error, tc.want)
+		}
+	}
 	if n := len(m.Jobs()); n != 0 {
 		t.Errorf("%d jobs after rejected submissions, want 0", n)
 	}

@@ -260,9 +260,9 @@ const (
 // match with errors.As to recover the net and both driver names.
 type MultiDriverError = sta.MultiDriverError
 
-// SweepOptions is the sweep-control block shared by the experiment drivers
-// (embedded in Table1Options, PushoutOptions, Figure2Options): worker-pool
-// size, seed, progress callback, cancellation context and telemetry.
+// SweepOptions is the sweep-control block shared by the sweep drivers
+// (embedded in Table1Options and PushoutOptions): worker-pool size, seed,
+// progress callback, cancellation context and telemetry.
 type SweepOptions = experiments.SweepOptions
 
 // Table1Options parameterizes the Table 1 sweep.
@@ -279,7 +279,9 @@ func RunTable1(cfg CrosstalkConfig, opts Table1Options) (*Table1Result, error) {
 // Figure2Series is the data behind the paper's Figure 2.
 type Figure2Series = experiments.Figure2Series
 
-// Figure2Options selects the noisy case of Figure 2's panel (b).
+// Figure2Options sets Figure 2's sample count, cancellation context and
+// telemetry. Figure 2 is one case, not a sweep: panel (b) always shows the
+// representative noisy case.
 type Figure2Options = experiments.Figure2Options
 
 // RunFigure2 regenerates the Figure 2 waveform series.
