@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -264,32 +263,18 @@ func run(w io.Writer, opts options) error {
 		}
 		fmt.Fprintln(w, "\nslack report:")
 		stbl := report.NewTable("Net", "Edge", "AT (ps)", "Required (ps)", "Slack (ps)")
-		// Rows in net-name order, as the STA job's slack list: ranging
-		// over the map would reorder them between identical runs.
-		for _, netName := range sortedNets(opts.requires) {
-			rt := opts.requires[netName]
-			for _, e := range []sta.PathStep{{Edge: 0}, {Edge: 1}} {
-				s, ok := req.Slack(res, netName, e.Edge)
-				if !ok {
-					continue
-				}
-				n := res.Nets[netName]
-				pt := n.Rise
-				if e.Edge != 0 {
-					pt = n.Fall
-				}
-				stbl.AddRow(netName, e.Edge.String(), report.Ps(pt.Arrival), report.Ps(rt), report.Ps(s))
-			}
+		for _, r := range req.Report() {
+			stbl.AddRow(r.Net, r.Edge.String(), report.Ps(r.Arrival), report.Ps(r.Required), report.Ps(r.Slack))
 		}
 		if err := stbl.Render(w); err != nil {
 			return err
 		}
-		if wnet, wedge, ws, ok := req.WorstSlack(res); ok {
+		if worst, ok := req.WorstSlack(); ok {
 			verdict := "MET"
-			if ws < 0 {
+			if worst.Slack < 0 {
 				verdict = "VIOLATED"
 			}
-			fmt.Fprintf(w, "\nworst slack: %s ps at %s (%v) — %s\n", report.Ps(ws), wnet, wedge, verdict)
+			fmt.Fprintf(w, "\nworst slack: %s ps at %s (%v) — %s\n", report.Ps(worst.Slack), worst.Net, worst.Edge, verdict)
 		}
 	}
 	return nil
@@ -307,14 +292,4 @@ func pinTrans(p sta.PinTiming) string {
 		return "-"
 	}
 	return report.Ps(p.Trans)
-}
-
-// sortedNets returns the constrained net names in ascending order.
-func sortedNets(requires requireFlags) []string {
-	nets := make([]string, 0, len(requires))
-	for net := range requires {
-		nets = append(nets, net)
-	}
-	sort.Strings(nets)
-	return nets
 }

@@ -16,7 +16,9 @@
 // pushout, psweep): 0 (the default) uses every core, and 1 runs the cases
 // one at a time in case order. Each worker owns a private transistor-level
 // simulator — the spice engine is single-threaded — and the statistics are
-// bit-identical for any worker count.
+// bit-identical for any worker count. figure2 and runtime run no sweep, so
+// they reject -workers, -trace, -chaos, -keep-going and -case-timeout
+// (exit 2).
 //
 // Observability and run control:
 //
@@ -72,12 +74,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -118,6 +122,17 @@ func main() {
 	)
 	flag.Parse()
 
+	// figure2 and runtime run no sweep, so a sweep flag set there is an
+	// error rather than a silent no-op; -experiment all shares the flags
+	// with its sweeps.
+	if *experiment == "figure2" || *experiment == "runtime" {
+		flag.Visit(func(f *flag.Flag) {
+			if slices.Contains([]string{"chaos", "keep-going", "case-timeout", "trace", "workers"}, f.Name) {
+				fmt.Fprintf(os.Stderr, "repro: -%s applies only to sweeps; -experiment %s runs none\n", f.Name, *experiment)
+				os.Exit(2)
+			}
+		})
+	}
 	if *metrics != "" && *metrics != "text" && *metrics != "json" {
 		fmt.Fprintf(os.Stderr, "repro: -metrics %q: want text or json\n", *metrics)
 		os.Exit(2)
@@ -181,7 +196,7 @@ func main() {
 	}
 
 	e := env{
-		ctx: ctx, reg: reg, tracer: tracer, progress: progress,
+		stdout: os.Stdout, ctx: ctx, reg: reg, tracer: tracer, progress: progress,
 		config: *config, cases: *cases, p: *p,
 		workers: *workers, out: *out, quiet: *quiet,
 		keepGoing: *keepGoing, caseTimeout: *caseTO, inject: inject,
@@ -219,8 +234,10 @@ func main() {
 }
 
 // env carries the run-wide settings every experiment printer needs: the
-// cancellation context, the shared telemetry registry and the CLI knobs.
+// cancellation context, the shared telemetry registry, the CLI knobs and
+// the writer the tables go to.
 type env struct {
+	stdout      io.Writer
 	ctx         context.Context
 	reg         *telemetry.Registry
 	tracer      *trace.Tracer
@@ -238,6 +255,9 @@ type env struct {
 	// directory; nil when -artifacts is off.
 	failures map[string]*sweep.FailureReport
 }
+
+// partialBanner heads the table of a sweep that was canceled mid-run.
+const partialBanner = "(partial: run canceled mid-sweep)"
 
 // sweepOpts assembles the shared sweep-control block from the environment.
 // The live progress tracker feeds the status server even when no display
@@ -366,15 +386,15 @@ func runPushout(e env, cfgs []xtalk.Config, cases int) error {
 		st, err := experiments.RunPushout(cfg, experiments.PushoutOptions{
 			Cases: cases, Range: 1e-9, SweepOptions: e.sweepOpts(),
 		})
-		if err != nil && !errors.Is(err, telemetry.ErrCanceled) {
-			return err
+		if st == nil || (err != nil && !errors.Is(err, telemetry.ErrCanceled)) {
+			return err // a cancel before the first case leaves nothing to print
 		}
 		e.noteFailures("pushout config "+cfg.Name, st.Failures)
 		done, elapsed, rate := throughput(e.reg.Snapshot().Delta(before), "experiments.pushout.seconds")
 		fmt.Fprintf(os.Stderr, "pushout config %s: %d cases in %v (%.2f cases/s, %d workers)\n",
 			cfg.Name, done, elapsed.Round(time.Millisecond), rate, poolSize(e.workers))
-		fmt.Printf("\nDelay-noise distribution, configuration %s (%d cases):\n", cfg.Name, st.Cases)
-		fmt.Printf("  quiet arrival %s ns; pushout mean=%s p50=%s p95=%s max=%s ps\n",
+		fmt.Fprintf(e.stdout, "\nDelay-noise distribution, configuration %s (%d cases):\n", cfg.Name, st.Cases)
+		fmt.Fprintf(e.stdout, "  quiet arrival %s ns; pushout mean=%s p50=%s p95=%s max=%s ps\n",
 			report.Ns(st.QuietArrival), report.Ps(st.Mean), report.Ps(st.P50),
 			report.Ps(st.P95), report.Ps(st.Max))
 		for _, b := range st.Hist {
@@ -382,9 +402,9 @@ func runPushout(e env, cfgs []xtalk.Config, cases int) error {
 			for i := 0; i < b.Count; i++ {
 				bar += "#"
 			}
-			fmt.Printf("  [%7s, %7s) ps %s\n", report.Ps(b.Lo), report.Ps(b.Hi), bar)
+			fmt.Fprintf(e.stdout, "  [%7s, %7s) ps %s\n", report.Ps(b.Lo), report.Ps(b.Hi), bar)
 		}
-		printFailures(cfg.Name, st.Excluded, st.Failures)
+		printFailures(e.stdout, cfg.Name, st.Excluded, st.Failures)
 		if err != nil {
 			return err
 		}
@@ -406,7 +426,7 @@ func selectConfigs(sel string) ([]xtalk.Config, error) {
 }
 
 func runTable1(e env, cfgs []xtalk.Config) error {
-	fmt.Printf("Table 1: gate delay error vs transient reference (%d cases, P=%d)\n\n", e.cases, e.p)
+	fmt.Fprintf(e.stdout, "Table 1: gate delay error vs transient reference (%d cases, P=%d)\n\n", e.cases, e.p)
 	tbl := report.NewTable("Method", "Cfg I Max (ps)", "Cfg I Avg (ps)", "Cfg II Max (ps)", "Cfg II Avg (ps)")
 	columns := map[string][4]string{}
 	var order []string
@@ -425,8 +445,8 @@ func runTable1(e env, cfgs []xtalk.Config) error {
 		e.progress.SetPhase("table1 config "+cfg.Name, e.cases)
 		before := e.reg.Snapshot()
 		res, err := experiments.RunTable1(cfg, opts)
-		if err != nil && !errors.Is(err, telemetry.ErrCanceled) {
-			return err
+		if res == nil || (err != nil && !errors.Is(err, telemetry.ErrCanceled)) {
+			return err // a cancel before the first case leaves nothing to print
 		}
 		e.noteFailures("table1 config "+cfg.Name, res.Failures)
 		canceled = err
@@ -459,7 +479,7 @@ func runTable1(e env, cfgs []xtalk.Config) error {
 			col[base+1] = report.Ps(s.AvgAbs)
 			columns[s.Name] = col
 		}
-		printFailures(cfg.Name, res.Excluded, res.Failures)
+		printFailures(e.stdout, cfg.Name, res.Excluded, res.Failures)
 		if canceled != nil {
 			break
 		}
@@ -469,9 +489,9 @@ func runTable1(e env, cfgs []xtalk.Config) error {
 		tbl.AddRow(name, c[0], c[1], c[2], c[3])
 	}
 	if canceled != nil {
-		fmt.Println("(partial: run canceled mid-sweep)")
+		fmt.Fprintln(e.stdout, partialBanner)
 	}
-	if err := tbl.Render(os.Stdout); err != nil {
+	if err := tbl.Render(e.stdout); err != nil {
 		return err
 	}
 	return canceled
@@ -484,7 +504,7 @@ func runFigure2(e env, cfg xtalk.Config) error {
 	if err != nil {
 		return err
 	}
-	w := os.Stdout
+	w := e.stdout
 	if e.out != "" {
 		f, err := os.Create(e.out)
 		if err != nil {
@@ -518,24 +538,24 @@ func runRuntime(e env, cfg xtalk.Config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nRun-time comparison (§4.2): per-gate Γeff fit, P=%d\n\n", e.p)
+	fmt.Fprintf(e.stdout, "\nRun-time comparison (§4.2): per-gate Γeff fit, P=%d\n\n", e.p)
 	tbl := report.NewTable("Method", "Per-gate time")
 	for _, r := range rows {
 		tbl.AddRow(r.Name, r.PerGate.String())
 	}
-	return tbl.Render(os.Stdout)
+	return tbl.Render(e.stdout)
 }
 
 // printFailures renders a sweep's failure report when anything was
 // quarantined or excluded; silent on clean runs, so healthy output stays
 // byte-identical with and without the resilience flags.
-func printFailures(config string, excluded int, rep *sweep.FailureReport) {
+func printFailures(w io.Writer, config string, excluded int, rep *sweep.FailureReport) {
 	if excluded == 0 && rep.Quarantined() == 0 {
 		return
 	}
-	fmt.Printf("\nFailure report, configuration %s: %d case(s) excluded from statistics\n", config, excluded)
+	fmt.Fprintf(w, "\nFailure report, configuration %s: %d case(s) excluded from statistics\n", config, excluded)
 	if rep != nil {
-		fmt.Printf("  %s\n", rep)
+		fmt.Fprintf(w, "  %s\n", rep)
 	}
 }
 
@@ -548,22 +568,30 @@ func fmtOffsetsPs(offsets []float64) string {
 	return b.String()
 }
 
+// runPSweep prints the P sweep's rows. A canceled sweep still prints the
+// rows of the P values that finished, under table1's partial banner.
 func runPSweep(e env, cfg xtalk.Config, cases int) error {
 	e.progress.SetPhase("psweep config "+cfg.Name, cases)
 	rows, err := experiments.RunPSweep(cfg, nil, cases, e.sweepOpts())
-	if err != nil {
+	if err != nil && !errors.Is(err, telemetry.ErrCanceled) {
 		return err
 	}
-	fmt.Printf("\nSGDP accuracy/run-time vs P (§4.2 trade-off)\n\n")
+	fmt.Fprintf(e.stdout, "\nSGDP accuracy/run-time vs P (§4.2 trade-off)\n\n")
+	if err != nil {
+		fmt.Fprintln(e.stdout, partialBanner)
+	}
 	tbl := report.NewTable("P", "Per-gate time", "Avg |err| (ps)")
 	for _, r := range rows {
 		tbl.AddRow(fmt.Sprint(r.P), r.PerGate.String(), report.Ps(r.AvgAbsErr))
 	}
-	err = tbl.Render(os.Stdout)
+	rerr := tbl.Render(e.stdout)
 	for _, r := range rows {
 		label := fmt.Sprintf("%s, P=%d", cfg.Name, r.P)
 		e.noteFailures("psweep config "+label, r.Failures)
-		printFailures(label, r.Excluded, r.Failures)
+		printFailures(e.stdout, label, r.Excluded, r.Failures)
+	}
+	if rerr != nil {
+		return rerr
 	}
 	return err
 }

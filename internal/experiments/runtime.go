@@ -149,6 +149,10 @@ func RunPSweep(cfg xtalk.Config, ps []int, cases int, so SweepOptions) ([]Runtim
 		cases = 20
 	}
 	ctx := so.ctx()
+	in, _, err := representativeCase(ctx, cfg, so.Telemetry)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: P sweep workload: %w", err)
+	}
 	var rows []RuntimeRow
 	for _, p := range ps {
 		res, err := RunTable1(cfg, Table1Options{
@@ -160,10 +164,6 @@ func RunPSweep(cfg xtalk.Config, ps []int, cases int, so SweepOptions) ([]Runtim
 			return rows, fmt.Errorf("experiments: P sweep (P=%d): %w", p, err)
 		}
 		st, _ := res.StatsFor("SGDP")
-		in, _, err := representativeCase(ctx, cfg, so.Telemetry)
-		if err != nil {
-			return rows, fmt.Errorf("experiments: P sweep workload (P=%d): %w", p, err)
-		}
 		in.P = p
 		sgdp := eqwave.NewSGDP()
 		fit := telemetry.New().Timer("eqwave.fit_seconds.SGDP")

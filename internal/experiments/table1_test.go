@@ -161,6 +161,59 @@ func TestTable1SmallPinned(t *testing.T) {
 	}
 }
 
+// TestTable1CfgIIPinned pins the published Configuration II sweep (200
+// cases, P = 35, the 1 ps step) at 2 workers to 1 fs: every technique's
+// max and avg error, the values perfbench's table1 workload checks. Cfg II
+// is where SGDP leaves its first fit for the fallback chain (DESIGN §5),
+// which no Cfg I case reaches, so a change to the chain that the Cfg I
+// pins cannot see fails here. On amd64 the solver's work is pinned exactly
+// too: Newton iterations, transients and LU factorizations.
+func TestTable1CfgIIPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("pinned Table 1 sweep skipped under -short")
+	}
+	want := map[string][2]float64{ // technique -> {max, avg} in seconds
+		"P1":   {2.0633609989905277e-10, 9.5047065412540455e-12},
+		"P2":   {2.2632139533101029e-10, 1.4388646276254881e-11},
+		"LSF3": {1.8529109650045601e-10, 4.8192415931121765e-11},
+		"E4":   {2.539151563108534e-10, 2.1607034311067015e-11},
+		"WLS5": {4.3153836630725481e-09, 1.6621600246635962e-10},
+		"SGDP": {1.5679560731184778e-10, 1.1985686345551532e-11},
+	}
+	reg := telemetry.New()
+	opts := DefaultTable1Options()
+	opts.Workers, opts.Telemetry = 2, reg
+	res, err := RunTable1(xtalk.ConfigurationII(device.Default130()), opts)
+	if err != nil {
+		t.Fatalf("RunTable1: %v", err)
+	}
+	if len(res.Stats) != len(want) {
+		t.Fatalf("%d techniques scored, want %d", len(res.Stats), len(want))
+	}
+	for _, s := range res.Stats {
+		w, ok := want[s.Name]
+		if !ok {
+			t.Errorf("unexpected technique %s", s.Name)
+			continue
+		}
+		if s.N != opts.Cases || s.Failures != 0 {
+			t.Errorf("%s scored %d cases with %d failures, want %d and 0", s.Name, s.N, s.Failures, opts.Cases)
+		}
+		if math.Abs(s.MaxAbs-w[0]) > 1e-15 || math.Abs(s.AvgAbs-w[1]) > 1e-15 {
+			t.Errorf("%s max %.17g avg %.17g, want %.17g / %.17g (±1 fs)", s.Name, s.MaxAbs, s.AvgAbs, w[0], w[1])
+		}
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Logf("work counts are pinned for amd64; not checked on %s", runtime.GOARCH)
+		return
+	}
+	c := reg.Snapshot().Counters
+	got := [3]int64{c["spice.newton_iterations"], c["spice.transients"], c["spice.fastpath.refactors"]}
+	if want := [3]int64{4984103, 1385, 63075}; got != want {
+		t.Errorf("Newton iterations, transients, LU factorizations = %v, want %v", got, want)
+	}
+}
+
 // checkTable1 validates the invariants every configuration must satisfy;
 // wlsBound is the avg-error plausibility bound applied to WLS5 (relaxed in
 // Configuration II, see above).

@@ -19,7 +19,6 @@ import (
 	"noisewave/internal/sweep"
 	"noisewave/internal/telemetry"
 	"noisewave/internal/trace"
-	"noisewave/internal/wave"
 	"noisewave/internal/xtalk"
 )
 
@@ -307,32 +306,18 @@ func runSTA(ctx context.Context, cfg Config, reg *telemetry.Registry, tracer *tr
 		if err != nil {
 			return nil, err
 		}
-		for _, netName := range sortedRequireNets(cfg.Require) {
-			for _, e := range []wave.Edge{wave.Rising, wave.Falling} {
-				s, ok := req.Slack(res, netName, e)
-				if !ok {
-					continue
-				}
-				pt := res.Nets[netName].Rise
-				if e == wave.Falling {
-					pt = res.Nets[netName].Fall
-				}
-				p.Slacks = append(p.Slacks, SlackJS{
-					Net: netName, Edge: e.String(), Arrival: pt.Arrival,
-					Required: constraints[netName], Slack: s,
-				})
-			}
+		for _, row := range req.Report() {
+			p.Slacks = append(p.Slacks, slackJS(row))
 		}
-		if wnet, wedge, ws, ok := req.WorstSlack(res); ok {
-			wpt := res.Nets[wnet].Rise
-			if wedge == wave.Falling {
-				wpt = res.Nets[wnet].Fall
-			}
-			p.WorstSlack = &SlackJS{
-				Net: wnet, Edge: wedge.String(), Arrival: wpt.Arrival,
-				Required: wpt.Arrival + ws, Slack: ws,
-			}
+		if worst, ok := req.WorstSlack(); ok {
+			w := slackJS(worst)
+			p.WorstSlack = &w
 		}
 	}
 	return &Result{Experiment: ExpSTA, STA: p}, nil
+}
+
+// slackJS flattens one slack-report row for JSON.
+func slackJS(r sta.SlackRow) SlackJS {
+	return SlackJS{Net: r.Net, Edge: r.Edge.String(), Arrival: r.Arrival, Required: r.Required, Slack: r.Slack}
 }

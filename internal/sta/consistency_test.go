@@ -64,12 +64,12 @@ netres n2 200
 		if len(path) < 4 {
 			t.Fatalf("%s: path too short: %d steps", tc.name, len(path))
 		}
-		end, ok := req.Slack(res, net, edge)
+		end, ok := req.Slack(net, edge)
 		if !ok {
 			t.Fatalf("%s: no endpoint slack", tc.name)
 		}
 		for _, step := range path {
-			s, ok := req.Slack(res, step.Net, step.Edge)
+			s, ok := req.Slack(step.Net, step.Edge)
 			if !ok {
 				t.Fatalf("%s: no slack at %s (%v)", tc.name, step.Net, step.Edge)
 			}
@@ -110,9 +110,9 @@ gate u3 INV A=n2 Y=y
 	if err != nil {
 		t.Fatal(err)
 	}
-	end, _ := req.Slack(res, net, edge)
+	end, _ := req.Slack(net, edge)
 	for _, step := range path {
-		s, ok := req.Slack(res, step.Net, step.Edge)
+		s, ok := req.Slack(step.Net, step.Edge)
 		if !ok {
 			t.Fatalf("no slack at %s (%v)", step.Net, step.Edge)
 		}
@@ -330,11 +330,11 @@ gate u2 INV A=n1 Y=y
 		t.Fatal(err)
 	}
 	// y's fall comes from n1's (annotated) rise: slack at both must match.
-	sy, ok := req.Slack(res, "y", wave.Falling)
+	sy, ok := req.Slack("y", wave.Falling)
 	if !ok {
 		t.Fatal("no slack at y fall")
 	}
-	sn, ok := req.Slack(res, "n1", wave.Rising)
+	sn, ok := req.Slack("n1", wave.Rising)
 	if !ok {
 		t.Fatal("no slack at n1 rise")
 	}

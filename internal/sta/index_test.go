@@ -220,11 +220,17 @@ gate u2 INV A=n1 Y=y
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r := req.Required["a"]; r == nil || !math.IsInf(r.Rise, 1) || !math.IsInf(r.Fall, 1) {
+		if r := requiredAt(t, req, "a"); !math.IsInf(r[wave.Rising], 1) || !math.IsInf(r[wave.Falling], 1) {
 			t.Errorf("replacement %p: a constraint on an edited name reached input a: %+v", replacement, r)
 		}
-		if r := req.Required["y"]; r == nil || r.Rise != 1e-9 {
-			t.Errorf("replacement %p: constraint on y not reported: %+v", replacement, r)
+		if _, ok := req.Slack("y", wave.Rising); ok {
+			t.Errorf("replacement %p: the edited name y has a slack", replacement)
+		}
+		if rows := req.Report(); len(rows) != 0 {
+			t.Errorf("replacement %p: slack rows for a constraint that binds to no net: %+v", replacement, rows)
+		}
+		if w, ok := req.WorstSlack(); ok {
+			t.Errorf("replacement %p: worst slack %+v with no net constrained", replacement, w)
 		}
 	}
 }

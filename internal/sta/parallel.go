@@ -36,8 +36,7 @@ type RunOptions struct {
 	// sta.run root with sta.build and sta.propagate children, plus one
 	// event per noise conversion. sta.build carries a noise_sites
 	// attribute and splits into sta.compile (the graph compile) and
-	// sta.bind (noise binding and Result.Order). Tracing never changes the
-	// numbers.
+	// sta.bind (noise binding). Tracing never changes the numbers.
 	Tracer *trace.Tracer
 }
 
@@ -104,11 +103,7 @@ func (t *Timer) RunCtx(ctx context.Context, opts RunOptions) (*Result, error) {
 	}
 	binding := build.Child("sta.bind")
 	e := &engine{timer: t, graph: g, wire: wire, reg: reg, state: g.state}
-	order := make([]string, len(g.levelOrder))
-	for i, gi := range g.levelOrder {
-		order[i] = g.gateName[gi]
-	}
-	e.res = &Result{Nets: g.nets, Order: order, graph: g, wire: wire}
+	e.res = &Result{Nets: g.nets, graph: g, wire: wire}
 	build.SetAttr(trace.Int("noise_sites", e.bindNoise(noise)))
 	binding.End()
 	build.End()

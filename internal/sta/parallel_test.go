@@ -104,7 +104,7 @@ func TestParallelSlacksMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refNet, refEdge, refSlack, ok := refReq.WorstSlack(ref)
+	refNet, refEdge, refSlack, ok := worstSlackReference(refReq, ref)
 	if !ok {
 		t.Fatal("reference worst slack not found")
 	}
@@ -117,13 +117,13 @@ func TestParallelSlacksMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, edge, slack, ok := req.WorstSlack(res)
+	w, ok := req.WorstSlack()
 	if !ok {
 		t.Fatal("parallel worst slack not found")
 	}
-	if net != refNet || edge != refEdge || slack != refSlack {
+	if w.Net != refNet || w.Edge != refEdge || w.Slack != refSlack {
 		t.Fatalf("worst slack differs: ref (%s, %v, %g) vs parallel (%s, %v, %g)",
-			refNet, refEdge, refSlack, net, edge, slack)
+			refNet, refEdge, refSlack, w.Net, w.Edge, w.Slack)
 	}
 }
 
@@ -309,8 +309,9 @@ func TestDisconnectedDesign(t *testing.T) {
 	}
 }
 
-// Result.Order from the levelized engine must be a topological order: every
-// gate appears after the drivers of all its inputs.
+// The graph's levelOrder, the order the engine times gates in, must be a
+// topological order: every gate appears after the drivers of all its
+// inputs.
 func TestParallelOrderTopological(t *testing.T) {
 	cfg := netgen.DefaultConfig(800)
 	cfg.Seed = 4
@@ -319,12 +320,13 @@ func TestParallelOrderTopological(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Order) != len(tm.Design.Gates) {
-		t.Fatalf("Order has %d gates, design has %d", len(res.Order), len(tm.Design.Gates))
+	g := res.graph
+	if len(g.levelOrder) != len(tm.Design.Gates) {
+		t.Fatalf("levelOrder has %d gates, design has %d", len(g.levelOrder), len(tm.Design.Gates))
 	}
-	pos := make(map[string]int, len(res.Order))
-	for i, g := range res.Order {
-		pos[g] = i
+	pos := make(map[string]int, len(g.levelOrder))
+	for i, gi := range g.levelOrder {
+		pos[g.gateName[gi]] = i
 	}
 	driver := make(map[string]string)
 	for _, g := range tm.Design.Gates {
@@ -391,9 +393,9 @@ func TestConcurrentAnnotateAndRun(t *testing.T) {
 // benchMesh times one pass over a pinned mesh with noiseFrac of its nets
 // SGDP-annotated the way perfbench's sta-noisy workload does it (0 =
 // clean). mode picks the pass: "reference" is the map walk, "levelized" is
-// RunCtx (graph compile included), "compile" is the graph compile alone
-// and "required" is ComputeRequired, all outputs constrained, on the
-// Result of one RunCtx.
+// RunCtx (graph compile included), "compile" is the graph compile alone,
+// "required" is ComputeRequired, all outputs constrained, on the Result of
+// one RunCtx, and "slack" is WorstSlack on that ComputeRequired's result.
 func benchMesh(b *testing.B, mode string, gates, workers int, noiseFrac float64) {
 	cfg := netgen.DefaultConfig(gates)
 	cfg.Seed = 1
@@ -405,15 +407,19 @@ func benchMesh(b *testing.B, mode string, gates, workers int, noiseFrac float64)
 	tm.Wire = ElmoreWire
 	annotateSites(tm, netgen.NoiseSites(cfg, d, tm.Lib.Vdd, noiseFrac))
 	opts := RunOptions{Workers: workers}
-	var res *Result
-	if mode == "required" {
-		if res, err = tm.RunCtx(context.Background(), opts); err != nil {
-			b.Fatal(err)
-		}
-	}
 	constraints := make(map[string]float64, len(d.Outputs))
 	for _, o := range d.Outputs {
 		constraints[o] = 20e-9
+	}
+	var res *Result
+	var req *RequiredTimes
+	if mode == "required" || mode == "slack" {
+		if res, err = tm.RunCtx(context.Background(), opts); err != nil {
+			b.Fatal(err)
+		}
+		if req, err = tm.ComputeRequired(res, constraints); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -425,6 +431,10 @@ func benchMesh(b *testing.B, mode string, gates, workers int, noiseFrac float64)
 			_, err = compile(d, tm.Lib, workers)
 		case "required":
 			_, err = tm.ComputeRequired(res, constraints)
+		case "slack":
+			if _, ok := req.WorstSlack(); !ok {
+				b.Fatal("no worst slack")
+			}
 		default:
 			_, err = tm.RunCtx(context.Background(), opts)
 		}
@@ -437,10 +447,10 @@ func benchMesh(b *testing.B, mode string, gates, workers int, noiseFrac float64)
 // BenchmarkMesh is the gates-vs-wall scaling matrix behind EXPERIMENTS.md
 // "Full-chip STA at scale": the legacy map walk versus the levelized
 // engine at 1 and 4 workers, clean and with 1% of nets noise-annotated,
-// for 10³–10⁵ gates, plus the backward pass on the noisy Result and, from
-// 10⁴ gates, the graph compile alone at 1 and 4 workers. A noisy row far
-// above its clean row means noise set-up has stopped being linear in the
-// design size.
+// for 10³–10⁵ gates, plus the backward pass and the worst-slack scan on
+// the noisy Result and, from 10⁴ gates, the graph compile alone at 1 and 4
+// workers. A noisy row far above its clean row means noise set-up has
+// stopped being linear in the design size.
 func BenchmarkMesh(b *testing.B) {
 	for _, gates := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("reference/gates=%d", gates), func(b *testing.B) {
@@ -461,6 +471,9 @@ func BenchmarkMesh(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("required/gates=%d", gates), func(b *testing.B) {
 			benchMesh(b, "required", gates, 1, 0.01)
+		})
+		b.Run(fmt.Sprintf("slack/gates=%d", gates), func(b *testing.B) {
+			benchMesh(b, "slack", gates, 1, 0.01)
 		})
 	}
 }

@@ -48,7 +48,6 @@ func (t *Timer) RunReference(reg *telemetry.Registry) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Order = order
 
 	loads, pinCaps, err := t.netLoads()
 	if err != nil {
@@ -136,8 +135,9 @@ func (t *Timer) RunReference(reg *telemetry.Registry) (*Result, error) {
 // Lib, and recomputes every arc's input timing through inputTiming. Either
 // forward pass stamps each fit it made into res, so the memo starts from
 // the annotated edges res carries and the backward pass reuses those fits
-// rather than refitting.
-func (t *Timer) computeRequiredReference(res *Result, constraints map[string]float64) (*RequiredTimes, error) {
+// rather than refitting. It returns the required times by net name: every
+// net a gate reads or drives, and every constrained name.
+func (t *Timer) computeRequiredReference(res *Result, constraints map[string]float64) (map[string]*[2]float64, error) {
 	d := t.Design
 	memo := make(map[noiseKey]noiseVal)
 	for net, ann := range t.Noise {
@@ -147,18 +147,17 @@ func (t *Timer) computeRequiredReference(res *Result, constraints map[string]flo
 			}
 		}
 	}
-	req := &RequiredTimes{Required: make(map[string]*NetRequired)}
-	get := func(net string) *NetRequired {
-		n, ok := req.Required[net]
+	req := make(map[string]*[2]float64)
+	get := func(net string) *[2]float64 {
+		n, ok := req[net]
 		if !ok {
-			n = &NetRequired{Rise: math.Inf(1), Fall: math.Inf(1)}
-			req.Required[net] = n
+			n = &[2]float64{math.Inf(1), math.Inf(1)}
+			req[net] = n
 		}
 		return n
 	}
 	for out, rt := range constraints {
-		n := get(out)
-		n.Rise, n.Fall = rt, rt
+		*get(out) = [2]float64{rt, rt}
 	}
 
 	order, err := t.levelize()
@@ -217,15 +216,53 @@ func (t *Timer) computeRequiredReference(res *Result, constraints map[string]flo
 				if err != nil {
 					return nil, err
 				}
-				cand := *outReq.forEdge(outEdge) - delay - wDelay
-				slot := inReq.forEdge(inEdge)
-				if cand < *slot {
-					*slot = cand
+				cand := outReq[outEdge] - delay - wDelay
+				if cand < inReq[inEdge] {
+					inReq[inEdge] = cand
 				}
 			}
 		}
 	}
 	return req, nil
+}
+
+// slackReference is the map-based Slack that RequiredTimes replaced: the
+// required time by name against res.Nets, two map lookups per call.
+func slackReference(req map[string]*[2]float64, res *Result, net string, edge wave.Edge) (float64, bool) {
+	nr, ok := req[net]
+	if !ok {
+		return 0, false
+	}
+	nt, ok := res.Nets[net]
+	if !ok {
+		return 0, false
+	}
+	pt := nt.timingFor(edge)
+	r := nr[edge]
+	if !pt.Valid || math.IsInf(r, 1) {
+		return 0, false
+	}
+	return r - pt.Arrival, true
+}
+
+// worstSlackReference is the map scan WorstSlack replaced: the minimum
+// slackReference over every name in req, ties to the lexicographically
+// last name. Map order is random, so only the tie-break makes its answer
+// deterministic.
+func worstSlackReference(req map[string]*[2]float64, res *Result) (net string, edge wave.Edge, slack float64, ok bool) {
+	slack = math.Inf(1)
+	for name := range req {
+		for _, e := range []wave.Edge{wave.Rising, wave.Falling} {
+			s, valid := slackReference(req, res, name, e)
+			if !valid {
+				continue
+			}
+			if s < slack || (s == slack && name > net) {
+				net, edge, slack, ok = name, e, s, true
+			}
+		}
+	}
+	return net, edge, slack, ok
 }
 
 // inputTiming returns the effective timing of a net as seen by a receiving

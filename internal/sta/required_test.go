@@ -9,24 +9,43 @@ import (
 	"noisewave/internal/netgen"
 	"noisewave/internal/netlist"
 	"noisewave/internal/telemetry"
+	"noisewave/internal/wave"
 )
 
-// requireSameRequired asserts two required-time sets name the same nets
-// and carry bit-identical required times on both edges.
+// requireMatchesReference asserts the required times by net ID carry the
+// map walk's bits on both edges for every net of the run, and that a net
+// the walk never reached — an unread, unconstrained primary input — has
+// none. A constrained name the run has no net for binds to nothing.
+func requireMatchesReference(t *testing.T, want map[string]*[2]float64, got *RequiredTimes) {
+	t.Helper()
+	for id, name := range got.graph.netName {
+		w, ok := want[name]
+		if !ok {
+			w = &[2]float64{math.Inf(1), math.Inf(1)}
+		}
+		if g := got.req[id]; !sameRequired(*w, g) {
+			t.Fatalf("net %s required times differ: want %+v, got %+v", name, *w, g)
+		}
+	}
+}
+
+// requireSameRequired asserts two required-time sets of one run carry
+// bit-identical required times on both edges of every net.
 func requireSameRequired(t *testing.T, want, got *RequiredTimes) {
 	t.Helper()
-	if len(want.Required) != len(got.Required) {
-		t.Fatalf("required-time net count differs: %d vs %d", len(want.Required), len(got.Required))
+	if want.graph != got.graph || len(want.req) != len(got.req) {
+		t.Fatalf("required times of different runs: %d vs %d nets", len(want.req), len(got.req))
 	}
-	for name, w := range want.Required {
-		g, ok := got.Required[name]
-		if !ok {
-			t.Fatalf("net %s missing from second required-time set", name)
-		}
-		if math.Float64bits(w.Rise) != math.Float64bits(g.Rise) || math.Float64bits(w.Fall) != math.Float64bits(g.Fall) {
-			t.Fatalf("net %s required times differ: want %+v, got %+v", name, *w, *g)
+	for id, w := range want.req {
+		if !sameRequired(w, got.req[id]) {
+			t.Fatalf("net %s required times differ: want %+v, got %+v", want.graph.netName[id], w, got.req[id])
 		}
 	}
+}
+
+// sameRequired compares both edges' required times bit for bit.
+func sameRequired(a, b [2]float64) bool {
+	return math.Float64bits(a[0]) == math.Float64bits(b[0]) && math.Float64bits(a[1]) == math.Float64bits(b[1])
 }
 
 // annotateSites attaches netgen's noise sites to a timer.
@@ -71,7 +90,7 @@ func TestRequiredMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameRequired(t, want, got)
+				requireMatchesReference(t, want, got)
 			}
 		}
 	}
@@ -98,9 +117,12 @@ func TestRequiredMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameRequired(t, want, got)
-	if _, ok := got.Required["spare"]; ok {
-		t.Fatal("unread, unconstrained primary input spare has a required time")
+	requireMatchesReference(t, want, got)
+	if _, ok := got.Slack("spare", wave.Rising); ok {
+		t.Fatal("unread, unconstrained primary input spare has a slack")
+	}
+	if _, ok := got.Slack("tied", wave.Rising); !ok {
+		t.Fatal("constrained primary input tied has no slack")
 	}
 }
 

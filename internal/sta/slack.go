@@ -4,44 +4,41 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"noisewave/internal/wave"
 )
 
-// RequiredTimes holds per-net required arrival times computed by backward
-// propagation from output constraints, and the resulting slacks.
+// RequiredTimes holds the required times of one run, propagated backward
+// from output constraints, and reads them against the arrivals in the
+// run's arena.
 type RequiredTimes struct {
-	// Required[net] is the required time per edge (math.Inf(1) where
-	// unconstrained).
-	Required map[string]*NetRequired
+	graph *compactGraph
+	// req holds each net ID's required time per edge, indexed by
+	// wave.Edge: math.Inf(1) where nothing constrains it.
+	req         [][2]float64
+	constraints map[string]float64
 }
 
-// NetRequired carries both edges of a net's required time.
-type NetRequired struct {
-	Rise, Fall float64
-}
-
-// forEdge returns a pointer to the edge's required time.
-func (n *NetRequired) forEdge(e wave.Edge) *float64 {
-	if e == wave.Rising {
-		return &n.Rise
-	}
-	return &n.Fall
-}
+// edges lists both edges, rise first: the order every slack scan and
+// report row takes.
+var edges = [2]wave.Edge{wave.Rising, wave.Falling}
 
 // Slack returns arrival-vs-required slack of a net for an edge (positive =
-// meets timing). The second return is false when either side is missing.
-func (r *RequiredTimes) Slack(res *Result, net string, edge wave.Edge) (float64, bool) {
-	nr, ok := r.Required[net]
+// meets timing). The second return is false when the run has no net of
+// that name, or the edge has no arrival or no required time.
+func (r *RequiredTimes) Slack(net string, edge wave.Edge) (float64, bool) {
+	id, ok := r.graph.lookup(net)
 	if !ok {
 		return 0, false
 	}
-	nt, ok := res.Nets[net]
-	if !ok {
-		return 0, false
-	}
-	pt := nt.timingFor(edge)
-	req := *nr.forEdge(edge)
+	return r.slack(id, edge)
+}
+
+// slack is Slack by net ID.
+func (r *RequiredTimes) slack(id int32, edge wave.Edge) (float64, bool) {
+	pt := r.graph.state[id].timingFor(edge)
+	req := r.req[id][edge]
 	if !pt.Valid || math.IsInf(req, 1) {
 		return 0, false
 	}
@@ -49,45 +46,26 @@ func (r *RequiredTimes) Slack(res *Result, net string, edge wave.Edge) (float64,
 }
 
 // ComputeRequired propagates required times backward from per-output
-// constraints (seconds). Outputs missing from the map are unconstrained.
-// It walks res's own graph in reverse level order and reads the timing the
-// run stamped into its arena, converted noisy edges included, under the
-// run's wire model — so slack agrees with the arrivals res reports, however
-// the timer's fields or annotations change afterwards. res must come from
-// RunCtx; it is only read, so concurrent calls on one Result are
-// safe.
+// constraints (seconds). Outputs missing from the map are unconstrained,
+// and a name the run has no net for constrains nothing. It walks res's own
+// graph in reverse level order and reads the timing the run stamped into
+// its arena, converted noisy edges included, under the run's wire model —
+// so slack agrees with the arrivals res reports, however the timer's
+// fields or annotations change afterwards. res must come from RunCtx; it
+// is only read, so concurrent calls on one Result are safe. The result
+// keeps constraints for Report.
 func (t *Timer) ComputeRequired(res *Result, constraints map[string]float64) (*RequiredTimes, error) {
 	g := res.graph
 	if g == nil {
 		return nil, errors.New("sta: ComputeRequired needs a Result from RunCtx")
 	}
-	req := make([]NetRequired, len(g.netName))
+	req := make([][2]float64, len(g.netName))
 	for i := range req {
-		req[i] = NetRequired{Rise: math.Inf(1), Fall: math.Inf(1)}
-	}
-
-	// Report every net a gate reads or drives, plus every constrained name:
-	// a primary input no gate reads has no requirement unless constrained.
-	// Primary net IDs are the lowest (every higher ID is a gate output), so
-	// read needs only that many entries.
-	read := make([]bool, g.base)
-	for _, id := range g.inNet {
-		if id < g.base {
-			read[id] = true
-		}
-	}
-	out := &RequiredTimes{Required: make(map[string]*NetRequired, len(req))}
-	for id, name := range g.netName {
-		if id >= len(read) || read[id] {
-			out.Required[name] = &req[id]
-		}
+		req[i] = [2]float64{math.Inf(1), math.Inf(1)}
 	}
 	for name, rt := range constraints {
 		if id, ok := g.lookup(name); ok {
-			req[id] = NetRequired{Rise: rt, Fall: rt}
-			out.Required[name] = &req[id]
-		} else {
-			out.Required[name] = &NetRequired{Rise: rt, Fall: rt}
+			req[id] = [2]float64{rt, rt}
 		}
 	}
 
@@ -102,15 +80,15 @@ func (t *Timer) ComputeRequired(res *Result, constraints map[string]float64) (*R
 	// wins a min), so its gate is skipped.
 	for i := len(g.levelOrder) - 1; i >= 0; i-- {
 		gi := g.levelOrder[i]
-		outReq := &req[g.base+gi]
-		if math.IsInf(outReq.Rise, 1) && math.IsInf(outReq.Fall, 1) {
+		outReq := req[g.base+gi]
+		if math.IsInf(outReq[wave.Rising], 1) && math.IsInf(outReq[wave.Falling], 1) {
 			continue
 		}
 		load := g.load[g.base+gi]
 		lo, arcs := g.inStart[gi], g.cellIn[gi].arcs
 		for k := lo; k < g.inStart[gi+1]; k++ {
 			inID := g.inNet[k]
-			for _, inEdge := range []wave.Edge{wave.Rising, wave.Falling} {
+			for _, inEdge := range edges {
 				it := g.state[inID].timingFor(inEdge)
 				if !it.Valid {
 					continue
@@ -124,33 +102,66 @@ func (t *Timer) ComputeRequired(res *Result, constraints map[string]float64) (*R
 				if err != nil {
 					return nil, fmt.Errorf("sta: gate %s: %w", g.gateName[gi], err)
 				}
-				cand := *outReq.forEdge(outEdge) - delay - wDelay
-				if slot := req[inID].forEdge(inEdge); cand < *slot {
-					*slot = cand
+				if cand := outReq[outEdge] - delay - wDelay; cand < req[inID][inEdge] {
+					req[inID][inEdge] = cand
 				}
 			}
 		}
 	}
-	return out, nil
+	return &RequiredTimes{graph: g, req: req, constraints: constraints}, nil
 }
 
-// WorstSlack scans all constrained nets for the minimum slack. Ties —
-// routine, since slack is constant along a single path — break toward the
-// lexicographically last net name, so the reported net is deterministic
-// (and, with the conventional input-then-output naming, an endpoint rather
-// than the primary input feeding it).
-func (r *RequiredTimes) WorstSlack(res *Result) (net string, edge wave.Edge, slack float64, ok bool) {
-	slack = math.Inf(1)
-	for name := range r.Required {
-		for _, e := range []wave.Edge{wave.Rising, wave.Falling} {
-			s, valid := r.Slack(res, name, e)
-			if !valid {
-				continue
-			}
-			if s < slack || (s == slack && name > net) {
-				net, edge, slack, ok = name, e, s, true
+// SlackRow is one (net, edge) line of a slack report, times in seconds.
+type SlackRow struct {
+	Net      string
+	Edge     wave.Edge
+	Arrival  float64
+	Required float64
+	Slack    float64
+}
+
+// Report returns the slack rows the STA job and cmd/noisesta print: one
+// per constrained net and edge that has a slack, nets in name order and
+// rise before fall, Required the constraint as given.
+func (r *RequiredTimes) Report() []SlackRow {
+	names := make([]string, 0, len(r.constraints))
+	for name := range r.constraints {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var rows []SlackRow
+	for _, name := range names {
+		for _, e := range edges {
+			if s, ok := r.Slack(name, e); ok {
+				at := r.graph.nets[name].timingFor(e).Arrival
+				rows = append(rows, SlackRow{Net: name, Edge: e, Arrival: at, Required: r.constraints[name], Slack: s})
 			}
 		}
 	}
-	return net, edge, slack, ok
+	return rows
+}
+
+// WorstSlack scans every net of the run for the minimum slack; ok is false
+// when no net has one. Ties — routine, since slack is constant along a
+// single path — break toward the lexicographically last net name, then the
+// rising edge, so the reported net is deterministic (and, with the
+// conventional input-then-output naming, an endpoint rather than the
+// primary input feeding it). The worst net may carry no constraint of its
+// own, so the row's Required is the Arrival + Slack it implies.
+func (r *RequiredTimes) WorstSlack() (worst SlackRow, ok bool) {
+	best, slack := int32(0), math.Inf(1)
+	for id, name := range r.graph.netName {
+		for _, e := range edges {
+			if s, valid := r.slack(int32(id), e); valid && (s < slack || (s == slack && name > worst.Net)) {
+				best, slack = int32(id), s
+				worst.Net, worst.Edge, ok = name, e, true
+			}
+		}
+	}
+	if !ok {
+		return SlackRow{}, false
+	}
+	at := r.graph.state[best].timingFor(worst.Edge).Arrival
+	worst.Arrival, worst.Required, worst.Slack = at, at+slack, slack
+	return worst, true
 }

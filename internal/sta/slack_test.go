@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"noisewave/internal/netgen"
 	"noisewave/internal/wave"
 )
 
@@ -26,7 +27,7 @@ gate u2 INV A=n1 Y=y
 		t.Fatal(err)
 	}
 	// Forward: y rise arrives at 22 ps (12 fall + 10 rise).
-	s, ok := req.Slack(res, "y", wave.Rising)
+	s, ok := req.Slack("y", wave.Rising)
 	if !ok {
 		t.Fatal("no slack at y")
 	}
@@ -34,15 +35,11 @@ gate u2 INV A=n1 Y=y
 		t.Errorf("slack at y = %g, want 78 ps", s)
 	}
 	// Required at n1 fall = 100 − 10 (u2 rise delay from a falling input) = 90 ps.
-	nr := req.Required["n1"]
-	if nr == nil {
-		t.Fatal("no required time at n1")
-	}
-	if math.Abs(nr.Fall-90e-12) > 1e-15 {
-		t.Errorf("required n1 fall = %g, want 90 ps", nr.Fall)
+	if nr := requiredAt(t, req, "n1"); math.Abs(nr[wave.Falling]-90e-12) > 1e-15 {
+		t.Errorf("required n1 fall = %g, want 90 ps", nr[wave.Falling])
 	}
 	// Slack is constant along a single path: slack(a) == slack(y).
-	sa, ok := req.Slack(res, "a", wave.Rising)
+	sa, ok := req.Slack("a", wave.Rising)
 	if !ok {
 		t.Fatal("no slack at a")
 	}
@@ -72,15 +69,15 @@ gate u2 BUF A=a Y=y2
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, _, slack, ok := req.WorstSlack(res)
+	worst, ok := req.WorstSlack()
 	if !ok {
 		t.Fatal("no worst slack")
 	}
-	if net != "y2" {
-		t.Errorf("worst net = %s, want y2", net)
+	if worst.Net != "y2" {
+		t.Errorf("worst net = %s, want y2", worst.Net)
 	}
-	if math.Abs(slack-(-5e-12)) > 1e-15 {
-		t.Errorf("worst slack = %g, want −5 ps", slack)
+	if math.Abs(worst.Slack-(-5e-12)) > 1e-15 {
+		t.Errorf("worst slack = %g, want −5 ps", worst.Slack)
 	}
 }
 
@@ -100,10 +97,10 @@ gate u1 INV A=a Y=y
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := req.Slack(res, "y", wave.Rising); ok {
+	if _, ok := req.Slack("y", wave.Rising); ok {
 		t.Error("unconstrained output reported a slack")
 	}
-	if _, _, _, ok := req.WorstSlack(res); ok {
+	if _, ok := req.WorstSlack(); ok {
 		t.Error("WorstSlack found something with no constraints")
 	}
 }
@@ -128,19 +125,96 @@ gate u3 NAND A=n1 B=n2 Y=y
 	if err != nil {
 		t.Fatal(err)
 	}
-	na := req.Required["a"]
-	if na == nil {
-		t.Fatal("no requirement on a")
-	}
 	// Requirement through each branch; the minimum governs.
-	if math.IsInf(na.Rise, 1) || math.IsInf(na.Fall, 1) {
+	if na := requiredAt(t, req, "a"); math.IsInf(na[wave.Rising], 1) || math.IsInf(na[wave.Falling], 1) {
 		t.Errorf("input requirement not propagated: %+v", na)
 	}
-	sy, _ := req.Slack(res, "y", wave.Rising)
-	sa, _ := req.Slack(res, "a", wave.Rising)
-	saf, _ := req.Slack(res, "a", wave.Falling)
+	sy, _ := req.Slack("y", wave.Rising)
+	sa, _ := req.Slack("a", wave.Rising)
+	saf, _ := req.Slack("a", wave.Falling)
 	worstA := math.Min(sa, saf)
 	if worstA > sy+1e-15 {
 		t.Errorf("input slack %g cannot exceed endpoint slack %g", worstA, sy)
+	}
+}
+
+// requiredAt returns a named net's required times.
+func requiredAt(t *testing.T, req *RequiredTimes, net string) [2]float64 {
+	t.Helper()
+	id, ok := req.graph.lookup(net)
+	if !ok {
+		t.Fatalf("no net %s in the run", net)
+	}
+	return req.req[id]
+}
+
+// TestWorstSlackMatchesMapScan keeps the map scan WorstSlack replaced as
+// its oracle. On 10⁵-gate meshes (seeds 1 and 7, SGDP annotations on 1%
+// of the nets as perfbench's sta-noisy places them, ideal and Elmore
+// wires, 1 and 4 workers), the scan by net ID must name the same worst
+// (net, edge) with the same slack bits as the map scan over the map
+// walk's required times, and Slack must return the map's value for every
+// constrained net and edge. The constraints put some outputs above and
+// some below their arrivals, and add internal nets, a primary input and a
+// name the design lacks. Runs are bit-identical at any worker count, so
+// the map walk runs once per mesh and wire model.
+func TestWorstSlackMatchesMapScan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times four 10⁵-gate noisy meshes")
+	}
+	for _, seed := range []int64{1, 7} {
+		cfg := netgen.DefaultConfig(100000)
+		cfg.Seed = seed
+		d, err := netgen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lib := netgen.SyntheticLibrary()
+		sites := netgen.NoiseSites(cfg, d, lib.Vdd, 0.01)
+		constraints := map[string]float64{"not-in-design": 1e-9, d.Inputs[0].Name: 1e-9}
+		for i, o := range d.Outputs {
+			constraints[o] = 15e-9 + float64(i%11)*0.1e-9
+		}
+		for i := 0; i < len(d.Gates); i += len(d.Gates) / 8 {
+			constraints[d.Gates[i].Pins["Y"]] = 16e-9
+		}
+		for _, wire := range []WireModel{IdealWire, ElmoreWire} {
+			tm := New(lib, d)
+			tm.Wire = wire
+			annotateSites(tm, sites)
+			var ref map[string]*[2]float64
+			for _, workers := range []int{1, 4} {
+				res, err := tm.RunCtx(context.Background(), RunOptions{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					if ref, err = tm.computeRequiredReference(res, constraints); err != nil {
+						t.Fatal(err)
+					}
+				}
+				req, err := tm.ComputeRequired(res, constraints)
+				if err != nil {
+					t.Fatal(err)
+				}
+				net, edge, slack, ok := worstSlackReference(ref, res)
+				got, gotOK := req.WorstSlack()
+				if !ok || !gotOK || got.Net != net || got.Edge != edge || math.Float64bits(got.Slack) != math.Float64bits(slack) {
+					t.Fatalf("seed %d, wire %d, %d workers: WorstSlack (%s, %v, %.17g, %v), map scan (%s, %v, %.17g, %v)",
+						seed, wire, workers, got.Net, got.Edge, got.Slack, gotOK, net, edge, slack, ok)
+				}
+				for name := range constraints {
+					for _, e := range edges {
+						want, wantOK := slackReference(ref, res, name, e)
+						s, sOK := req.Slack(name, e)
+						if sOK != wantOK || math.Float64bits(s) != math.Float64bits(want) {
+							t.Fatalf("seed %d, wire %d, %d workers: Slack(%s, %v) = %.17g, %v; map %.17g, %v",
+								seed, wire, workers, name, e, s, sOK, want, wantOK)
+						}
+					}
+				}
+				t.Logf("seed %d, wire %d, %d workers: worst slack %.17g s at %s (%v)", seed, wire, workers, slack, net, edge)
+			}
+		}
 	}
 }

@@ -124,8 +124,6 @@ type Result struct {
 	// names through it, so a name whose entry a caller replaces is no
 	// longer one of the run's nets.
 	Nets map[string]*NetTiming
-	// Order is the topological gate order used (diagnostics).
-	Order []string
 
 	// graph and wire are what the run timed on: the graph compiled for it,
 	// which owns the arena, and the wire model. ComputeRequired walks them

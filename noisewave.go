@@ -304,8 +304,12 @@ func PropagateGlitch(gate *GateSim, glitchWave *Waveform, failThreshold float64)
 	return noise.Propagate(gate, glitchWave, failThreshold)
 }
 
-// RequiredTimes holds backward-propagated required times and slacks.
+// RequiredTimes holds one run's backward-propagated required times and
+// reads its slacks.
 type RequiredTimes = sta.RequiredTimes
+
+// SlackRow is one (net, edge) line of a slack report.
+type SlackRow = sta.SlackRow
 
 // VerilogModule is a parsed structural Verilog module.
 type VerilogModule = verilog.Module
