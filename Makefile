@@ -3,9 +3,15 @@
 
 GO ?= go
 
-.PHONY: all vet build test race bench bench-micro check staticcheck metrics-demo logs-demo chaos fuzz serve-smoke serve-crash loadtest
+.PHONY: all fmt vet build test race bench bench-micro check staticcheck metrics-demo logs-demo chaos fuzz serve-smoke serve-crash loadtest
 
 all: check
+
+# Every tracked Go file, perfbench/ included, must be gofmt-clean. gofmt -l
+# only lists the files that differ; it edits nothing.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # perfbench/ is its own module, so ./... skips it: vet and build it
 # explicitly, or a deleted field it reads would surface only in the
@@ -117,4 +123,4 @@ serve-crash:
 loadtest:
 	$(GO) run ./cmd/serve -load -load-out LOAD_report.json
 
-check: vet build test race chaos staticcheck serve-smoke serve-crash
+check: fmt vet build test race chaos staticcheck serve-smoke serve-crash

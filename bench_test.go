@@ -49,12 +49,12 @@ func setupBench(b *testing.B) *benchEnv {
 		tech := device.Default130()
 		cfg := xtalk.ConfigurationI(tech)
 		const vs = 0.3e-9
-		nlIn, nlOut, err := cfg.RunNoiseless(vs)
+		nlIn, nlOut, err := cfg.RunNoiselessCtx(context.Background(), vs)
 		if err != nil {
 			benchErr = err
 			return
 		}
-		noisy, trueOut, err := cfg.Run(vs, []float64{vs + 0.05e-9})
+		noisy, trueOut, err := cfg.RunCtx(context.Background(), vs, []float64{vs + 0.05e-9})
 		if err != nil {
 			benchErr = err
 			return
@@ -194,7 +194,7 @@ func BenchmarkTestbenchTransient(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		const vs = 0.3e-9
-		if _, _, err := cfg.Run(vs, []float64{vs + 0.05e-9}); err != nil {
+		if _, _, err := cfg.RunCtx(context.Background(), vs, []float64{vs + 0.05e-9}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -312,7 +312,7 @@ func BenchmarkPushoutCase(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		const vs = 0.3e-9
-		if _, _, err := e.cfg.Run(vs, []float64{vs + 0.1e-9}); err != nil {
+		if _, _, err := e.cfg.RunCtx(context.Background(), vs, []float64{vs + 0.1e-9}); err != nil {
 			b.Fatal(err)
 		}
 	}

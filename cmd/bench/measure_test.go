@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestMeasureSpiceMicroCountsTransients: spice-micro runs bare RunWindow
+// TestMeasureSpiceMicroCountsTransients: spice-micro runs bare Simulator.Run
 // transients outside the sweep engine, so its case count must come from
 // the solver's own transient counter — one per gate-replay run. On amd64
 // the solver's work is pinned too: exactly 100,320 Newton iterations, so a

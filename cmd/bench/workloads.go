@@ -90,7 +90,7 @@ func workloads() []workload {
 						edge = wave.Falling
 					}
 					vin.Value = circuit.SlewRamp(0.2e-9, 150e-12, tech.Vdd, edge)
-					if _, err := sim.RunWindow(ctx, 0, 1.2e-9); err != nil {
+					if _, err := sim.Run(ctx, 0, 1.2e-9); err != nil {
 						return err
 					}
 				}

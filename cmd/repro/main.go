@@ -125,7 +125,7 @@ func main() {
 	// figure2 and runtime run no sweep, so a sweep flag set there is an
 	// error rather than a silent no-op; -experiment all shares the flags
 	// with its sweeps.
-	if *experiment == "figure2" || *experiment == "runtime" {
+	if !runsSweep(*experiment) {
 		flag.Visit(func(f *flag.Flag) {
 			if slices.Contains([]string{"chaos", "keep-going", "case-timeout", "trace", "workers"}, f.Name) {
 				fmt.Fprintf(os.Stderr, "repro: -%s applies only to sweeps; -experiment %s runs none\n", f.Name, *experiment)
@@ -178,8 +178,9 @@ func main() {
 	}
 
 	reg := telemetry.New()
+	// Only sweeps record spans, so a run without one writes no trace.
 	var tracer *trace.Tracer
-	if *traceOn || *artifacts != "" {
+	if runsSweep(*experiment) && (*traceOn || *artifacts != "") {
 		tracer = trace.New()
 	}
 	progress := &obs.Progress{}
@@ -277,28 +278,42 @@ func (e env) noteFailures(label string, rep *sweep.FailureReport) {
 	}
 }
 
-// writeArtifacts renders the run-artifact directory: resolved config,
-// metrics snapshot, Chrome trace + JSONL journal, failure reports.
+// runsSweep reports whether an experiment runs a case sweep. figure2 and
+// runtime do not: the sweep flags and the sweep artifacts (trace, journal,
+// failure reports) do not apply to them.
+func runsSweep(experiment string) bool {
+	return experiment != "figure2" && experiment != "runtime"
+}
+
+// writeArtifacts renders the run-artifact directory: the settings the
+// experiment read and the metrics snapshot, plus, for sweeps, the Chrome
+// trace, the JSONL journal and the failure reports.
 func writeArtifacts(dir string, e env, experiment string) error {
 	a, err := obs.OpenRun(dir)
 	if err != nil {
 		return err
 	}
+	sweeps := runsSweep(experiment)
 	cfg := map[string]any{
-		"experiment":   experiment,
-		"config":       e.config,
-		"cases":        e.cases,
-		"p":            e.p,
-		"workers":      e.workers,
-		"keep_going":   e.keepGoing,
-		"case_timeout": e.caseTimeout.String(),
-		"chaos":        e.inject != nil,
+		"experiment": experiment,
+		"config":     e.config,
+		"p":          e.p,
+	}
+	if sweeps {
+		cfg["cases"] = e.cases
+		cfg["workers"] = e.workers
+		cfg["keep_going"] = e.keepGoing
+		cfg["case_timeout"] = e.caseTimeout.String()
+		cfg["chaos"] = e.inject != nil
 	}
 	if err := a.WriteConfig(cfg); err != nil {
 		return err
 	}
 	if err := a.WriteMetrics(e.reg.Snapshot()); err != nil {
 		return err
+	}
+	if !sweeps {
+		return nil
 	}
 	if err := a.WriteTrace(e.tracer); err != nil {
 		return err

@@ -3,9 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -67,6 +71,61 @@ func TestSweepFlagsRejectedWithoutSweep(t *testing.T) {
 		"-chaos", "7", "-keep-going", "-case-timeout", "1s", "-trace", "-workers", "1"}
 	if _, stderr, code := runRepro(t, args...); code != 0 || !strings.Contains(stderr, "run canceled") {
 		t.Errorf("repro %v: exit %d, stderr %q; want a canceled run that exits 0", args, code, stderr)
+	}
+}
+
+// TestArtifactsWriteOnlyWhatRan: figure2 and runtime run no sweep, so
+// -artifacts writes their metrics and a config.json of only the settings
+// they read, and no trace, journal or failure report. -experiment all
+// keeps every sweep artifact, even when canceled at once.
+func TestArtifactsWriteOnlyWhatRan(t *testing.T) {
+	for _, c := range []struct {
+		args      []string
+		files     []string
+		configKey []string
+	}{
+		{[]string{"-experiment", "figure2"},
+			[]string{"config.json", "metrics.json"},
+			[]string{"config", "experiment", "p"}},
+		{[]string{"-experiment", "runtime"},
+			[]string{"config.json", "metrics.json"},
+			[]string{"config", "experiment", "p"}},
+		{[]string{"-experiment", "all", "-q", "-timeout", "1ns"},
+			[]string{"config.json", "failures.json", "journal.jsonl", "metrics.json", "trace.json"},
+			[]string{"case_timeout", "cases", "chaos", "config", "experiment", "keep_going", "p", "workers"}},
+	} {
+		dir := t.TempDir()
+		args := append(c.args, "-artifacts", dir)
+		if _, stderr, code := runRepro(t, args...); code != 0 {
+			t.Fatalf("repro %v: exit %d, stderr %q", args, code, stderr)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var files []string
+		for _, e := range entries {
+			files = append(files, e.Name())
+		}
+		if !slices.Equal(files, c.files) {
+			t.Errorf("repro %v wrote %v, want %v", args, files, c.files)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, "config.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cfg map[string]any
+		if err := json.Unmarshal(raw, &cfg); err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for k := range cfg {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if !slices.Equal(keys, c.configKey) {
+			t.Errorf("repro %v: config.json records %v, want %v", args, keys, c.configKey)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -47,15 +48,16 @@ func main() {
 	}
 
 	const victimStart = 0.3e-9
+	ctx := context.Background()
 	var in, outW *wave.Waveform
 	if *noiseless {
-		in, outW, err = cfg.RunNoiseless(victimStart)
+		in, outW, err = cfg.RunNoiselessCtx(ctx, victimStart)
 	} else {
 		starts := make([]float64, cfg.Aggressors)
 		for k := range starts {
 			starts[k] = victimStart + offset + float64(k)*40e-12
 		}
-		in, outW, err = cfg.Run(victimStart, starts)
+		in, outW, err = cfg.RunCtx(ctx, victimStart, starts)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wavesim:", err)

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,9 +19,10 @@ func main() {
 	cfg.Step = 2e-12 // coarser step: this is a demo, not the benchmark
 
 	const victimStart = 0.3e-9
+	ctx := context.Background()
 
 	// Reference pair with the aggressor quiet: the sensitivity source.
-	nlIn, nlOut, err := cfg.RunNoiseless(victimStart)
+	nlIn, nlOut, err := cfg.RunNoiselessCtx(ctx, victimStart)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +38,7 @@ func main() {
 
 	fmt.Println("\noffset(ps)   technique  predicted(ps)  reference(ps)  error(ps)")
 	for _, offset := range []float64{-200e-12, 0, 100e-12, 250e-12} {
-		noisyIn, noisyOut, err := cfg.Run(victimStart, []float64{victimStart + offset})
+		noisyIn, noisyOut, err := cfg.RunCtx(ctx, victimStart, []float64{victimStart + offset})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -43,11 +43,12 @@ func main() {
 	cfg := noisewave.ConfigurationI(tech)
 	cfg.Step = 2e-12
 	const victimStart = 0.3e-9
-	nlIn, nlOut, err := cfg.RunNoiseless(victimStart)
+	ctx := context.Background()
+	nlIn, nlOut, err := cfg.RunNoiselessCtx(ctx, victimStart)
 	if err != nil {
 		log.Fatal(err)
 	}
-	noisyIn, _, err := cfg.Run(victimStart, []float64{victimStart + 0.1e-9})
+	noisyIn, _, err := cfg.RunCtx(ctx, victimStart, []float64{victimStart + 0.1e-9})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func main() {
 		timer := noisewave.NewTimer(lib, d)
 		timer.Technique = tq
 		timer.Annotate("n1", annotation)
-		res, err := timer.RunCtx(context.Background(), noisewave.RunOptions{})
+		res, err := timer.RunCtx(ctx, noisewave.RunOptions{})
 		if err != nil {
 			fmt.Printf("%-9s  failed: %v\n", name, err)
 			continue
@@ -81,7 +82,7 @@ func main() {
 	// context-first entry point (cancelable, parallel for large designs).
 	timer := noisewave.NewTimer(lib, d)
 	timer.Annotate("n1", annotation)
-	res, err := timer.RunCtx(context.Background(), noisewave.RunOptions{Workers: 4})
+	res, err := timer.RunCtx(ctx, noisewave.RunOptions{Workers: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,7 +25,6 @@ var exportAllowlist = map[string]string{
 	"device.Tech.AtCorner":              "public API: the facade's Corner type documents it",
 	"wave.Waveform.Window":              "public API: ErrEmptyWindow's only producer, checked by api_test.go",
 	"experiments.RunAblation":           "go test regenerates the ablation table through it",
-	"numeric.Brent":                     "ROADMAP item 4: worst-alignment refinement",
 	"xtalk.Config.Build":                "ROADMAP item 3: path testbench",
 	"interconnect.Line.Build":           "ROADMAP item 3: path testbench",
 	"interconnect.Line.Ladder":          "ROADMAP items 3 and 6: closed-form RC analysis",
@@ -39,16 +38,13 @@ var exportAllowlist = map[string]string{
 	"wave.Waveform.Crossings":     "oracle of FirstCrossing/LastCrossing in FuzzCrossings and the eqwave reference fits",
 
 	// Test helpers that tests of kept paths call.
-	"linalg.SolveDense":              "linalg and circuit tests",
-	"linalg.MaxAbsDiff":              "linalg sparse-versus-dense tests",
-	"wave.Waveform.MaxAbsDiff":       "wave and crosstalk testbench tests",
-	"spice.Result.Final":             "spice tests",
-	"spice.Result.Nodes":             "spice result and equivalence tests",
-	"spice.Simulator.OperatingPoint": "spice tests",
-	"core.Comparison.Result":         "core tests",
-	"sweep.FailureReport.Case":       "sweep resilience and partial-sweep tests",
-	"trace.Tracer.Dropped":           "trace and experiments tests",
-	"jobs.Job.Done":                  "job-service tests",
+	"linalg.SolveDense":        "linalg and circuit tests",
+	"linalg.MaxAbsDiff":        "linalg sparse-versus-dense tests",
+	"wave.Waveform.MaxAbsDiff": "wave and crosstalk testbench tests",
+	"core.Comparison.Result":   "core tests",
+	"sweep.FailureReport.Case": "sweep resilience and partial-sweep tests",
+	"trace.Tracer.Dropped":     "trace and experiments tests",
+	"jobs.Job.Done":            "job-service tests",
 }
 
 // optionFieldAllowlist names the exported fields of exported *Options
@@ -66,12 +62,6 @@ var optionFieldAllowlist = map[string]string{
 	"spice.Options.LTETol":   "ROADMAP items 4 and 5: LTE step control",
 	"spice.Options.MaxStep":  "ROADMAP items 4 and 5: LTE step control",
 	"spice.Options.MinStep":  "ROADMAP items 4 and 5: LTE step control",
-
-	"spice.Options.Method":         "test oracle: the equivalence and integration-order tests",
-	"spice.Options.RecordSteps":    "diagnostics: the step trace the breakpoint and prefix tests read",
-	"spice.Options.RecoveryBudget": "diagnostics: the recovery-ladder tests bound or disable the ladder",
-	"spice.Options.Start":          "set inside spice by RunWindow",
-	"spice.Options.Ctx":            "set inside spice by RunWindow",
 }
 
 // TestNoUnconsumedExports type-checks the module and the benchmark module

@@ -11,6 +11,7 @@
 package charlib
 
 import (
+	"context"
 	"fmt"
 
 	"noisewave/internal/circuit"
@@ -267,8 +268,8 @@ func measure(t device.Tech, c device.Cell, switching string, inEdge wave.Edge, s
 	}
 
 	stop := t0 + slew/0.8 + 1.5e-9
-	sim := spice.New(ckt, spice.Options{Stop: stop, Step: opts.Step, Probes: []string{"in_" + switching, "y"}})
-	res, err := sim.Run()
+	sim := spice.New(ckt, spice.Options{Step: opts.Step, Probes: []string{"in_" + switching, "y"}})
+	res, err := sim.Run(context.TODO(), 0, stop)
 	if err != nil {
 		return measurement{}, err
 	}

@@ -115,22 +115,16 @@ func NewInverterChainSim(t device.Tech, drives []float64, step float64) *GateSim
 	return &GateSim{Tech: t, Drives: append([]float64(nil), drives...), Step: step}
 }
 
-// OutputForSource drives the chain input with src and returns the gate
-// output waveform over [start, stop].
-func (g *GateSim) OutputForSource(src circuit.Source, start, stop float64) (*wave.Waveform, error) {
-	return g.OutputForSourceCtx(context.Background(), src, start, stop)
-}
-
-// OutputForSourceCtx is OutputForSource under a context: the replay
-// transient stops early once ctx is done, returning an error matching
-// telemetry.ErrCanceled.
+// OutputForSourceCtx drives the chain input with src and returns the gate
+// output waveform over [start, stop]. The replay transient stops early
+// once ctx is done, returning an error matching telemetry.ErrCanceled.
 func (g *GateSim) OutputForSourceCtx(ctx context.Context, src circuit.Source, start, stop float64) (*wave.Waveform, error) {
 	b, err := g.replayBench()
 	if err != nil {
 		return nil, err
 	}
 	b.vin.Value = src
-	res, err := b.sim.RunWindow(ctx, start, stop)
+	res, err := b.sim.Run(ctx, start, stop)
 	if res != nil {
 		g.rec.Absorb(res.Recovery)
 	}
@@ -204,7 +198,7 @@ func (g *GateSim) OutputForRampCtx(ctx context.Context, r wave.Ramp, start, stop
 
 // OutputForWave replays an arbitrary waveform into the chain.
 func (g *GateSim) OutputForWave(w *wave.Waveform, start, stop float64) (*wave.Waveform, error) {
-	return g.OutputForSource(circuit.WaveSource{W: w}, start, stop)
+	return g.OutputForSourceCtx(context.TODO(), circuit.WaveSource{W: w}, start, stop)
 }
 
 // ArrivalAt returns the STA arrival time of a waveform: its latest crossing

@@ -27,7 +27,7 @@ func TestGateSimInverts(t *testing.T) {
 
 func TestGateSimEmpty(t *testing.T) {
 	g := &GateSim{Tech: device.Default130(), Step: 1e-12}
-	if _, err := g.OutputForSource(nil, 0, 1e-9); err == nil {
+	if _, err := g.OutputForSourceCtx(context.Background(), nil, 0, 1e-9); err == nil {
 		t.Error("empty chain accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestCompareTechniquesEndToEnd(t *testing.T) {
 	cfg := xtalk.ConfigurationI(device.Default130())
 	cfg.Step = 2e-12
 	const vs = 0.3e-9
-	nlIn, nlOut, err := cfg.RunNoiseless(vs)
+	nlIn, nlOut, err := cfg.RunNoiselessCtx(context.Background(), vs)
 	if err != nil {
 		t.Fatalf("noiseless run: %v", err)
 	}
@@ -30,7 +31,7 @@ func TestCompareTechniquesEndToEnd(t *testing.T) {
 	offsets := []float64{0.0, 0.1e-9, 0.25e-9, -0.1e-9}
 	sumAbs := map[string]float64{}
 	for _, off := range offsets {
-		nIn, nOut, err := cfg.Run(vs, []float64{vs + off})
+		nIn, nOut, err := cfg.RunCtx(context.Background(), vs, []float64{vs + off})
 		if err != nil {
 			t.Fatalf("noisy run (off=%g): %v", off, err)
 		}

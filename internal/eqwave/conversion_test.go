@@ -1,6 +1,7 @@
 package eqwave
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -54,7 +55,7 @@ func goldenInputs(t testing.TB) []conversionCase {
 			cfg := base
 			cfg.VictimEdge = edge
 			cfg.Step = 2e-12
-			nlIn, nlOut, err := cfg.RunNoiseless(victimStart)
+			nlIn, nlOut, err := cfg.RunNoiselessCtx(context.Background(), victimStart)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +64,7 @@ func goldenInputs(t testing.TB) []conversionCase {
 				for k := range starts {
 					starts[k] = victimStart + off*float64(1-2*k) // later aggressors mirror the offset
 				}
-				noisy, _, err := cfg.Run(victimStart, starts)
+				noisy, _, err := cfg.RunCtx(context.Background(), victimStart, starts)
 				if err != nil {
 					t.Fatal(err)
 				}

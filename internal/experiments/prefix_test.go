@@ -43,7 +43,7 @@ func TestQuietPrefixSweepBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Telemetry = nil
-		nlIn, nlOut, err := cfg.RunNoiseless(victimStart)
+		nlIn, nlOut, err := cfg.RunNoiselessCtx(context.Background(), victimStart)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func TestReplayWindowMatchesFullWindow(t *testing.T) {
 			t.Errorf("config %s: core.replay_extended = %d, want 0", cfg.Name, got)
 		}
 
-		nlIn, nlOut, err := cfg.RunNoiseless(victimStart)
+		nlIn, nlOut, err := cfg.RunNoiselessCtx(context.Background(), victimStart)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package interconnect
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -90,8 +91,8 @@ func TestElmoreVsTransient(t *testing.T) {
 	far := ckt.Node("far")
 	ckt.AddVSource("v", in, circuit.Ground, circuit.PWL{T: []float64{0, 1e-15}, V: []float64{0, 1}})
 	line.BuildBetween(ckt, "l", in, far)
-	sim := spice.New(ckt, spice.Options{Stop: 10 * elmore, Step: elmore / 200})
-	res, err := sim.Run()
+	sim := spice.New(ckt, spice.Options{Step: elmore / 200})
+	res, err := sim.Run(context.Background(), 0, 10*elmore)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,7 +164,7 @@ func (m *Manager) replay(recs []journalRecord, torn int64) error {
 		case recRunning:
 			if st := byID[rec.ID]; st != nil {
 				st.running = true
-				st.runningAt = rec.Time
+				st.runningAt = rec.at()
 			}
 		case recDone, recFailed, recCanceled, recInterrupted:
 			if st := byID[rec.ID]; st != nil {
@@ -188,7 +188,7 @@ func (m *Manager) replay(recs []journalRecord, torn int64) error {
 			cfg: *st.sub.Config, seq: st.sub.Seq,
 			doneCh: make(chan struct{}),
 		}
-		j.created = st.sub.Time
+		j.created = st.sub.at()
 
 		if st.term != nil {
 			// A terminal job's running timestamp is history, not live state:
@@ -197,7 +197,7 @@ func (m *Manager) replay(recs []journalRecord, torn int64) error {
 			switch st.term.Type {
 			case recDone:
 				if sr, ok := m.store.get(j.Hash); ok {
-					m.rehydrateDone(j, sr, st.term.Time)
+					m.rehydrateDone(j, sr, st.term.at())
 					rep.Rehydrated++
 					continue
 				}
@@ -209,15 +209,15 @@ func (m *Manager) replay(recs []journalRecord, torn int64) error {
 				if msg == "" {
 					msg = "failed before the previous shutdown"
 				}
-				m.rehydrateTerminal(j, StateFailed, errors.New(msg), st.term.Time)
+				m.rehydrateTerminal(j, StateFailed, errors.New(msg), st.term.at())
 				rep.Rehydrated++
 				continue
 			case recCanceled:
-				m.rehydrateTerminal(j, StateCanceled, context.Canceled, st.term.Time)
+				m.rehydrateTerminal(j, StateCanceled, context.Canceled, st.term.at())
 				rep.Rehydrated++
 				continue
 			case recInterrupted:
-				m.rehydrateTerminal(j, StateInterrupted, ErrInterrupted, st.term.Time)
+				m.rehydrateTerminal(j, StateInterrupted, ErrInterrupted, st.term.at())
 				rep.Rehydrated++
 				continue
 			}
@@ -235,7 +235,7 @@ func (m *Manager) replay(recs []journalRecord, torn int64) error {
 		if st.running && m.opts.Recover == RecoverInterrupt {
 			j.started = st.runningAt
 			m.rehydrateTerminal(j, StateInterrupted, ErrInterrupted, time.Time{})
-			m.appendLocked(journalRecord{Type: recInterrupted, ID: j.ID, Time: j.created})
+			m.appendLocked(journalRecord{Type: recInterrupted, ID: j.ID, Time: stamp(j.created)})
 			rep.Interrupted++
 			continue
 		}
@@ -319,13 +319,13 @@ func (m *Manager) liveRecords() []journalRecord {
 		recs = append(recs, journalRecord{
 			Type: recSubmitted, ID: j.ID, Seq: j.seq, Tenant: j.Tenant,
 			Priority: j.Priority, Hash: j.Hash, CacheHit: j.CacheHit,
-			Config: &cfg, Time: created,
+			Config: &cfg, Time: stamp(created),
 		})
 		// The running marker (with its timestamp) survives compaction even
 		// for terminal jobs, so their timeline survives any number of
 		// restarts.
 		if !started.IsZero() && state != StateQueued {
-			recs = append(recs, journalRecord{Type: recRunning, ID: j.ID, Time: started})
+			recs = append(recs, journalRecord{Type: recRunning, ID: j.ID, Time: stamp(started)})
 		}
 		switch state {
 		case StateQueued:
@@ -334,13 +334,13 @@ func (m *Manager) liveRecords() []journalRecord {
 				recs = append(recs, journalRecord{Type: recRunning, ID: j.ID})
 			}
 		case StateDone:
-			recs = append(recs, journalRecord{Type: recDone, ID: j.ID, Hash: j.Hash, Time: finished})
+			recs = append(recs, journalRecord{Type: recDone, ID: j.ID, Hash: j.Hash, Time: stamp(finished)})
 		case StateFailed:
-			recs = append(recs, journalRecord{Type: recFailed, ID: j.ID, Error: errString(jerr), Time: finished})
+			recs = append(recs, journalRecord{Type: recFailed, ID: j.ID, Error: errString(jerr), Time: stamp(finished)})
 		case StateCanceled:
-			recs = append(recs, journalRecord{Type: recCanceled, ID: j.ID, Time: finished})
+			recs = append(recs, journalRecord{Type: recCanceled, ID: j.ID, Time: stamp(finished)})
 		case StateInterrupted:
-			recs = append(recs, journalRecord{Type: recInterrupted, ID: j.ID, Time: finished})
+			recs = append(recs, journalRecord{Type: recInterrupted, ID: j.ID, Time: stamp(finished)})
 		}
 	}
 	return recs
@@ -424,7 +424,7 @@ func (m *Manager) Drain(timeout time.Duration) {
 	m.reg.Gauge("jobs.queue_depth").Set(0)
 	m.reg.Gauge("jobs.active").Set(0)
 	if m.journal != nil {
-		if err := m.journal.append(journalRecord{Type: recShutdown, Time: time.Now()}); err != nil {
+		if err := m.journal.append(journalRecord{Type: recShutdown, Time: stamp(time.Now())}); err != nil {
 			m.reg.Counter("jobs.journal_errors").Inc()
 		}
 		m.journal.close()

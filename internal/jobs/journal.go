@@ -56,16 +56,35 @@ const (
 // the full config (the journal is the only durable copy of a queued job);
 // every other type is a small transition keyed by job ID.
 type journalRecord struct {
-	Type     recType   `json:"type"`
-	ID       string    `json:"id,omitempty"`
-	Seq      int64     `json:"seq,omitempty"`
-	Tenant   string    `json:"tenant,omitempty"`
-	Priority int       `json:"priority,omitempty"`
-	Hash     string    `json:"hash,omitempty"`
-	CacheHit bool      `json:"cache_hit,omitempty"`
-	Config   *Config   `json:"config,omitempty"`
-	Error    string    `json:"error,omitempty"`
-	Time     time.Time `json:"time,omitzero"`
+	Type     recType    `json:"type"`
+	ID       string     `json:"id,omitempty"`
+	Seq      int64      `json:"seq,omitempty"`
+	Tenant   string     `json:"tenant,omitempty"`
+	Priority int        `json:"priority,omitempty"`
+	Hash     string     `json:"hash,omitempty"`
+	CacheHit bool       `json:"cache_hit,omitempty"`
+	Config   *Config    `json:"config,omitempty"`
+	Error    string     `json:"error,omitempty"`
+	Time     *time.Time `json:"time,omitempty"`
+}
+
+// at returns the record's timestamp; zero when it carries none.
+func (r *journalRecord) at() time.Time {
+	if r.Time == nil {
+		return time.Time{}
+	}
+	return *r.Time
+}
+
+// stamp is the JSON form of a timestamp that is omitted when zero: nil for
+// the zero time. A *time.Time under omitempty is omitted by every Go
+// toolchain, where the omitzero option needs Go 1.24's encoding/json and
+// go.mod declares Go 1.22.
+func stamp(t time.Time) *time.Time {
+	if t.IsZero() {
+		return nil
+	}
+	return &t
 }
 
 // crcTable is Castagnoli — hardware-accelerated on amd64/arm64.

@@ -19,12 +19,12 @@ func testRecords() []journalRecord {
 	cfg := staConfig(100)
 	return []journalRecord{
 		{Type: recSubmitted, ID: "job-1", Seq: 1, Tenant: "a", Priority: 2,
-			Hash: "h1", Config: &cfg, Time: time.Unix(1700000000, 0).UTC()},
+			Hash: "h1", Config: &cfg, Time: stamp(time.Unix(1700000000, 0).UTC())},
 		{Type: recRunning, ID: "job-1"},
-		{Type: recDone, ID: "job-1", Hash: "h1", Time: time.Unix(1700000001, 0).UTC()},
+		{Type: recDone, ID: "job-1", Hash: "h1", Time: stamp(time.Unix(1700000001, 0).UTC())},
 		{Type: recSubmitted, ID: "job-2", Seq: 2, Tenant: "b", Hash: "h2", Config: &cfg},
 		{Type: recFailed, ID: "job-2", Error: "solver diverged"},
-		{Type: recShutdown, Time: time.Unix(1700000002, 0).UTC()},
+		{Type: recShutdown, Time: stamp(time.Unix(1700000002, 0).UTC())},
 	}
 }
 

@@ -158,18 +158,18 @@ func (j *Job) Wait(ctx context.Context) error {
 
 // Status is a point-in-time JSON view of a job.
 type Status struct {
-	ID       string    `json:"id"`
-	Tenant   string    `json:"tenant,omitempty"`
-	Priority int       `json:"priority"`
-	Hash     string    `json:"hash"`
-	State    State     `json:"state"`
-	CacheHit bool      `json:"cache_hit"`
-	Done     int       `json:"done"`
-	Total    int       `json:"total"`
-	Error    string    `json:"error,omitempty"`
-	Created  time.Time `json:"created"`
-	Started  time.Time `json:"started,omitzero"`
-	Finished time.Time `json:"finished,omitzero"`
+	ID       string     `json:"id"`
+	Tenant   string     `json:"tenant,omitempty"`
+	Priority int        `json:"priority"`
+	Hash     string     `json:"hash"`
+	State    State      `json:"state"`
+	CacheHit bool       `json:"cache_hit"`
+	Done     int        `json:"done"`
+	Total    int        `json:"total"`
+	Error    string     `json:"error,omitempty"`
+	Created  time.Time  `json:"created"`
+	Started  *time.Time `json:"started,omitempty"`
+	Finished *time.Time `json:"finished,omitempty"`
 	// Timeline is the lifecycle phase history (submitted → queued →
 	// running → terminal state), reconstructed from the manager's
 	// transition timestamps — which the journal preserves, so a timeline
@@ -190,7 +190,7 @@ func (j *Job) Status() Status {
 	s := Status{
 		ID: j.ID, Tenant: j.Tenant, Priority: j.Priority, Hash: j.Hash,
 		State: j.state, CacheHit: j.CacheHit, Done: j.done, Total: j.total,
-		Created: j.created, Started: j.started, Finished: j.finished,
+		Created: j.created, Started: stamp(j.started), Finished: stamp(j.finished),
 	}
 	if j.err != nil {
 		s.Error = j.err.Error()
@@ -385,9 +385,9 @@ func (m *Manager) Submit(cfg Config, tenant string, priority int) (*Job, error) 
 		m.appendLocked(journalRecord{
 			Type: recSubmitted, ID: id, Seq: m.seq, Tenant: tenant,
 			Priority: priority, Hash: hash, CacheHit: true,
-			Config: &cfgCopy, Time: j.created,
+			Config: &cfgCopy, Time: stamp(j.created),
 		})
-		m.appendLocked(journalRecord{Type: recDone, ID: id, Hash: hash, Time: j.created})
+		m.appendLocked(journalRecord{Type: recDone, ID: id, Hash: hash, Time: stamp(j.created)})
 		m.reg.Counter("jobs.submitted").Inc()
 		m.reg.Counter("jobs.cache_hits").Inc()
 		m.reg.Counter("jobs.completed").Inc()
@@ -426,7 +426,7 @@ func (m *Manager) Submit(cfg Config, tenant string, priority int) (*Job, error) 
 		cfgCopy := norm
 		if err := m.journal.append(journalRecord{
 			Type: recSubmitted, ID: id, Seq: m.seq, Tenant: tenant,
-			Priority: priority, Hash: hash, Config: &cfgCopy, Time: j.created,
+			Priority: priority, Hash: hash, Config: &cfgCopy, Time: stamp(j.created),
 		}); err != nil {
 			m.reg.Counter("jobs.journal_errors").Inc()
 			m.reg.Counter("jobs.rejected_durable").Inc()
@@ -548,17 +548,17 @@ func (m *Manager) finishLocked(j *Job, res *Result, err error, state State) {
 		if _, ok := m.byHash[j.Hash]; !ok {
 			m.byHash[j.Hash] = j
 		}
-		m.appendLocked(journalRecord{Type: recDone, ID: j.ID, Hash: j.Hash, Time: finished})
+		m.appendLocked(journalRecord{Type: recDone, ID: j.ID, Hash: j.Hash, Time: stamp(finished)})
 	case StateFailed:
 		m.reg.Counter("jobs.failed").Inc()
-		m.appendLocked(journalRecord{Type: recFailed, ID: j.ID, Error: errString(err), Time: finished})
+		m.appendLocked(journalRecord{Type: recFailed, ID: j.ID, Error: errString(err), Time: stamp(finished)})
 	case StateCanceled:
 		m.reg.Counter("jobs.canceled").Inc()
 		// A job canceled *by shutdown* keeps its journal open-ended on
 		// purpose: the next boot sees running-without-terminal and re-runs
 		// it. Only a user-initiated cancel is terminal durably.
 		if !m.shuttingDown {
-			m.appendLocked(journalRecord{Type: recCanceled, ID: j.ID, Time: finished})
+			m.appendLocked(journalRecord{Type: recCanceled, ID: j.ID, Time: stamp(finished)})
 		}
 	case StateInterrupted:
 		m.reg.Counter("jobs.interrupted").Inc()
@@ -596,7 +596,7 @@ func (m *Manager) runner() {
 		m.reg.Gauge("jobs.active").Add(1)
 		// The running record makes the crash-vs-queued distinction
 		// replayable; losing it is harmless (the job re-runs either way).
-		m.appendLocked(journalRecord{Type: recRunning, ID: j.ID, Time: j.started})
+		m.appendLocked(journalRecord{Type: recRunning, ID: j.ID, Time: stamp(j.started)})
 		m.mu.Unlock()
 
 		queued := j.started.Sub(j.created).Seconds()

@@ -1,3 +1,6 @@
+// Package numeric provides the numerical routines of the fitting code:
+// (weighted) least-squares line fits and a small Gauss–Newton solver for
+// the SGDP second-order objective.
 package numeric
 
 import (

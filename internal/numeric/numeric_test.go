@@ -7,37 +7,6 @@ import (
 	"testing"
 )
 
-func TestBrent(t *testing.T) {
-	f := func(x float64) float64 { return x*x*x - 2*x - 5 } // root ≈ 2.0946
-	want := 2.0945514815423265
-	x, err := Brent(f, 0, 3, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x-want) > 1e-9 {
-		t.Errorf("root = %.12f, want %.12f", x, want)
-	}
-	if _, err := Brent(f, 5, 6, 1e-12); !errors.Is(err, ErrNoBracket) {
-		t.Error("accepted non-bracketing interval")
-	}
-}
-
-func TestBrentOnRandomPolynomials(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		root := rng.Float64()*4 - 2
-		k := 0.5 + rng.Float64()*3
-		f := func(x float64) float64 { return k * (x - root) * (1 + (x-root)*(x-root)) }
-		x, err := Brent(f, -3, 3, 1e-13)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if math.Abs(x-root) > 1e-9 {
-			t.Fatalf("trial %d: root %g, want %g", trial, x, root)
-		}
-	}
-}
-
 func TestLineFitExact(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := make([]float64, len(xs))

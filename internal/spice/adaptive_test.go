@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -27,8 +28,8 @@ func TestAdaptiveRCAccuracy(t *testing.T) {
 	// 50 ns window with a 1 ns tau: a fixed 5 ps grid needs 10000 steps.
 	fixedSteps := int(50e-9 / 5e-12)
 
-	sim := New(build(), Options{Stop: 50e-9, Step: 5e-12, Adaptive: true, LTETol: 0.5e-3})
-	res, err := sim.Run()
+	sim := New(build(), Options{Step: 5e-12, Adaptive: true, LTETol: 0.5e-3})
+	res, err := sim.Run(context.Background(), 0, 50e-9)
 	if err != nil {
 		t.Fatalf("adaptive run: %v", err)
 	}
@@ -69,7 +70,7 @@ func TestAdaptiveMatchesFixedOnGateDelay(t *testing.T) {
 	}
 	delayOf := func(opts Options) float64 {
 		sim := New(build(), opts)
-		res, err := sim.Run()
+		res, err := sim.Run(context.Background(), 0, 1.5e-9)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -85,8 +86,8 @@ func TestAdaptiveMatchesFixedOnGateDelay(t *testing.T) {
 		}
 		return to - ti
 	}
-	fixed := delayOf(Options{Stop: 1.5e-9, Step: 0.25e-12})
-	adaptive := delayOf(Options{Stop: 1.5e-9, Step: 1e-12, Adaptive: true, LTETol: 1e-3})
+	fixed := delayOf(Options{Step: 0.25e-12})
+	adaptive := delayOf(Options{Step: 1e-12, Adaptive: true, LTETol: 1e-3})
 	if math.Abs(fixed-adaptive) > 2e-12 {
 		t.Errorf("delay fixed %.2f ps vs adaptive %.2f ps", fixed*1e12, adaptive*1e12)
 	}

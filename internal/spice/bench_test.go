@@ -7,6 +7,7 @@ package spice
 // recycled afterwards). Run via `make bench-micro`.
 
 import (
+	"context"
 	"testing"
 
 	"noisewave/internal/circuit"
@@ -35,12 +36,9 @@ func benchCircuit() *circuit.Circuit {
 // dynamic elements initialized for a trapezoidal step of size h.
 func benchSim(b *testing.B, fast bool, h float64) *Simulator {
 	b.Helper()
-	s := New(benchCircuit(), Options{Stop: 1e-9, Step: h, ReuseResult: true})
-	if err := (&s.opts).validate(); err != nil {
-		b.Fatal(err)
-	}
+	s := New(benchCircuit(), Options{Step: h, ReuseResult: true})
 	s.fast = fast
-	if err := s.solveOP(); err != nil {
+	if err := s.solveOP(0); err != nil {
 		b.Fatal(err)
 	}
 	s.part.InitState(s.asm)
@@ -108,25 +106,24 @@ func BenchmarkTransientStep(b *testing.B) {
 		fast bool
 	}{{"fast", true}, {"slow", false}} {
 		b.Run(bc.name, func(b *testing.B) {
-			s := New(benchCircuit(), Options{Stop: 1e-9, Step: 1e-12, ReuseResult: true})
-			if err := (&s.opts).validate(); err != nil {
-				b.Fatal(err)
-			}
+			const stop = 1e-9
+			s := New(benchCircuit(), Options{Step: 1e-12, ReuseResult: true})
 			s.fast = bc.fast
-			if err := s.solveOP(); err != nil {
+			if err := s.solveOP(0); err != nil {
 				b.Fatal(err)
 			}
 			s.part.InitState(s.asm)
 			res := s.newRunResult()
 			rec := &res.Recovery
-			rec.Budget = s.opts.RecoveryBudget
+			rec.Budget = s.opts.recoveryBudget
 			s.recovery = rec
 			defer func() { s.recovery = nil }()
 			st := &s.tr
 			resetWindow := func() {
 				res.reset()
-				rec.Budget = s.opts.RecoveryBudget
-				st.bps = s.breakpoints(st.bps[:0])
+				rec.Budget = s.opts.recoveryBudget
+				st.bps = s.breakpoints(st.bps[:0], 0, stop)
+				st.stop = stop
 				st.t = 0
 				st.base = s.opts.Step
 				st.beSteps = 2
@@ -139,11 +136,12 @@ func BenchmarkTransientStep(b *testing.B) {
 				st.nNodes = s.ckt.NumNodes()
 				s.recordSample(res, 0)
 			}
+			ctx := context.Background()
 			resetWindow()
 			// Warm one full window so the sample buffers reach their final
 			// capacity before measurement starts.
-			for st.t < s.opts.Stop-1.5*s.opts.Step {
-				if err := s.stepTransient(res, rec, st); err != nil {
+			for st.t < stop-1.5*s.opts.Step {
+				if err := s.stepTransient(ctx, res, rec, st); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -151,10 +149,10 @@ func BenchmarkTransientStep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if st.t >= s.opts.Stop-1.5*s.opts.Step {
+				if st.t >= stop-1.5*s.opts.Step {
 					resetWindow()
 				}
-				if err := s.stepTransient(res, rec, st); err != nil {
+				if err := s.stepTransient(ctx, res, rec, st); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"context"
 	"testing"
 
 	"noisewave/internal/circuit"
@@ -31,7 +32,7 @@ func TestRejectedStepKeepsBreakpointAlignment(t *testing.T) {
 	ckt.AddResistor(in, out, 1e-3)
 	ckt.AddCapacitor(out, circuit.Ground, 1e-18)
 
-	sim := New(ckt, Options{Stop: 10e-21, Step: 1e-21, RecordSteps: true})
+	sim := New(ckt, Options{Step: 1e-21, recordSteps: true})
 	rejected := false
 	sim.testForceReject = func(tt, h float64) bool {
 		if !rejected && tt > 4.5e-21 {
@@ -41,7 +42,7 @@ func TestRejectedStepKeepsBreakpointAlignment(t *testing.T) {
 		return false
 	}
 
-	res, err := sim.Run()
+	res, err := sim.Run(context.Background(), 0, 10e-21)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -51,16 +52,16 @@ func TestRejectedStepKeepsBreakpointAlignment(t *testing.T) {
 
 	// Find the accepted step that survived the rejection.
 	ri := -1
-	for i, st := range res.Trace {
+	for i, st := range res.trace {
 		if st.Rejects > 0 {
 			ri = i
 			break
 		}
 	}
 	if ri < 0 {
-		t.Fatalf("no trace entry with rejects; trace: %+v", res.Trace)
+		t.Fatalf("no trace entry with rejects; trace: %+v", res.trace)
 	}
-	st := res.Trace[ri]
+	st := res.trace[ri]
 	if st.Rejects != 1 {
 		t.Errorf("rejected step retried %d times, want 1", st.Rejects)
 	}
@@ -75,8 +76,8 @@ func TestRejectedStepKeepsBreakpointAlignment(t *testing.T) {
 	}
 	// The two steps after the breakpoint must be damped with backward
 	// Euler, exactly as they are when no rejection occurs.
-	for k := 1; k <= 2 && ri+k < len(res.Trace); k++ {
-		if got := res.Trace[ri+k].Method; got != BackwardEuler {
+	for k := 1; k <= 2 && ri+k < len(res.trace); k++ {
+		if got := res.trace[ri+k].Method; got != backwardEuler {
 			t.Errorf("step %d after breakpoint used %v, want BE damping", k, got)
 		}
 	}
@@ -96,27 +97,27 @@ func TestStepTraceBaseline(t *testing.T) {
 	ckt.AddResistor(in, out, 1e3)
 	ckt.AddCapacitor(out, circuit.Ground, 1e-15)
 
-	sim := New(ckt, Options{Stop: 10e-12, Step: 1e-12, RecordSteps: true})
-	res, err := sim.Run()
+	sim := New(ckt, Options{Step: 1e-12, recordSteps: true})
+	res, err := sim.Run(context.Background(), 0, 10e-12)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	hit := -1
-	for i, st := range res.Trace {
+	for i, st := range res.trace {
 		if st.HitBP {
 			hit = i
 			break
 		}
 	}
 	if hit < 0 {
-		t.Fatalf("no step hit the 3 ps breakpoint; trace: %+v", res.Trace)
+		t.Fatalf("no step hit the 3 ps breakpoint; trace: %+v", res.trace)
 	}
 	for k := 1; k <= 2; k++ {
-		if got := res.Trace[hit+k].Method; got != BackwardEuler {
+		if got := res.trace[hit+k].Method; got != backwardEuler {
 			t.Errorf("step %d after breakpoint used %v, want BE", k, got)
 		}
 	}
-	for _, st := range res.Trace {
+	for _, st := range res.trace {
 		if st.Rejects != 0 {
 			t.Errorf("unexpected rejection at t=%g", st.T)
 		}

@@ -55,8 +55,8 @@ type Simulator struct {
 	prefix *prefix
 
 	// stats accumulates engine counters for the current solve; they are
-	// flushed to Options.Telemetry once per Run/OperatingPoint call so the
-	// per-step and per-iteration hot paths never touch the registry.
+	// flushed to Options.Telemetry once per run or DC solve so the per-step
+	// and per-iteration hot paths never touch the registry.
 	stats engineStats
 
 	// recovery points at the active Run's report so the solve wrapper can
@@ -64,8 +64,8 @@ type Simulator struct {
 	recovery *RecoveryReport
 
 	// span is the active Run's "spice.transient" trace span; the recovery
-	// ladder posts its rung events here. Nil (no tracer in Options.Ctx, or
-	// outside a transient) is a no-op.
+	// ladder posts its rung events here. Nil (no tracer in the run's
+	// context, or outside a transient) is a no-op.
 	span *trace.Span
 
 	// testForceReject, when set, rejects an attempted step as if Newton had
@@ -75,9 +75,10 @@ type Simulator struct {
 	testForceReject func(t, h float64) bool
 }
 
-// New creates a simulator; the options are validated at Run time.
+// New creates a simulator and fills in the option defaults; the step and
+// each run's window are validated at Run time.
 func New(c *circuit.Circuit, o Options) *Simulator {
-	s := &Simulator{ckt: c, opts: o, asm: circuit.NewAssembler(c)}
+	s := &Simulator{ckt: c, opts: o.withDefaults(), asm: circuit.NewAssembler(c)}
 	n := c.Size()
 	s.xNew = make([]float64, n)
 	s.resid = make([]float64, n)
@@ -91,6 +92,7 @@ func New(c *circuit.Circuit, o Options) *Simulator {
 // its buffers (breakpoints, previous-step iterates) survive across runs.
 type transient struct {
 	bps              []float64
+	stop             float64 // end of the run's window
 	t, base, hPrev   float64
 	beSteps          int
 	xPrev, xPrevPrev []float64
@@ -236,19 +238,16 @@ func (s *Simulator) newton(mode circuit.StampMode, gminExtra float64) error {
 	return fmt.Errorf("%w (t=%.6g)", ErrNewton, s.asm.Time)
 }
 
-// OperatingPoint solves the DC operating point with the sources at their
-// t = Start values, using a gmin-stepping homotopy for robustness. The
-// solution is left in the assembler and also returned keyed by node name.
+// operatingPoint solves the DC operating point with the sources at their
+// t = 0 values, using a gmin-stepping homotopy for robustness. The solution
+// is left in the assembler and also returned keyed by node name.
 // Transients solve it internally; the spice tests call it to check the DC
 // solution on its own.
-func (s *Simulator) OperatingPoint() (map[string]float64, error) {
-	if err := (&s.opts).validate(); err != nil {
-		return nil, err
-	}
+func (s *Simulator) operatingPoint() (map[string]float64, error) {
 	s.fast = !s.opts.NoFastPath
 	s.stats.wallStart = time.Now()
 	defer s.flushTelemetry("spice.op_solves", "spice.op_seconds")
-	if err := s.solveOP(); err != nil {
+	if err := s.solveOP(0); err != nil {
 		return nil, err
 	}
 	out := make(map[string]float64, s.ckt.NumNodes())
@@ -259,11 +258,11 @@ func (s *Simulator) OperatingPoint() (map[string]float64, error) {
 	return out, nil
 }
 
-// solveOP is OperatingPoint without validation, telemetry flushing or the
-// result map; Run uses it so the DC solve's Newton iterations are
+// solveOP is operatingPoint at t = start without telemetry flushing or
+// the result map; Run uses it so the DC solve's Newton iterations are
 // accounted to the enclosing transient.
-func (s *Simulator) solveOP() error {
-	s.asm.Time = s.opts.Start
+func (s *Simulator) solveOP(start float64) error {
+	s.asm.Time = start
 	s.ic = circuit.IntegrationCoeffs{}
 	// A cached factorization from a previous run (or a previous homotopy)
 	// was built at a different iterate; start every DC solve fresh. The
@@ -296,12 +295,12 @@ func (s *Simulator) solveOP() error {
 }
 
 // breakpoints collects and sorts all source breakpoints inside the run
-// window, appending into buf (whose storage is reused).
-func (s *Simulator) breakpoints(buf []float64) []float64 {
+// window (start, stop), appending into buf (whose storage is reused).
+func (s *Simulator) breakpoints(buf []float64, start, stop float64) []float64 {
 	bps := buf
 	for _, v := range s.part.Sources() {
 		for _, t := range v.Value.Breakpoints() {
-			if t > s.opts.Start && t < s.opts.Stop {
+			if t > start && t < stop {
 				bps = append(bps, t)
 			}
 		}
@@ -396,36 +395,30 @@ func (s *Simulator) alignStep(t, h float64) (float64, bool) {
 	return h, false
 }
 
-// RunWindow re-targets the simulator at a new run window and context, then
-// performs the transient. It exists for callers that reuse one Simulator
-// (and circuit) across many cases, replacing only the source values and
-// the window between runs. Every Run starts from its own DC operating
-// point, or resumes from a recorded prefix checkpoint that reproduces it
-// bit for bit (see Run), so no state leaks from the previous case.
-func (s *Simulator) RunWindow(ctx context.Context, start, stop float64) (*Result, error) {
-	s.opts.Ctx = ctx
-	s.opts.Start = start
-	s.opts.Stop = stop
-	return s.Run()
-}
-
-// Run performs the transient analysis: DC operating point, then fixed-base
-// stepping with breakpoint alignment, BE start-up steps, and step halving
-// on Newton failure. A run that reproduces the recorded quiet prefix (see
-// RecordPrefix) resumes from its latest usable checkpoint instead, with
-// bit-identical samples.
+// Run performs the transient analysis over [start, stop]: DC operating
+// point at start, then fixed-base stepping with breakpoint alignment, BE
+// start-up steps, and step halving on Newton failure. A run that
+// reproduces the recorded quiet prefix (see RecordPrefix) resumes from its
+// latest usable checkpoint instead, with bit-identical samples.
 //
-// When Options.Ctx is canceled (or its deadline passes) mid-run, Run stops
-// at the next outer time step and returns the waveforms recorded so far
-// together with an error matching telemetry.ErrCanceled.
-func (s *Simulator) Run() (*Result, error) {
-	return s.run(nil)
+// A Simulator may run many windows — callers that reuse one circuit across
+// cases replace only the source values between runs. Every run starts from
+// its own DC operating point, or from a prefix checkpoint that reproduces
+// it bit for bit, so no state leaks from the previous case.
+//
+// ctx is polled at every outer time step: once it is canceled (or its
+// deadline passes), Run stops and returns the waveforms recorded so far
+// together with an error matching telemetry.ErrCanceled (and the context's
+// own error). ctx also carries the run's trace span parent and logger; a
+// nil ctx runs without cancellation.
+func (s *Simulator) Run(ctx context.Context, start, stop float64) (*Result, error) {
+	return s.run(ctx, start, stop, nil)
 }
 
 // run is Run; with a non-nil record it records the quiet prefix into
 // record instead of resuming from one (see RecordPrefix).
-func (s *Simulator) run(record *prefix) (*Result, error) {
-	if err := (&s.opts).validate(); err != nil {
+func (s *Simulator) run(ctx context.Context, start, stop float64, record *prefix) (*Result, error) {
+	if err := s.opts.checkWindow(start, stop); err != nil {
 		return nil, err
 	}
 	s.fast = !s.opts.NoFastPath
@@ -433,8 +426,8 @@ func (s *Simulator) run(record *prefix) (*Result, error) {
 	defer s.flushTelemetry("spice.transients", "spice.transient_seconds")
 	// The span-closing defer is registered after the telemetry flush so it
 	// runs first, while the stats it snapshots are still live.
-	_, span := trace.Start(s.opts.Ctx, "spice.transient",
-		trace.Float("start_s", s.opts.Start), trace.Float("stop_s", s.opts.Stop))
+	_, span := trace.Start(ctx, "spice.transient",
+		trace.Float("start_s", start), trace.Float("stop_s", stop))
 	s.span = span
 	defer func() {
 		span.SetAttr(
@@ -446,14 +439,15 @@ func (s *Simulator) run(record *prefix) (*Result, error) {
 		s.span = nil
 	}()
 	st := &s.tr
-	st.bps = s.breakpoints(st.bps[:0])
+	st.bps = s.breakpoints(st.bps[:0], start, stop)
+	st.stop = stop
 	var cp *checkpoint
 	if record == nil {
-		cp = s.resumePoint(st.bps)
+		cp = s.resumePoint(ctx, start, stop, st.bps)
 	}
 	if cp == nil {
 		opSpan := span.Child("spice.op")
-		if err := s.solveOP(); err != nil {
+		if err := s.solveOP(start); err != nil {
 			opSpan.SetAttr(trace.String("error", err.Error()))
 			opSpan.End()
 			return nil, err
@@ -464,8 +458,8 @@ func (s *Simulator) run(record *prefix) (*Result, error) {
 
 	res := s.newRunResult()
 	rec := &res.Recovery
-	if s.opts.RecoveryBudget > 0 {
-		rec.Budget = s.opts.RecoveryBudget
+	if s.opts.recoveryBudget > 0 {
+		rec.Budget = s.opts.recoveryBudget
 	}
 	s.recovery = rec
 	defer func() { s.recovery = nil }()
@@ -477,8 +471,8 @@ func (s *Simulator) run(record *prefix) (*Result, error) {
 	if cp != nil {
 		s.resume(cp, res)
 	} else {
-		s.recordSample(res, s.opts.Start)
-		st.t = s.opts.Start
+		s.recordSample(res, start)
+		st.t = start
 		st.base = s.opts.Step
 		// beSteps counts remaining forced backward-Euler steps (used at
 		// start and after each breakpoint to damp trapezoidal ringing).
@@ -492,8 +486,8 @@ func (s *Simulator) run(record *prefix) (*Result, error) {
 		record.extend(s, res)
 	}
 
-	for st.t < s.opts.Stop-1e-21 {
-		if err := s.stepTransient(res, rec, st); err != nil {
+	for st.t < stop-1e-21 {
+		if err := s.stepTransient(ctx, res, rec, st); err != nil {
 			return res, err
 		}
 		if record != nil && !record.extend(s, res) {
@@ -508,21 +502,21 @@ func (s *Simulator) run(record *prefix) (*Result, error) {
 // excessive LTE, escalates through the recovery ladder when every halving
 // attempt fails, commits the dynamic-element state, records the sample and
 // updates the adaptive base step.
-func (s *Simulator) stepTransient(res *Result, rec *RecoveryReport, st *transient) error {
+func (s *Simulator) stepTransient(ctx context.Context, res *Result, rec *RecoveryReport, st *transient) error {
 	t := st.t
-	if ctx := s.opts.Ctx; ctx != nil {
+	if ctx != nil {
 		select {
 		case <-ctx.Done():
 			s.stats.canceled = 1
 			s.span.Event("spice.canceled", trace.Float("t_s", t))
-			return telemetry.Canceled(ctx, "spice: transient canceled at t=%.6g (of %.6g)", t, s.opts.Stop)
+			return telemetry.Canceled(ctx, "spice: transient canceled at t=%.6g (of %.6g)", t, st.stop)
 		default:
 		}
 	}
-	s.opts.Inject.StallPoint(s.opts.Ctx)
+	s.opts.Inject.StallPoint(ctx)
 	h := st.base
-	if t+h > s.opts.Stop {
-		h = s.opts.Stop - t
+	if t+h > st.stop {
+		h = st.stop - t
 	}
 
 	// Attempt the step, halving on Newton failure or excessive LTE.
@@ -530,12 +524,12 @@ func (s *Simulator) stepTransient(res *Result, rec *RecoveryReport, st *transien
 	hitBP := false
 	rejects := 0
 	var lte float64
-	var method Method
+	var m method
 	for attempt := 0; attempt < 16; attempt++ {
 		h, hitBP = s.alignStep(t, h)
-		method = s.opts.Method
+		m = s.opts.method
 		if st.beSteps > 0 {
-			method = BackwardEuler
+			m = backwardEuler
 		}
 		if s.testForceReject != nil && s.testForceReject(t, h) {
 			h /= 2
@@ -543,7 +537,7 @@ func (s *Simulator) stepTransient(res *Result, rec *RecoveryReport, st *transien
 			continue
 		}
 		ic := circuit.IntegrationCoeffs{Geq: 1 / h, HistI: 0}
-		if method == Trap {
+		if m == trap {
 			ic = circuit.IntegrationCoeffs{Geq: 2 / h, HistI: -1}
 		}
 		s.ic = ic
@@ -585,7 +579,7 @@ func (s *Simulator) stepTransient(res *Result, rec *RecoveryReport, st *transien
 		s.stats.rejects += int64(rejects)
 		rejects = 0
 		var rerr error
-		h, method, hitBP, rerr = s.recoverStep(t, st.base, rec, st.xPrev)
+		h, m, hitBP, rerr = s.recoverStep(ctx, t, st.base, rec, st.xPrev)
 		if rerr != nil {
 			return rerr
 		}
@@ -607,9 +601,9 @@ func (s *Simulator) stepTransient(res *Result, rec *RecoveryReport, st *transien
 	copy(st.xPrev, s.asm.X)
 	st.hPrev = h
 	s.recordSample(res, t)
-	if s.opts.RecordSteps {
-		res.Trace = append(res.Trace, StepTrace{
-			T: t, H: h, Method: method, HitBP: hitBP, Rejects: rejects,
+	if s.opts.recordSteps {
+		res.trace = append(res.trace, stepTrace{
+			T: t, H: h, Method: m, HitBP: hitBP, Rejects: rejects,
 		})
 	}
 	if st.beSteps > 0 {

@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,8 +27,8 @@ func TestRCStepResponse(t *testing.T) {
 	ckt.AddResistor(in, out, r)
 	ckt.AddCapacitor(out, circuit.Ground, c)
 
-	sim := New(ckt, Options{Stop: 5e-9, Step: 5e-12})
-	res, err := sim.Run()
+	sim := New(ckt, Options{Step: 5e-12})
+	res, err := sim.Run(context.Background(), 0, 5e-9)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -64,12 +65,12 @@ func TestRCChargeConservation(t *testing.T) {
 	ckt.AddResistor(a, b, 1e4)
 	ckt.AddCapacitor(a, circuit.Ground, 1e-13)
 	ckt.AddCapacitor(b, circuit.Ground, 1e-13)
-	sim := New(ckt, Options{Stop: 2e-8, Step: 2e-11})
-	res, err := sim.Run()
+	sim := New(ckt, Options{Step: 2e-11})
+	res, err := sim.Run(context.Background(), 0, 2e-8)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	vb, err := res.Final("b")
+	vb, err := res.final("b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +91,10 @@ func TestInverterDC(t *testing.T) {
 		ckt.AddVSource("vdd", vdd, circuit.Ground, circuit.DCSource(tech.Vdd))
 		ckt.AddVSource("vin", in, circuit.Ground, circuit.DCSource(vin))
 		ckt.AddInverter("u1", tech, 1, in, out, vdd)
-		sim := New(ckt, Options{Stop: 1e-9, Step: 1e-11})
-		op, err := sim.OperatingPoint()
+		sim := New(ckt, Options{Step: 1e-11})
+		op, err := sim.operatingPoint()
 		if err != nil {
-			t.Fatalf("vin=%g: OperatingPoint: %v", vin, err)
+			t.Fatalf("vin=%g: operatingPoint: %v", vin, err)
 		}
 		vout := op["out"]
 		if vin <= 0.2 && vout < tech.Vdd-0.05 {
@@ -121,8 +122,8 @@ func TestInverterTransient(t *testing.T) {
 	ckt.AddInverter("u1", tech, 1, in, mid, vdd)
 	ckt.AddInverter("u2", tech, 4, mid, out, vdd)
 
-	sim := New(ckt, Options{Stop: 1.5e-9, Step: 0.5e-12})
-	res, err := sim.Run()
+	sim := New(ckt, Options{Step: 0.5e-12})
+	res, err := sim.Run(context.Background(), 0, 1.5e-9)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -166,8 +167,8 @@ func TestBreakpointAlignment(t *testing.T) {
 		T: []float64{0, 0.33e-9, 0.34e-9}, V: []float64{0, 0, 1},
 	})
 	ckt.AddResistor(in, circuit.Ground, 1e6)
-	sim := New(ckt, Options{Stop: 1e-9, Step: 0.1e-9})
-	res, err := sim.Run()
+	sim := New(ckt, Options{Step: 0.1e-9})
+	res, err := sim.Run(context.Background(), 0, 1e-9)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -199,12 +200,12 @@ func TestStiffEdge(t *testing.T) {
 		T: []float64{0.1e-9, 0.1001e-9}, V: []float64{0, tech.Vdd}, // 0.1 ps edge
 	})
 	ckt.AddInverter("u1", tech, 16, in, out, vdd)
-	sim := New(ckt, Options{Stop: 0.5e-9, Step: 1e-12})
-	res, err := sim.Run()
+	sim := New(ckt, Options{Step: 1e-12})
+	res, err := sim.Run(context.Background(), 0, 0.5e-9)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if v, _ := res.Final("out"); v > 0.05 {
+	if v, _ := res.final("out"); v > 0.05 {
 		t.Errorf("output should be low, got %.3f", v)
 	}
 }

@@ -25,6 +25,7 @@ package spice
 //     pair that diverged in step control would consume different ordinals.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -39,11 +40,7 @@ import (
 // |Δv| ≤ equivTol·max(1, |v|), set to a quarter of the effective Newton
 // tolerance (4× margin over the observed worst case of ≈ 0.06·VTol).
 func equivTol(opts Options) float64 {
-	vtol := opts.VTol
-	if vtol == 0 {
-		vtol = 1e-6 // validate()'s default
-	}
-	return vtol / 4
+	return opts.withDefaults().VTol / 4
 }
 
 // chainCircuit is the experiments' receiver shape with a switching input:
@@ -92,42 +89,50 @@ func equivCases() []struct {
 	name  string
 	build func() *circuit.Circuit
 	opts  Options
+	stop  float64
 } {
 	tech := device.Default130()
 	return []struct {
 		name  string
 		build func() *circuit.Circuit
 		opts  Options
+		stop  float64
 	}{
 		{
 			name:  "rc-linear-trap",
 			build: rcCircuit,
-			opts:  Options{Stop: 5e-9, Step: 5e-12},
+			opts:  Options{Step: 5e-12},
+			stop:  5e-9,
 		},
 		{
 			name:  "rc-linear-be",
 			build: rcCircuit,
-			opts:  Options{Stop: 5e-9, Step: 5e-12, Method: BackwardEuler},
+			opts:  Options{Step: 5e-12, method: backwardEuler},
+			stop:  5e-9,
 		},
 		{
 			name:  "inverter-trap",
 			build: func() *circuit.Circuit { return inverterCircuit(tech) },
-			opts:  Options{Stop: 1e-9, Step: 1e-12},
+			opts:  Options{Step: 1e-12},
+			stop:  1e-9,
 		},
 		{
 			name:  "chain-rising-trap",
 			build: func() *circuit.Circuit { return chainCircuit(tech, wave.Rising) },
-			opts:  Options{Stop: 1.2e-9, Step: 1e-12},
+			opts:  Options{Step: 1e-12},
+			stop:  1.2e-9,
 		},
 		{
 			name:  "chain-falling-be",
 			build: func() *circuit.Circuit { return chainCircuit(tech, wave.Falling) },
-			opts:  Options{Stop: 1.2e-9, Step: 1e-12, Method: BackwardEuler},
+			opts:  Options{Step: 1e-12, method: backwardEuler},
+			stop:  1.2e-9,
 		},
 		{
 			name:  "chain-rising-adaptive",
 			build: func() *circuit.Circuit { return chainCircuit(tech, wave.Rising) },
-			opts:  Options{Stop: 1.2e-9, Step: 1e-12, Adaptive: true},
+			opts:  Options{Step: 1e-12, Adaptive: true},
+			stop:  1.2e-9,
 		},
 		{
 			// Tightening VTol 100× must tighten the fast/slow gap with it:
@@ -135,29 +140,31 @@ func equivCases() []struct {
 			// near each other at the default tolerance.
 			name:  "chain-rising-tight-vtol",
 			build: func() *circuit.Circuit { return chainCircuit(tech, wave.Rising) },
-			opts:  Options{Stop: 1.2e-9, Step: 1e-12, VTol: 1e-8},
+			opts:  Options{Step: 1e-12, VTol: 1e-8},
+			stop:  1.2e-9,
 		},
 		{
 			name:  "coupled-trap",
 			build: func() *circuit.Circuit { return coupledCircuit(tech) },
-			opts:  Options{Stop: 1.5e-9, Step: 1e-12},
+			opts:  Options{Step: 1e-12},
+			stop:  1.5e-9,
 		},
 	}
 }
 
 // runEquivPair runs the same circuit/options through the fast and slow
 // paths and returns both results.
-func runEquivPair(t *testing.T, build func() *circuit.Circuit, opts Options) (fast, slow *Result) {
+func runEquivPair(t *testing.T, build func() *circuit.Circuit, opts Options, stop float64) (fast, slow *Result) {
 	t.Helper()
 	fastOpts := opts
 	fastOpts.NoFastPath = false
 	slowOpts := opts
 	slowOpts.NoFastPath = true
-	fast, err := New(build(), fastOpts).Run()
+	fast, err := New(build(), fastOpts).Run(context.Background(), 0, stop)
 	if err != nil {
 		t.Fatalf("fast-path Run: %v", err)
 	}
-	slow, err = New(build(), slowOpts).Run()
+	slow, err = New(build(), slowOpts).Run(context.Background(), 0, stop)
 	if err != nil {
 		t.Fatalf("slow-path Run: %v", err)
 	}
@@ -177,7 +184,7 @@ func assertResultsEquivalent(t *testing.T, fast, slow *Result, tol float64) {
 				i, fast.Time[i], slow.Time[i])
 		}
 	}
-	for _, node := range slow.Nodes() {
+	for _, node := range slow.names {
 		vf, err := fast.Voltage(node)
 		if err != nil {
 			t.Fatalf("fast result lost node %q: %v", node, err)
@@ -202,7 +209,7 @@ func assertResultsEquivalent(t *testing.T, fast, slow *Result, tol float64) {
 func TestFastPathEquivalence(t *testing.T) {
 	for _, tc := range equivCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			fast, slow := runEquivPair(t, tc.build, tc.opts)
+			fast, slow := runEquivPair(t, tc.build, tc.opts, tc.stop)
 			assertResultsEquivalent(t, fast, slow, equivTol(tc.opts))
 		})
 	}
@@ -221,16 +228,16 @@ func TestFastPathOperatingPointEquivalence(t *testing.T) {
 		{"coupled", func() *circuit.Circuit { return coupledCircuit(tech) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Stop: 1e-9, Step: 1e-12}
+			opts := Options{Step: 1e-12}
 			fastOpts, slowOpts := opts, opts
 			slowOpts.NoFastPath = true
-			fastOP, err := New(tc.build(), fastOpts).OperatingPoint()
+			fastOP, err := New(tc.build(), fastOpts).operatingPoint()
 			if err != nil {
-				t.Fatalf("fast OperatingPoint: %v", err)
+				t.Fatalf("fast operatingPoint: %v", err)
 			}
-			slowOP, err := New(tc.build(), slowOpts).OperatingPoint()
+			slowOP, err := New(tc.build(), slowOpts).operatingPoint()
 			if err != nil {
-				t.Fatalf("slow OperatingPoint: %v", err)
+				t.Fatalf("slow operatingPoint: %v", err)
 			}
 			if len(fastOP) != len(slowOP) {
 				t.Fatalf("node sets diverge: fast %d, slow %d", len(fastOP), len(slowOP))
@@ -276,16 +283,16 @@ func TestChaosFastPathRecoveryEquivalence(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Stop: 1.2e-9, Step: 1e-12}
+			opts := Options{Step: 1e-12}
 			fastOpts, slowOpts := opts, opts
 			fastOpts.Inject = faultinject.New(tc.cfg)
 			slowOpts.Inject = faultinject.New(tc.cfg)
 			slowOpts.NoFastPath = true
-			fast, err := New(tc.build(), fastOpts).Run()
+			fast, err := New(tc.build(), fastOpts).Run(context.Background(), 0, 1.2e-9)
 			if err != nil {
 				t.Fatalf("fast-path chaos Run: %v", err)
 			}
-			slow, err := New(tc.build(), slowOpts).Run()
+			slow, err := New(tc.build(), slowOpts).Run(context.Background(), 0, 1.2e-9)
 			if err != nil {
 				t.Fatalf("slow-path chaos Run: %v", err)
 			}

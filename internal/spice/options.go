@@ -6,26 +6,27 @@
 package spice
 
 import (
-	"context"
 	"fmt"
 
 	"noisewave/internal/faultinject"
 	"noisewave/internal/telemetry"
 )
 
-// Method selects the integration scheme.
-type Method int
+// method selects the integration scheme. Products always integrate with
+// trap; the equivalence and integration-order tests also run
+// backwardEuler throughout.
+type method int
 
 const (
-	// Trap is trapezoidal integration with BE start-up (default).
-	Trap Method = iota
-	// BackwardEuler uses backward Euler for every step.
-	BackwardEuler
+	// trap is trapezoidal integration with BE start-up (default).
+	trap method = iota
+	// backwardEuler uses backward Euler for every step.
+	backwardEuler
 )
 
 // String names the method.
-func (m Method) String() string {
-	if m == BackwardEuler {
+func (m method) String() string {
+	if m == backwardEuler {
 		return "BE"
 	}
 	return "TR"
@@ -38,51 +39,29 @@ const (
 	maxDeltaV = 0.4   // per-iteration node voltage damping clamp (V)
 )
 
-// Options configures a transient run.
+// Options configures a simulator. A simulator's options are fixed at New:
+// a run takes its context and window as Run's arguments, and no run writes
+// to the options.
 type Options struct {
-	Start float64 // first timepoint (default 0)
-	Stop  float64 // last timepoint (required > Start)
-	Step  float64 // base timestep (required > 0)
-
-	Method Method
+	Step float64 // base timestep (required > 0)
 
 	VTol float64 // node-voltage convergence tolerance (default 1 µV)
 
 	// Probes limits recording to these node names; empty records all.
 	Probes []string
 
-	// RecordSteps appends a StepTrace entry to the Result for every
-	// accepted step (size, method, breakpoint hit, rejected attempts).
-	// Diagnostic only; off by default.
-	RecordSteps bool
-
-	// Ctx, if non-nil, is polled at every outer time step of the transient
-	// loop: when it is canceled or its deadline passes, Run stops and
-	// returns the waveforms recorded so far together with an error matching
-	// telemetry.ErrCanceled (and the context's own error). nil means the
-	// run cannot be canceled.
-	Ctx context.Context
-
 	// Telemetry, if non-nil, receives the engine's counters — Newton
 	// iterations, step accepts/rejects, breakpoint hits — and the wall time
 	// of each transient (see EXPERIMENTS.md "Observability" for the metric
-	// names). Counters are flushed once per Run/OperatingPoint call, so the
-	// per-step hot path never touches the registry.
+	// names). Counters are flushed once per run, so the per-step hot path
+	// never touches the registry.
 	Telemetry *telemetry.Registry
-
-	// RecoveryBudget bounds how many steps per Run may escalate past the
-	// ordinary step-halving retries into the recovery ladder (transient
-	// gmin ramp, then backward-Euler fallback — see RecoveryReport). Zero
-	// selects the default (25); a negative value disables the ladder, which
-	// restores the pre-ladder behavior of failing the run on the first step
-	// that survives every halving attempt.
-	RecoveryBudget int
 
 	// Inject, if non-nil, is the deterministic fault injector driving the
 	// chaos test suite and cmd/repro's -chaos mode: it can force transient
 	// Newton divergence, NaN-poison converged solutions, and stall the
-	// outer time loop (honoring Ctx). Nil — the production default — costs
-	// one nil check per site.
+	// outer time loop (honoring the run's context). Nil — the production
+	// default — costs one nil check per site.
 	Inject *faultinject.Injector
 
 	// NoFastPath disables the solver fast path (partitioned stamping,
@@ -113,20 +92,32 @@ type Options struct {
 	MaxStep float64
 	// MinStep floors adaptive shrinking (default Step/512).
 	MinStep float64
+
+	// The settings below only the spice tests change.
+
+	// method is the integration scheme (default trap).
+	method method
+
+	// recordSteps appends a stepTrace entry to the Result for every
+	// accepted step (size, method, breakpoint hit, rejected attempts).
+	recordSteps bool
+
+	// recoveryBudget bounds how many steps per run may escalate past the
+	// ordinary step-halving retries into the recovery ladder (transient
+	// gmin ramp, then backward-Euler fallback — see RecoveryReport). Zero
+	// selects the default (25); a negative value disables the ladder, which
+	// fails the run on the first step that survives every halving attempt.
+	recoveryBudget int
 }
 
-func (o *Options) validate() error {
-	if o.Step <= 0 {
-		return fmt.Errorf("spice: Step must be > 0, got %g", o.Step)
-	}
-	if o.Stop <= o.Start {
-		return fmt.Errorf("spice: Stop (%g) must be > Start (%g)", o.Stop, o.Start)
-	}
+// withDefaults returns o with every zero setting that has a default
+// filled in. New applies it once.
+func (o Options) withDefaults() Options {
 	if o.VTol == 0 {
 		o.VTol = 1e-6
 	}
-	if o.RecoveryBudget == 0 {
-		o.RecoveryBudget = 25
+	if o.recoveryBudget == 0 {
+		o.recoveryBudget = 25
 	}
 	if o.LTETol == 0 {
 		o.LTETol = 2e-3
@@ -136,6 +127,17 @@ func (o *Options) validate() error {
 	}
 	if o.MinStep == 0 {
 		o.MinStep = o.Step / 512
+	}
+	return o
+}
+
+// checkWindow validates a run's window against the options.
+func (o *Options) checkWindow(start, stop float64) error {
+	if o.Step <= 0 {
+		return fmt.Errorf("spice: Step must be > 0, got %g", o.Step)
+	}
+	if stop <= start {
+		return fmt.Errorf("spice: stop (%g) must be > start (%g)", stop, start)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 // rcError runs the RC step response at a given fixed step with the given
 // method and returns the max abs error against the analytic exponential,
 // sampled away from the source breakpoint.
-func rcError(t *testing.T, method Method, step float64) float64 {
+func rcError(t *testing.T, m method, step float64) float64 {
 	t.Helper()
 	const (
 		r   = 1e3
@@ -24,8 +25,8 @@ func rcError(t *testing.T, method Method, step float64) float64 {
 	ckt.AddVSource("vin", in, circuit.Ground, circuit.PWL{T: []float64{t0, t0 + 1e-15}, V: []float64{0, vdd}})
 	ckt.AddResistor(in, out, r)
 	ckt.AddCapacitor(out, circuit.Ground, c)
-	sim := New(ckt, Options{Stop: 4e-9, Step: step, Method: method})
-	res, err := sim.Run()
+	sim := New(ckt, Options{Step: step, method: m})
+	res, err := sim.Run(context.Background(), 0, 4e-9)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -50,10 +51,10 @@ func rcError(t *testing.T, method Method, step float64) float64 {
 // (second order).
 func TestIntegrationOrders(t *testing.T) {
 	const h = 40e-12
-	beCoarse := rcError(t, BackwardEuler, h)
-	beFine := rcError(t, BackwardEuler, h/2)
-	trCoarse := rcError(t, Trap, h)
-	trFine := rcError(t, Trap, h/2)
+	beCoarse := rcError(t, backwardEuler, h)
+	beFine := rcError(t, backwardEuler, h/2)
+	trCoarse := rcError(t, trap, h)
+	trFine := rcError(t, trap, h/2)
 
 	beRatio := beCoarse / beFine
 	trRatio := trCoarse / trFine

@@ -11,10 +11,10 @@ import (
 
 // The quiet prefix. Every Table 1 golden transient and every Γeff replay
 // starts by solving the same DC point and stepping through the same quiet
-// lead-in: until the first source leaves its t = Start value, nothing
-// distinguishes one case from the next. A simulator that reruns one
-// circuit can record that lead-in once (RecordPrefix) and let each later
-// run resume from the latest checkpoint it reproduces bit for bit.
+// lead-in: until the first source leaves its value at the run's start,
+// nothing distinguishes one case from the next. A simulator that reruns
+// one circuit can record that lead-in once (RecordPrefix) and let each
+// later run resume from the latest checkpoint it reproduces bit for bit.
 //
 // A checkpoint holds everything the rest of a run reads: the iterate and
 // the previous one, the stepping state, every capacitor's history and
@@ -64,7 +64,7 @@ type checkpoint struct {
 // bit for bit. A run whose context is already done starts from scratch.
 // The prefix is read-only once recorded; recording again replaces it.
 //
-// Runs under NoFastPath, RecordSteps or a fault injector never resume, so
+// Runs under NoFastPath, a step trace or a fault injector never resume, so
 // for them RecordPrefix records nothing. The recording is a transient of
 // its own and is counted as one in telemetry. Elements other than the
 // sources' Value must not change after recording.
@@ -92,8 +92,7 @@ func (s *Simulator) RecordPrefix(ctx context.Context, start, horizon float64) er
 	}()
 	// Stop one step past the horizon, so no step that ends inside it is
 	// trimmed to the stop.
-	s.opts.Ctx, s.opts.Start, s.opts.Stop = ctx, start, horizon+s.opts.Step
-	res, err := s.run(p)
+	res, err := s.run(ctx, start, horizon+s.opts.Step, p)
 	if err != nil {
 		return fmt.Errorf("spice: recording quiet prefix: %w", err)
 	}
@@ -106,7 +105,7 @@ func (s *Simulator) RecordPrefix(ctx context.Context, start, horizon float64) er
 // the fast path is checkpointed, a step trace or a fault injector would
 // see the skipped steps, and the test-only forced rejections would not.
 func (s *Simulator) canResume() bool {
-	return !s.opts.NoFastPath && !s.opts.RecordSteps && s.opts.Inject == nil && s.testForceReject == nil
+	return !s.opts.NoFastPath && !s.opts.recordSteps && s.opts.Inject == nil && s.testForceReject == nil
 }
 
 // extend is called at the DC point and after each accepted step of the
@@ -151,20 +150,21 @@ func (p *prefix) finish(res *Result) {
 	}
 }
 
-// resumePoint returns the latest checkpoint of the prefix that this run
-// reproduces bit for bit, or nil when the run must start from scratch. The
-// run reproduces the prefix's DC point when it starts at the prefix's start
-// with every source at its held value, and each following step while the
-// step ends before the first breakpoint and before the stop and every
-// source still takes its held value at the step's end — the times at which
-// the solver evaluates the sources.
-func (s *Simulator) resumePoint(bps []float64) *checkpoint {
+// resumePoint returns the latest checkpoint of the prefix that a run over
+// [start, stop] with breakpoints bps reproduces bit for bit, or nil when
+// the run must start from scratch. The run reproduces the prefix's DC
+// point when it starts at the prefix's start with every source at its held
+// value, and each following step while the step ends before the first
+// breakpoint and before the stop and every source still takes its held
+// value at the step's end — the times at which the solver evaluates the
+// sources.
+func (s *Simulator) resumePoint(ctx context.Context, start, stop float64, bps []float64) *checkpoint {
 	p := s.prefix
-	if p == nil || !s.canResume() || math.Float64bits(s.opts.Start) != math.Float64bits(p.start) {
+	if p == nil || !s.canResume() || math.Float64bits(start) != math.Float64bits(p.start) {
 		return nil
 	}
-	if ctx := s.opts.Ctx; ctx != nil && ctx.Err() != nil {
-		return nil // start from scratch, so the cancellation surfaces at t = Start
+	if ctx != nil && ctx.Err() != nil {
+		return nil // start from scratch, so the cancellation surfaces at t = start
 	}
 	srcs := s.part.Sources()
 	holds := func(t float64) bool {
@@ -181,7 +181,7 @@ func (s *Simulator) resumePoint(bps []float64) *checkpoint {
 	last := 0 // last step this run reproduces
 	for j := 1; j < len(p.times); j++ {
 		t := p.times[j]
-		if !(t < s.opts.Stop-1e-21) || (len(bps) > 0 && !(bps[0]-t > 1e-21)) || !holds(t) {
+		if !(t < stop-1e-21) || (len(bps) > 0 && !(bps[0]-t > 1e-21)) || !holds(t) {
 			break
 		}
 		last = j

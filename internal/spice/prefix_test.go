@@ -66,7 +66,7 @@ func runFresh(t *testing.T, o Options, tVic, tAggr, start, stop float64) *Result
 	tech := device.Default130()
 	b := newPrefixBench(tech)
 	b.aim(tech, tVic, tAggr)
-	res, err := New(b.ckt, o).RunWindow(context.Background(), start, stop)
+	res, err := New(b.ckt, o).Run(context.Background(), start, stop)
 	if err != nil {
 		t.Fatalf("fresh run: %v", err)
 	}
@@ -95,12 +95,12 @@ func sameRun(t *testing.T, label string, got, want *Result) {
 			}
 		}
 	}
-	if len(got.Trace) != len(want.Trace) {
-		t.Fatalf("%s: %d trace entries, want %d", label, len(got.Trace), len(want.Trace))
+	if len(got.trace) != len(want.trace) {
+		t.Fatalf("%s: %d trace entries, want %d", label, len(got.trace), len(want.trace))
 	}
-	for j := range want.Trace {
-		if got.Trace[j] != want.Trace[j] {
-			t.Fatalf("%s: trace[%d] %+v, want %+v", label, j, got.Trace[j], want.Trace[j])
+	for j := range want.trace {
+		if got.trace[j] != want.trace[j] {
+			t.Fatalf("%s: trace[%d] %+v, want %+v", label, j, got.trace[j], want.trace[j])
 		}
 	}
 	if got.Recovery != want.Recovery {
@@ -152,7 +152,7 @@ func TestQuietPrefixBitIdentical(t *testing.T) {
 		resumes0 := reg.Counter("spice.fastpath.prefix_resumes").Value()
 		steps0 := reg.Counter("spice.fastpath.prefix_steps_reused").Value()
 		b.aim(tech, c.tVic, c.tAggr)
-		got, err := sim.RunWindow(context.Background(), c.start, c.stop)
+		got, err := sim.Run(context.Background(), c.start, c.stop)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -170,6 +170,11 @@ func TestQuietPrefixBitIdentical(t *testing.T) {
 			t.Errorf("%s: resumed %.4g s in, want within [%.4g, %.4g] s", c.name, skipped, c.minSkip, c.maxSkip)
 		}
 	}
+	// Neither the recording nor the runs wrote their window or context
+	// into the options.
+	if !reflect.DeepEqual(sim.opts, withReg.withDefaults()) {
+		t.Errorf("options changed by the runs: %+v, want %+v", sim.opts, withReg.withDefaults())
+	}
 }
 
 // TestQuietPrefixNotUsed covers the options under which a prefix must not
@@ -184,7 +189,7 @@ func TestQuietPrefixNotUsed(t *testing.T) {
 	}{
 		{"inject", func(o Options) Options { o.Inject = faultinject.New(faultinject.Config{}); return o }},
 		{"no-fast-path", func(o Options) Options { o.NoFastPath = true; return o }},
-		{"record-steps", func(o Options) Options { o.RecordSteps = true; return o }},
+		{"record-steps", func(o Options) Options { o.recordSteps = true; return o }},
 	} {
 		o := c.opts(base)
 		b := newPrefixBench(tech)
@@ -196,7 +201,7 @@ func TestQuietPrefixNotUsed(t *testing.T) {
 			t.Fatalf("%s: prefix recorded", c.name)
 		}
 		b.aim(tech, 0.3e-9, 0.35e-9)
-		got, err := sim.RunWindow(context.Background(), 0, 0.8e-9)
+		got, err := sim.Run(context.Background(), 0, 0.8e-9)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -204,7 +209,7 @@ func TestQuietPrefixNotUsed(t *testing.T) {
 	}
 
 	// A run whose context is already done starts from scratch, so the
-	// cancellation surfaces at t = Start exactly as without a prefix.
+	// cancellation surfaces at t = 0 exactly as without a prefix.
 	b := newPrefixBench(tech)
 	reg := telemetry.New()
 	o := base
@@ -216,7 +221,7 @@ func TestQuietPrefixNotUsed(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	b.aim(tech, 0.3e-9, 0.35e-9)
-	res, err := sim.RunWindow(ctx, 0, 0.8e-9)
+	res, err := sim.Run(ctx, 0, 0.8e-9)
 	if !errors.Is(err, telemetry.ErrCanceled) {
 		t.Fatalf("canceled run: err = %v", err)
 	}
@@ -246,7 +251,7 @@ func TestQuietPrefixRecordingHoldsSources(t *testing.T) {
 	}
 	// The edges sit inside the prefix, so this run resumes only before the
 	// victim edge — and must still match a fresh run.
-	got, err := sim.RunWindow(context.Background(), 0, 0.6e-9)
+	got, err := sim.Run(context.Background(), 0, 0.6e-9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -22,10 +23,10 @@ var ErrNonFinite = errors.New("spice: non-finite solution")
 // step fails: ordinary step halving first (rung 1, already part of the
 // attempt loop), then a transient gmin ramp at a conservative step (rung
 // 2), then a backward-Euler fallback at a further reduced step (rung 3).
-// Escalations past rung 1 consume the per-Run budget
-// (Options.RecoveryBudget); when the budget is spent or the last rung
-// fails, the run returns an error matching ErrNewton and the report's
-// Exhausted flag is set.
+// Escalations past rung 1 consume the per-run budget (25 escalations; the
+// recovery tests lower or disable it); when the budget is spent or the
+// last rung fails, the run returns an error matching ErrNewton and the
+// report's Exhausted flag is set.
 type RecoveryReport struct {
 	// StepCuts counts accepted steps that needed at least one halving
 	// retry (rung 1).
@@ -41,7 +42,7 @@ type RecoveryReport struct {
 	// BudgetUsed is how many ladder escalations (rungs 2–3) this run
 	// consumed, out of Budget.
 	BudgetUsed int
-	// Budget is the effective Options.RecoveryBudget of the run.
+	// Budget is the run's recovery budget; 0 when the ladder is off.
 	Budget int
 	// Exhausted is set when a step failed every rung (or the budget ran
 	// out) and the run was abandoned.
@@ -122,14 +123,14 @@ func (s *Simulator) solveTransient(gminExtra float64) error {
 // state exactly as if the ordinary loop had produced it. On failure the
 // prior state is restored and the returned error wraps ErrNewton, naming
 // the rung each escalation reached.
-func (s *Simulator) recoverStep(t, base float64, rec *RecoveryReport, xPrev []float64) (h float64, method Method, hitBP bool, err error) {
+func (s *Simulator) recoverStep(ctx context.Context, t, base float64, rec *RecoveryReport, xPrev []float64) (h float64, m method, hitBP bool, err error) {
 
 	if rec.Budget <= 0 || rec.BudgetUsed >= rec.Budget {
 		rec.Exhausted = true
 		s.stats.exhausted++
 		s.span.Event("spice.recovery.exhausted", trace.Float("t_s", t),
 			trace.String("cause", "budget"))
-		logctx.From(s.opts.Ctx).Warn("recovery exhausted",
+		logctx.From(ctx).Warn("recovery exhausted",
 			"t_s", t, "cause", "budget", "used", rec.BudgetUsed, "budget", rec.Budget)
 		return 0, 0, false, fmt.Errorf("%w at t=%.6g: recovery budget exhausted (%d/%d escalations; rungs: step-cut, gmin-ramp, BE-fallback)",
 			ErrNewton, t, rec.BudgetUsed, rec.Budget)
@@ -140,9 +141,9 @@ func (s *Simulator) recoverStep(t, base float64, rec *RecoveryReport, xPrev []fl
 	// homotopy. Intermediate ramp solutions are kept as the starting
 	// iterate of the next (less damped) solve; any failure restores the
 	// pre-step state.
-	tryRamp := func(h float64, m Method) error {
+	tryRamp := func(h float64, m method) error {
 		ic := circuit.IntegrationCoeffs{Geq: 1 / h, HistI: 0}
-		if m == Trap {
+		if m == trap {
 			ic = circuit.IntegrationCoeffs{Geq: 2 / h, HistI: -1}
 		}
 		s.ic = ic
@@ -160,32 +161,32 @@ func (s *Simulator) recoverStep(t, base float64, rec *RecoveryReport, xPrev []fl
 	// Rung 2: gmin ramp at a conservative fraction of the base step.
 	h = math.Max(base/8, s.opts.MinStep)
 	h, hitBP = s.alignStep(t, h)
-	errGmin := tryRamp(h, s.opts.Method)
+	errGmin := tryRamp(h, s.opts.method)
 	if errGmin == nil {
 		rec.GminRamps++
 		s.stats.gminRamps++
 		s.span.Event("spice.recovery.gmin_ramp", trace.Float("t_s", t))
-		logctx.From(s.opts.Ctx).Debug("recovery rung", "rung", "gmin_ramp", "t_s", t, "h_s", h)
-		return h, s.opts.Method, hitBP, nil
+		logctx.From(ctx).Debug("recovery rung", "rung", "gmin_ramp", "t_s", t, "h_s", h)
+		return h, s.opts.method, hitBP, nil
 	}
 
 	// Rung 3: backward-Euler fallback at a further reduced step.
 	h = math.Max(h/4, s.opts.MinStep)
 	h, hitBP = s.alignStep(t, h)
-	errBE := tryRamp(h, BackwardEuler)
+	errBE := tryRamp(h, backwardEuler)
 	if errBE == nil {
 		rec.BEFallbacks++
 		s.stats.beFallbacks++
 		s.span.Event("spice.recovery.be_fallback", trace.Float("t_s", t))
-		logctx.From(s.opts.Ctx).Debug("recovery rung", "rung", "be_fallback", "t_s", t, "h_s", h)
-		return h, BackwardEuler, hitBP, nil
+		logctx.From(ctx).Debug("recovery rung", "rung", "be_fallback", "t_s", t, "h_s", h)
+		return h, backwardEuler, hitBP, nil
 	}
 
 	rec.Exhausted = true
 	s.stats.exhausted++
 	s.span.Event("spice.recovery.exhausted", trace.Float("t_s", t),
 		trace.String("cause", "ladder"))
-	logctx.From(s.opts.Ctx).Warn("recovery exhausted",
+	logctx.From(ctx).Warn("recovery exhausted",
 		"t_s", t, "cause", "ladder", "used", rec.BudgetUsed, "budget", rec.Budget)
 	return 0, 0, false, fmt.Errorf("%w at t=%.6g: recovery ladder exhausted (rung gmin-ramp: %w; rung BE-fallback: %w; budget %d/%d)",
 		ErrNewton, t, errGmin, errBE, rec.BudgetUsed, rec.Budget)

@@ -40,8 +40,8 @@ func TestChaosNewtonDivergenceRecovers(t *testing.T) {
 	// or BE fallback gets a post-cap (clean) solve and recovers the step.
 	inj := faultinject.New(faultinject.Config{NewtonEvery: 1, NewtonMax: 17})
 	reg := telemetry.New()
-	sim := New(rcCircuit(), Options{Stop: 5e-9, Step: 5e-12, Inject: inj, Telemetry: reg})
-	res, err := sim.Run()
+	sim := New(rcCircuit(), Options{Step: 5e-12, Inject: inj, Telemetry: reg})
+	res, err := sim.Run(context.Background(), 0, 5e-9)
 	if err != nil {
 		t.Fatalf("Run with capped divergence injection: %v", err)
 	}
@@ -71,8 +71,8 @@ func TestChaosNewtonDivergenceRecovers(t *testing.T) {
 // panics and the recorded prefix is retained.
 func TestChaosNewtonDivergenceUnrecoverable(t *testing.T) {
 	inj := faultinject.New(faultinject.Config{NewtonEvery: 1})
-	sim := New(rcCircuit(), Options{Stop: 5e-9, Step: 5e-12, Inject: inj})
-	res, err := sim.Run()
+	sim := New(rcCircuit(), Options{Step: 5e-12, Inject: inj})
+	res, err := sim.Run(context.Background(), 0, 5e-9)
 	if err == nil {
 		t.Fatal("uncapped divergence injection did not fail the run")
 	}
@@ -95,8 +95,8 @@ func TestChaosNewtonDivergenceUnrecoverable(t *testing.T) {
 // completes; the non-finite rejections are accounted in the report.
 func TestChaosNaNPoisonRecovers(t *testing.T) {
 	inj := faultinject.New(faultinject.Config{NaNEvery: 1, NaNMax: 17})
-	sim := New(rcCircuit(), Options{Stop: 5e-9, Step: 5e-12, Inject: inj})
-	res, err := sim.Run()
+	sim := New(rcCircuit(), Options{Step: 5e-12, Inject: inj})
+	res, err := sim.Run(context.Background(), 0, 5e-9)
 	if err != nil {
 		t.Fatalf("Run with capped NaN injection: %v", err)
 	}
@@ -118,8 +118,8 @@ func TestChaosNaNPoisonRecovers(t *testing.T) {
 // typed error instead of producing a garbage waveform.
 func TestChaosNaNPoisonUnrecoverable(t *testing.T) {
 	inj := faultinject.New(faultinject.Config{NaNEvery: 1})
-	sim := New(rcCircuit(), Options{Stop: 5e-9, Step: 5e-12, Inject: inj})
-	_, err := sim.Run()
+	sim := New(rcCircuit(), Options{Step: 5e-12, Inject: inj})
+	_, err := sim.Run(context.Background(), 0, 5e-9)
 	if err == nil {
 		t.Fatal("uncapped NaN injection did not fail the run")
 	}
@@ -137,12 +137,12 @@ func TestChaosNaNPoisonUnrecoverable(t *testing.T) {
 func TestChaosNonlinearRecovery(t *testing.T) {
 	tech := device.Default130()
 	inj := faultinject.New(faultinject.Config{Seed: 7, NewtonEvery: 25, NewtonMax: 40})
-	sim := New(inverterCircuit(tech), Options{Stop: 1.2e-9, Step: 1e-12, Inject: inj})
-	res, err := sim.Run()
+	sim := New(inverterCircuit(tech), Options{Step: 1e-12, Inject: inj})
+	res, err := sim.Run(context.Background(), 0, 1.2e-9)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if v, _ := res.Final("out"); v > 0.1 {
+	if v, _ := res.final("out"); v > 0.1 {
 		t.Errorf("inverter output %.3f, want low (input rose)", v)
 	}
 }
@@ -154,8 +154,8 @@ func TestRecoveryBudgetExhaustion(t *testing.T) {
 	// ladder walk (ladder solves also diverge), so even budget 1 runs
 	// straight to exhaustion.
 	inj := faultinject.New(faultinject.Config{NewtonEvery: 1})
-	sim := New(rcCircuit(), Options{Stop: 5e-9, Step: 5e-12, Inject: inj, RecoveryBudget: 1})
-	res, err := sim.Run()
+	sim := New(rcCircuit(), Options{Step: 5e-12, Inject: inj, recoveryBudget: 1})
+	res, err := sim.Run(context.Background(), 0, 5e-9)
 	if err == nil {
 		t.Fatal("expected exhaustion")
 	}
@@ -168,8 +168,8 @@ func TestRecoveryBudgetExhaustion(t *testing.T) {
 // behavior — first unrecoverable step fails the run without escalation.
 func TestRecoveryDisabled(t *testing.T) {
 	inj := faultinject.New(faultinject.Config{NewtonEvery: 1, NewtonMax: 17})
-	sim := New(rcCircuit(), Options{Stop: 5e-9, Step: 5e-12, Inject: inj, RecoveryBudget: -1})
-	res, err := sim.Run()
+	sim := New(rcCircuit(), Options{Step: 5e-12, Inject: inj, recoveryBudget: -1})
+	res, err := sim.Run(context.Background(), 0, 5e-9)
 	if err == nil {
 		t.Fatal("disabled ladder still recovered the run")
 	}
@@ -188,8 +188,8 @@ func TestChaosStallHonorsRunContext(t *testing.T) {
 	inj := faultinject.New(faultinject.Config{StallEvery: 1, StallMax: 1, StallFor: time.Hour})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sim := New(rcCircuit(), Options{Stop: 5e-9, Step: 5e-12, Inject: inj, Ctx: ctx})
-	_, err := sim.Run()
+	sim := New(rcCircuit(), Options{Step: 5e-12, Inject: inj})
+	_, err := sim.Run(ctx, 0, 5e-9)
 	if err == nil || !errors.Is(err, telemetry.ErrCanceled) {
 		t.Fatalf("err = %v, want cancellation", err)
 	}
@@ -199,8 +199,8 @@ func TestChaosStallHonorsRunContext(t *testing.T) {
 // from a probe of a node name that never existed) surfaces
 // wave.ErrBadSamples from Waveform, with the node named.
 func TestWaveformRejectsNonFiniteSamples(t *testing.T) {
-	sim := New(rcCircuit(), Options{Stop: 1e-9, Step: 1e-11, Probes: []string{"no_such_node"}})
-	res, err := sim.Run()
+	sim := New(rcCircuit(), Options{Step: 1e-11, Probes: []string{"no_such_node"}})
+	res, err := sim.Run(context.Background(), 0, 1e-9)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -6,13 +6,13 @@ import (
 	"noisewave/internal/wave"
 )
 
-// StepTrace describes one accepted transient step: where it landed, its
+// stepTrace describes one accepted transient step: where it landed, its
 // size, the integration method actually used, whether it ended on a source
 // breakpoint, and how many attempts were rejected (Newton failure or LTE)
 // before acceptance.
-type StepTrace struct {
+type stepTrace struct {
 	T, H    float64
-	Method  Method
+	Method  method
 	HitBP   bool
 	Rejects int
 }
@@ -20,13 +20,12 @@ type StepTrace struct {
 // Result holds recorded node voltages over time.
 type Result struct {
 	Time []float64
-	// Trace holds per-step diagnostics when Options.RecordSteps is set.
-	Trace []StepTrace
 	// Recovery reports what the transient recovery ladder did during the
 	// run (step cuts, gmin ramps, BE fallbacks, budget usage). A zero
 	// report means the run never needed recovery.
 	Recovery RecoveryReport
 
+	trace []stepTrace // per-step diagnostics under Options.recordSteps
 	names []string
 	index map[string]int
 	v     [][]float64 // v[probe][step]
@@ -43,10 +42,6 @@ func newResult(names []string) *Result {
 	}
 	return r
 }
-
-// Nodes returns the recorded node names. The spice result and
-// equivalence tests read it.
-func (r *Result) Nodes() []string { return append([]string(nil), r.names...) }
 
 // Steps returns the number of recorded timepoints.
 func (r *Result) Steps() int { return len(r.Time) }
@@ -78,9 +73,9 @@ func (r *Result) Waveform(node string) (*wave.Waveform, error) {
 	return wave.New(append([]float64(nil), r.Time...), append([]float64(nil), v...))
 }
 
-// Final returns the last recorded voltage of a node. The spice tests
+// final returns the last recorded voltage of a node. The spice tests
 // check settled values with it.
-func (r *Result) Final(node string) (float64, error) {
+func (r *Result) final(node string) (float64, error) {
 	v, err := r.Voltage(node)
 	if err != nil {
 		return 0, err
@@ -106,7 +101,7 @@ func (r *Result) record(t float64, get func(name string) float64) {
 // across runs instead of reallocating them per case.
 func (r *Result) reset() {
 	r.Time = r.Time[:0]
-	r.Trace = r.Trace[:0]
+	r.trace = r.trace[:0]
 	r.Recovery = RecoveryReport{}
 	for i := range r.v {
 		r.v[i] = r.v[i][:0]

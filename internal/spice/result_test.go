@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,31 +27,32 @@ func TestResultAccessors(t *testing.T) {
 	if _, err := r.Voltage("zz"); err == nil {
 		t.Error("unknown probe accepted")
 	}
-	f, err := r.Final("b")
+	f, err := r.final("b")
 	if err != nil || f != 3 {
-		t.Errorf("Final(b): %g %v", f, err)
+		t.Errorf("final(b): %g %v", f, err)
 	}
 	w, err := r.Waveform("a")
 	if err != nil || w.Len() != 2 {
 		t.Errorf("Waveform: %v %v", w, err)
 	}
-	nodes := r.Nodes()
-	if len(nodes) != 2 || nodes[0] != "a" {
-		t.Errorf("Nodes: %v", nodes)
+	if len(r.names) != 2 || r.names[0] != "a" {
+		t.Errorf("names: %v", r.names)
 	}
 }
 
 func TestOptionsValidation(t *testing.T) {
-	bad := []Options{
-		{Stop: 1e-9},                           // no step
-		{Step: 1e-12},                          // no stop
-		{Step: 1e-12, Stop: -1},                // stop before start
-		{Step: 1e-12, Stop: 1e-9, Start: 2e-9}, // inverted window
+	bad := []struct {
+		step, start, stop float64
+	}{
+		{0, 0, 1e-9},        // no step
+		{1e-12, 0, 0},       // no stop
+		{1e-12, 0, -1},      // stop before start
+		{1e-12, 2e-9, 1e-9}, // inverted window
 	}
 	ckt := circuit.New()
 	ckt.AddResistor(ckt.Node("a"), circuit.Ground, 1)
-	for i, o := range bad {
-		if _, err := New(ckt, o).Run(); err == nil {
+	for i, c := range bad {
+		if _, err := New(ckt, Options{Step: c.step}).Run(context.Background(), c.start, c.stop); err == nil {
 			t.Errorf("options %d accepted", i)
 		}
 	}
@@ -63,7 +65,7 @@ func TestSingularCircuitReported(t *testing.T) {
 	a := ckt.Node("a")
 	ckt.AddVSource("v1", a, circuit.Ground, circuit.DCSource(1))
 	ckt.AddVSource("v2", a, circuit.Ground, circuit.DCSource(2))
-	_, err := New(ckt, Options{Stop: 1e-9, Step: 1e-10}).Run()
+	_, err := New(ckt, Options{Step: 1e-10}).Run(context.Background(), 0, 1e-9)
 	if err == nil {
 		t.Fatal("conflicting sources accepted")
 	}
@@ -76,7 +78,7 @@ func TestProbeSelection(t *testing.T) {
 	ckt.AddVSource("v", a, circuit.Ground, circuit.DCSource(1))
 	ckt.AddResistor(a, b, 1e3)
 	ckt.AddResistor(b, circuit.Ground, 1e3)
-	res, err := New(ckt, Options{Stop: 1e-10, Step: 1e-11, Probes: []string{"b"}}).Run()
+	res, err := New(ckt, Options{Step: 1e-11, Probes: []string{"b"}}).Run(context.Background(), 0, 1e-10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +88,13 @@ func TestProbeSelection(t *testing.T) {
 	if _, err := res.Voltage("a"); err == nil {
 		t.Error("unprobed node recorded")
 	}
-	if v, _ := res.Final("b"); math.Abs(v-0.5) > 1e-6 {
+	if v, _ := res.final("b"); math.Abs(v-0.5) > 1e-6 {
 		t.Errorf("divider value %g", v)
 	}
 }
 
 func TestMethodString(t *testing.T) {
-	if Trap.String() != "TR" || BackwardEuler.String() != "BE" {
+	if trap.String() != "TR" || backwardEuler.String() != "BE" {
 		t.Error("method names")
 	}
 }

@@ -28,9 +28,9 @@ func rcCircuit() *circuit.Circuit {
 // single observation is consistent with the measured wall clock.
 func TestTransientTelemetry(t *testing.T) {
 	reg := telemetry.New()
-	sim := New(rcCircuit(), Options{Stop: 2e-9, Step: 5e-12, Telemetry: reg})
+	sim := New(rcCircuit(), Options{Step: 5e-12, Telemetry: reg})
 	wallStart := time.Now()
-	if _, err := sim.Run(); err != nil {
+	if _, err := sim.Run(context.Background(), 0, 2e-9); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	wall := time.Since(wallStart).Seconds()
@@ -65,7 +65,7 @@ func TestTransientTelemetry(t *testing.T) {
 	}
 
 	// A second run accumulates into the same counters.
-	if _, err := sim.Run(); err != nil {
+	if _, err := sim.Run(context.Background(), 0, 2e-9); err != nil {
 		t.Fatalf("second Run: %v", err)
 	}
 	if got := reg.Counter("spice.transients").Value(); got != 2 {
@@ -77,9 +77,9 @@ func TestTransientTelemetry(t *testing.T) {
 // op_solves/op_seconds names, not the transient names.
 func TestOperatingPointTelemetry(t *testing.T) {
 	reg := telemetry.New()
-	sim := New(rcCircuit(), Options{Stop: 1e-9, Step: 5e-12, Telemetry: reg})
-	if _, err := sim.OperatingPoint(); err != nil {
-		t.Fatalf("OperatingPoint: %v", err)
+	sim := New(rcCircuit(), Options{Step: 5e-12, Telemetry: reg})
+	if _, err := sim.operatingPoint(); err != nil {
+		t.Fatalf("operatingPoint: %v", err)
 	}
 	snap := reg.Snapshot()
 	if got := snap.Counters["spice.op_solves"]; got != 1 {
@@ -100,7 +100,7 @@ func TestOperatingPointTelemetry(t *testing.T) {
 // show up in spice.steps_rejected while the run still completes.
 func TestForcedRejectionCounted(t *testing.T) {
 	reg := telemetry.New()
-	sim := New(rcCircuit(), Options{Stop: 1e-9, Step: 5e-12, Telemetry: reg})
+	sim := New(rcCircuit(), Options{Step: 5e-12, Telemetry: reg})
 	rejected := false
 	sim.testForceReject = func(tt, h float64) bool {
 		if !rejected && tt > 0.5e-9 {
@@ -109,7 +109,7 @@ func TestForcedRejectionCounted(t *testing.T) {
 		}
 		return false
 	}
-	if _, err := sim.Run(); err != nil {
+	if _, err := sim.Run(context.Background(), 0, 1e-9); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if !rejected {
@@ -127,8 +127,8 @@ func TestTransientCancel(t *testing.T) {
 	reg := telemetry.New()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancel before the first outer step
-	sim := New(rcCircuit(), Options{Stop: 2e-9, Step: 5e-12, Ctx: ctx, Telemetry: reg})
-	res, err := sim.Run()
+	sim := New(rcCircuit(), Options{Step: 5e-12, Telemetry: reg})
+	res, err := sim.Run(ctx, 0, 2e-9)
 	if err == nil {
 		t.Fatal("Run returned nil error under a canceled context")
 	}
@@ -147,7 +147,7 @@ func TestTransientCancel(t *testing.T) {
 	}
 	// Only the initial record exists: the first step was never taken.
 	if w.Len() != 1 {
-		t.Errorf("partial waveform has %d samples, want 1 (the t=Start record)", w.Len())
+		t.Errorf("partial waveform has %d samples, want 1 (the t = 0 record)", w.Len())
 	}
 	if got := reg.Counter("spice.runs_canceled").Value(); got != 1 {
 		t.Errorf("spice.runs_canceled = %d, want 1", got)
@@ -160,8 +160,8 @@ func TestTransientDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 1*time.Millisecond)
 	defer cancel()
 	// A long, finely-stepped run so the deadline reliably fires mid-loop.
-	sim := New(rcCircuit(), Options{Stop: 1e-6, Step: 1e-12, Ctx: ctx})
-	res, err := sim.Run()
+	sim := New(rcCircuit(), Options{Step: 1e-12})
+	res, err := sim.Run(ctx, 0, 1e-6)
 	if err == nil {
 		t.Skip("run finished before the deadline; machine too fast for this bound")
 	}

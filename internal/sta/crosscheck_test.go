@@ -63,8 +63,8 @@ func TestSTAMatchesTransistorSimulation(t *testing.T) {
 		outName = ckt.NodeName(out)
 		prev = out
 	}
-	sim := spice.New(ckt, spice.Options{Stop: 1.5e-9, Step: 0.5e-12, Probes: []string{"in", outName}})
-	sres, err := sim.Run()
+	sim := spice.New(ckt, spice.Options{Step: 0.5e-12, Probes: []string{"in", outName}})
+	sres, err := sim.Run(context.Background(), 0, 1.5e-9)
 	if err != nil {
 		t.Fatalf("transient: %v", err)
 	}

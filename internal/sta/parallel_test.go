@@ -104,7 +104,7 @@ func TestParallelSlacksMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refNet, refEdge, refSlack, ok := worstSlackReference(refReq, ref)
+	refNet, refEdge, refSlack, ok := worstSlackReference(refReq, ref, constraints)
 	if !ok {
 		t.Fatal("reference worst slack not found")
 	}

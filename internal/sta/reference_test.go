@@ -245,19 +245,18 @@ func slackReference(req map[string]*[2]float64, res *Result, net string, edge wa
 	return r - pt.Arrival, true
 }
 
-// worstSlackReference is the map scan WorstSlack replaced: the minimum
-// slackReference over every name in req, ties to the lexicographically
-// last name. Map order is random, so only the tie-break makes its answer
-// deterministic.
-func worstSlackReference(req map[string]*[2]float64, res *Result) (net string, edge wave.Edge, slack float64, ok bool) {
-	slack = math.Inf(1)
-	for name := range req {
+// worstSlackReference is WorstSlack over the map walk's required times:
+// the minimum slackReference over the constrained names, scanned in name
+// order with rise before fall, ties to the first.
+func worstSlackReference(req map[string]*[2]float64, res *Result, constraints map[string]float64) (net string, edge wave.Edge, slack float64, ok bool) {
+	names := make([]string, 0, len(constraints))
+	for name := range constraints {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
 		for _, e := range []wave.Edge{wave.Rising, wave.Falling} {
-			s, valid := slackReference(req, res, name, e)
-			if !valid {
-				continue
-			}
-			if s < slack || (s == slack && name > net) {
+			if s, valid := slackReference(req, res, name, e); valid && (!ok || s < slack) {
 				net, edge, slack, ok = name, e, s, true
 			}
 		}

@@ -141,27 +141,17 @@ func (r *RequiredTimes) Report() []SlackRow {
 	return rows
 }
 
-// WorstSlack scans every net of the run for the minimum slack; ok is false
-// when no net has one. Ties — routine, since slack is constant along a
-// single path — break toward the lexicographically last net name, then the
-// rising edge, so the reported net is deterministic (and, with the
-// conventional input-then-output naming, an endpoint rather than the
-// primary input feeding it). The worst net may carry no constraint of its
-// own, so the row's Required is the Arrival + Slack it implies.
+// WorstSlack returns the Report row with the least slack: the constrained
+// net and edge that miss their requirement by the most, or meet it by the
+// least. Ties go to the earlier row in Report order; ok is false when no
+// constrained net has a slack. Unconstrained nets are not candidates:
+// slack along a path agrees only to rounding, so a scan over every net
+// would name whichever upstream net of the critical path rounded lowest.
 func (r *RequiredTimes) WorstSlack() (worst SlackRow, ok bool) {
-	best, slack := int32(0), math.Inf(1)
-	for id, name := range r.graph.netName {
-		for _, e := range edges {
-			if s, valid := r.slack(int32(id), e); valid && (s < slack || (s == slack && name > worst.Net)) {
-				best, slack = int32(id), s
-				worst.Net, worst.Edge, ok = name, e, true
-			}
+	for _, row := range r.Report() {
+		if !ok || row.Slack < worst.Slack {
+			worst, ok = row, true
 		}
 	}
-	if !ok {
-		return SlackRow{}, false
-	}
-	at := r.graph.state[best].timingFor(worst.Edge).Arrival
-	worst.Arrival, worst.Required, worst.Slack = at, at+slack, slack
-	return worst, true
+	return worst, ok
 }

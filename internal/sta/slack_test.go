@@ -81,6 +81,47 @@ gate u2 BUF A=a Y=y2
 	}
 }
 
+// TestWorstSlackNamesConstrainedEndpoint: on the 200-gate seed-1 Elmore
+// mesh that `noisesta -gen-gates 200` times, the worst slack is a row of
+// the slack report — the constrained net, not an upstream net of its
+// critical path whose slack differs from the endpoint's by rounding — and
+// the least slack among the rows, ties to the first.
+func TestWorstSlackNamesConstrainedEndpoint(t *testing.T) {
+	cfg := netgen.DefaultConfig(200)
+	cfg.Seed = 1
+	d, err := netgen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := New(netgen.SyntheticLibrary(), d)
+	tm.Wire = ElmoreWire
+	res, err := tm.RunCtx(context.Background(), RunOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, constraints := range []map[string]float64{
+		{"l15_n2": 750e-12},
+		{"l15_n3": 800e-12, "l15_n0": 800e-12, "l15_n2": 800e-12, "l15_n1": 800e-12},
+		{"l15_n1": 700e-12, "l15_n2": 700e-12, "l3_n9": 1e-9},
+	} {
+		req, err := tm.ComputeRequired(res, constraints)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := req.Report()
+		want := rows[0]
+		for _, r := range rows[1:] {
+			if r.Slack < want.Slack {
+				want = r
+			}
+		}
+		got, ok := req.WorstSlack()
+		if !ok || got != want {
+			t.Errorf("constraints %v: WorstSlack = %+v, %v; want the report row %+v", constraints, got, ok, want)
+		}
+	}
+}
+
 func TestUnconstrainedOutputsHaveNoSlack(t *testing.T) {
 	d := mustParse(t, `
 design u
@@ -148,13 +189,13 @@ func requiredAt(t *testing.T, req *RequiredTimes, net string) [2]float64 {
 	return req.req[id]
 }
 
-// TestWorstSlackMatchesMapScan keeps the map scan WorstSlack replaced as
-// its oracle. On 10⁵-gate meshes (seeds 1 and 7, SGDP annotations on 1%
-// of the nets as perfbench's sta-noisy places them, ideal and Elmore
-// wires, 1 and 4 workers), the scan by net ID must name the same worst
-// (net, edge) with the same slack bits as the map scan over the map
-// walk's required times, and Slack must return the map's value for every
-// constrained net and edge. The constraints put some outputs above and
+// TestWorstSlackMatchesMapScan checks WorstSlack and Slack against the
+// map walk's required times. On 10⁵-gate meshes (seeds 1 and 7, SGDP
+// annotations on 1% of the nets as perfbench's sta-noisy places them,
+// ideal and Elmore wires, 1 and 4 workers), WorstSlack must name the same
+// worst constrained (net, edge) with the same slack bits as a scan of the
+// map's slacks over the constrained names, and Slack must return the
+// map's value for every constrained net and edge. The constraints put some outputs above and
 // some below their arrivals, and add internal nets, a primary input and a
 // name the design lacks. Runs are bit-identical at any worker count, so
 // the map walk runs once per mesh and wire model.
@@ -197,7 +238,7 @@ func TestWorstSlackMatchesMapScan(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				net, edge, slack, ok := worstSlackReference(ref, res)
+				net, edge, slack, ok := worstSlackReference(ref, res, constraints)
 				got, gotOK := req.WorstSlack()
 				if !ok || !gotOK || got.Net != net || got.Edge != edge || math.Float64bits(got.Slack) != math.Float64bits(slack) {
 					t.Fatalf("seed %d, wire %d, %d workers: WorstSlack (%s, %v, %.17g, %v), map scan (%s, %v, %.17g, %v)",

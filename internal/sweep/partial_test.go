@@ -13,6 +13,11 @@ import (
 // TestRunPartialCancellation: at every worker count, canceling mid-sweep
 // must surface the completed subset, flag exactly those indices, and return
 // an error matching telemetry.ErrCanceled.
+//
+// The fifth case cancels. A case that starts after it waits for that
+// cancel before returning: otherwise the canceling goroutine can be
+// descheduled between counting its case and calling cancel while the
+// other workers drain all 64 trivial cases, and the sweep completes.
 func TestRunPartialCancellation(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -22,8 +27,11 @@ func TestRunPartialCancellation(t *testing.T) {
 			var done atomic.Int64
 			results, completed, _, err := RunPartial(ctx, n, Options{Workers: workers}, noState,
 				func(ctx context.Context, i int, _ struct{}) (int, error) {
-					if done.Add(1) == stopAfter {
+					switch k := done.Add(1); {
+					case k == stopAfter:
 						cancel()
+					case k > stopAfter:
+						<-ctx.Done()
 					}
 					return i * i, nil
 				})

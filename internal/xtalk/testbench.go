@@ -27,7 +27,7 @@ import (
 	"noisewave/internal/wave"
 )
 
-// Quiet marks an aggressor as non-switching in a Run call.
+// Quiet marks an aggressor as non-switching in a RunCtx call.
 var Quiet = math.Inf(1)
 
 // Config describes one crosstalk experiment configuration.
@@ -215,14 +215,9 @@ func (cfg Config) simWindow(victimStart float64, aggStart []float64) float64 {
 	return end + cfg.Window
 }
 
-// Run simulates the testbench and returns the waveforms at the gate-under-
-// test input and output.
-func (cfg Config) Run(victimStart float64, aggStart []float64) (in, out *wave.Waveform, err error) {
-	return cfg.RunCtx(context.Background(), victimStart, aggStart)
-}
-
-// RunCtx is Run under a context: the transient stops at the next outer
-// time step once ctx is done, returning an error that matches
+// RunCtx simulates the testbench and returns the waveforms at the gate-
+// under-test input and output. The transient stops at the next outer time
+// step once ctx is done, returning an error that matches
 // telemetry.ErrCanceled. On any error the waveforms are nil; use
 // RunReportCtx to salvage the recorded prefix of a failed transient.
 func (cfg Config) RunCtx(ctx context.Context, victimStart float64, aggStart []float64) (in, out *wave.Waveform, err error) {
@@ -323,7 +318,7 @@ func (b *Bench) RunReportCtx(ctx context.Context, victimStart float64, aggStart 
 	for k, src := range b.asrc {
 		src.Value = edgeSource(aggStart[k], cfg.AggressorSlew, t.Vdd, aggEdge)
 	}
-	res, runErr := b.sim.RunWindow(ctx, 0, cfg.simWindow(victimStart, aggStart))
+	res, runErr := b.sim.Run(ctx, 0, cfg.simWindow(victimStart, aggStart))
 	if res != nil {
 		rec = res.Recovery
 	}
@@ -347,13 +342,9 @@ func (b *Bench) RunReportCtx(ctx context.Context, victimStart float64, aggStart 
 	return in, out, rec, nil
 }
 
-// RunNoiseless simulates with all aggressors quiet and returns the
-// noiseless victim input/output pair used for sensitivity extraction.
-func (cfg Config) RunNoiseless(victimStart float64) (in, out *wave.Waveform, err error) {
-	return cfg.RunNoiselessCtx(context.Background(), victimStart)
-}
-
-// RunNoiselessCtx is RunNoiseless under a context (see RunCtx).
+// RunNoiselessCtx simulates with all aggressors quiet and returns the
+// noiseless victim input/output pair used for sensitivity extraction
+// (see RunCtx).
 func (cfg Config) RunNoiselessCtx(ctx context.Context, victimStart float64) (in, out *wave.Waveform, err error) {
 	quiet := make([]float64, cfg.Aggressors)
 	for i := range quiet {
@@ -368,5 +359,5 @@ func (cfg Config) RunNoiselessCtx(ctx context.Context, victimStart float64) (in,
 // returned waveforms are the coupling glitch at the victim receiver input
 // and the receiver output.
 func (cfg Config) RunQuietVictim(aggStart []float64) (in, out *wave.Waveform, err error) {
-	return cfg.Run(Quiet, aggStart)
+	return cfg.RunCtx(context.TODO(), Quiet, aggStart)
 }

@@ -1,6 +1,7 @@
 package xtalk
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -18,9 +19,9 @@ func fastConfigI() Config {
 // propagate cleanly (monotone-ish input, full-swing inverted output).
 func TestNoiselessPropagation(t *testing.T) {
 	cfg := fastConfigI()
-	in, out, err := cfg.RunNoiseless(0.3e-9)
+	in, out, err := cfg.RunNoiselessCtx(context.Background(), 0.3e-9)
 	if err != nil {
-		t.Fatalf("RunNoiseless: %v", err)
+		t.Fatalf("RunNoiselessCtx: %v", err)
 	}
 	vdd := cfg.Tech.Vdd
 	if in.EdgeDir() != wave.Rising {
@@ -61,12 +62,12 @@ func TestNoisyInjection(t *testing.T) {
 	const vs = 0.3e-9
 	vdd := cfg.Tech.Vdd
 
-	inQ, outQ, err := cfg.RunNoiseless(vs)
+	inQ, outQ, err := cfg.RunNoiselessCtx(context.Background(), vs)
 	if err != nil {
-		t.Fatalf("RunNoiseless: %v", err)
+		t.Fatalf("RunNoiselessCtx: %v", err)
 	}
 	// Aggressor switching right on top of the victim transition.
-	inN, outN, err := cfg.Run(vs, []float64{vs + 0.1e-9})
+	inN, outN, err := cfg.RunCtx(context.Background(), vs, []float64{vs + 0.1e-9})
 	if err != nil {
 		t.Fatalf("Run noisy: %v", err)
 	}
@@ -93,7 +94,7 @@ func TestConfigurationII(t *testing.T) {
 	cfg := ConfigurationII(device.Default130())
 	cfg.Step = 2e-12
 	const vs = 0.3e-9
-	in, out, err := cfg.Run(vs, []float64{vs, vs + 0.05e-9})
+	in, out, err := cfg.RunCtx(context.Background(), vs, []float64{vs, vs + 0.05e-9})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

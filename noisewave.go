@@ -158,7 +158,7 @@ func ConfigurationI(t Tech) CrosstalkConfig { return xtalk.ConfigurationI(t) }
 // ConfigurationII returns the paper's two-aggressor configuration.
 func ConfigurationII(t Tech) CrosstalkConfig { return xtalk.ConfigurationII(t) }
 
-// QuietAggressor marks an aggressor as non-switching in CrosstalkConfig.Run.
+// QuietAggressor marks an aggressor as non-switching in CrosstalkConfig.RunCtx.
 func QuietAggressor() float64 { return xtalk.Quiet }
 
 // GateSim is the transistor-level gate evaluation backend.
