@@ -81,8 +81,7 @@ func workloads() []workload {
 				ckt.AddInverter("u2", tech, 16, mid, out, vdd)
 				ckt.AddInverter("u3", tech, 64, out, ckt.Node("out2"), vdd)
 				sim := spice.New(ckt, spice.Options{
-					Step: 1e-12, Probes: []string{"out"},
-					Telemetry: reg, ReuseResult: true,
+					Step: 1e-12, Probes: []string{"out"}, Telemetry: reg,
 				})
 				for i := 0; i < 60; i++ {
 					edge := wave.Rising

@@ -17,8 +17,7 @@
 // one at a time in case order. Each worker owns a private transistor-level
 // simulator — the spice engine is single-threaded — and the statistics are
 // bit-identical for any worker count. figure2 and runtime run no sweep, so
-// they reject -workers, -trace, -chaos, -keep-going and -case-timeout
-// (exit 2).
+// they reject -workers, -chaos, -keep-going and -case-timeout (exit 2).
 //
 // Observability and run control:
 //
@@ -26,13 +25,9 @@
 //	                     replay-cache outcomes, per-technique fit timers,
 //	                     sweep throughput, per-experiment wall timers) to
 //	                     stderr at exit
-//	-trace               record hierarchical spans: one trace per sweep case
-//	                     (golden transient, per-technique fits and replays,
-//	                     spice internals). Tracing never changes the numbers.
 //	-artifacts DIR       write the run-artifact directory at exit — Chrome
 //	                     trace (Perfetto-loadable), JSONL case journal,
-//	                     metrics snapshot, failure report, resolved config.
-//	                     Implies -trace.
+//	                     metrics snapshot, failure report, resolved config
 //	-serve addr          status server: /metrics (Prometheus), /healthz,
 //	                     /progress (live sweep state), /trace/{case}
 //	-pprof addr          serve net/http/pprof on addr (e.g. localhost:6060);
@@ -49,6 +44,10 @@
 //	                     event, correlated by sweep case
 //	-log-format f        human (aligned, for terminals), json (one JSON
 //	                     object per line) or text (slog key=value)
+//
+// With -artifacts or -serve, sweeps record hierarchical spans: one trace
+// per sweep case (golden transient, per-technique fits and replays, spice
+// internals). Tracing never changes the numbers.
 //
 // Ctrl-C (SIGINT/SIGTERM) cancels the same way as -timeout: partial
 // results plus, with -metrics, the snapshot of what ran.
@@ -109,8 +108,7 @@ func main() {
 		quiet      = flag.Bool("q", false, "suppress progress output")
 		workers    = flag.Int("workers", 0, "sweep worker pool size (0 = all cores, 1 = one case at a time)")
 		metrics    = flag.String("metrics", "", "dump telemetry snapshot at exit: text | json")
-		traceOn    = flag.Bool("trace", false, "record hierarchical spans (one trace per sweep case)")
-		artifacts  = flag.String("artifacts", "", "write run artifacts (trace, journal, metrics, failures, config) to this directory at exit; implies -trace")
+		artifacts  = flag.String("artifacts", "", "write run artifacts (trace, journal, metrics, failures, config) to this directory at exit")
 		serveAddr  = flag.String("serve", "", "serve the status endpoints (/metrics /healthz /progress /trace/{case}) on this address")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		timeout    = flag.Duration("timeout", 0, "cancel the run after this duration (0 = no limit)")
@@ -127,7 +125,7 @@ func main() {
 	// with its sweeps.
 	if !runsSweep(*experiment) {
 		flag.Visit(func(f *flag.Flag) {
-			if slices.Contains([]string{"chaos", "keep-going", "case-timeout", "trace", "workers"}, f.Name) {
+			if slices.Contains([]string{"chaos", "keep-going", "case-timeout", "workers"}, f.Name) {
 				fmt.Fprintf(os.Stderr, "repro: -%s applies only to sweeps; -experiment %s runs none\n", f.Name, *experiment)
 				os.Exit(2)
 			}
@@ -178,9 +176,10 @@ func main() {
 	}
 
 	reg := telemetry.New()
-	// Only sweeps record spans, so a run without one writes no trace.
+	// Only sweeps record spans, so a run without one writes no trace; the
+	// artifact directory and the status server's /trace/{case} read them.
 	var tracer *trace.Tracer
-	if runsSweep(*experiment) && (*traceOn || *artifacts != "") {
+	if runsSweep(*experiment) && (*artifacts != "" || *serveAddr != "") {
 		tracer = trace.New()
 	}
 	progress := &obs.Progress{}
@@ -463,7 +462,7 @@ func runTable1(e env, cfgs []xtalk.Config) error {
 		if res == nil || (err != nil && !errors.Is(err, telemetry.ErrCanceled)) {
 			return err // a cancel before the first case leaves nothing to print
 		}
-		e.noteFailures("table1 config "+cfg.Name, res.Failures)
+		e.noteFailures("table1 config "+cfg.Name, res.Report())
 		canceled = err
 		if !e.quiet {
 			fmt.Fprintln(os.Stderr)
@@ -494,7 +493,7 @@ func runTable1(e env, cfgs []xtalk.Config) error {
 			col[base+1] = report.Ps(s.AvgAbs)
 			columns[s.Name] = col
 		}
-		printFailures(e.stdout, cfg.Name, res.Excluded, res.Failures)
+		printFailures(e.stdout, cfg.Name, res.Excluded, res.Report())
 		if canceled != nil {
 			break
 		}
@@ -563,13 +562,14 @@ func runRuntime(e env, cfg xtalk.Config) error {
 
 // printFailures renders a sweep's failure report when anything was
 // quarantined or excluded; silent on clean runs, so healthy output stays
-// byte-identical with and without the resilience flags.
+// byte-identical with and without the resilience flags. The report line
+// appears when a case was quarantined or a worker lost.
 func printFailures(w io.Writer, config string, excluded int, rep *sweep.FailureReport) {
 	if excluded == 0 && rep.Quarantined() == 0 {
 		return
 	}
 	fmt.Fprintf(w, "\nFailure report, configuration %s: %d case(s) excluded from statistics\n", config, excluded)
-	if rep != nil {
+	if rep.Quarantined() > 0 || rep.WorkersLost > 0 {
 		fmt.Fprintf(w, "  %s\n", rep)
 	}
 }

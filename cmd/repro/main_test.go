@@ -54,7 +54,7 @@ func runRepro(t *testing.T, args ...string) (stdout, stderr string, code int) {
 func TestSweepFlagsRejectedWithoutSweep(t *testing.T) {
 	for _, exp := range []string{"figure2", "runtime"} {
 		for _, flag := range [][]string{
-			{"-chaos", "7"}, {"-keep-going"}, {"-case-timeout", "1s"}, {"-trace"}, {"-workers", "1"},
+			{"-chaos", "7"}, {"-keep-going"}, {"-case-timeout", "1s"}, {"-workers", "1"},
 		} {
 			args := append([]string{"-experiment", exp}, flag...)
 			stdout, stderr, code := runRepro(t, args...)
@@ -68,7 +68,7 @@ func TestSweepFlagsRejectedWithoutSweep(t *testing.T) {
 	// A run canceled at once still exits 0, so this checks only that the
 	// flags pass the check.
 	args := []string{"-experiment", "all", "-q", "-timeout", "1ns",
-		"-chaos", "7", "-keep-going", "-case-timeout", "1s", "-trace", "-workers", "1"}
+		"-chaos", "7", "-keep-going", "-case-timeout", "1s", "-workers", "1"}
 	if _, stderr, code := runRepro(t, args...); code != 0 || !strings.Contains(stderr, "run canceled") {
 		t.Errorf("repro %v: exit %d, stderr %q; want a canceled run that exits 0", args, code, stderr)
 	}
@@ -125,6 +125,44 @@ func TestArtifactsWriteOnlyWhatRan(t *testing.T) {
 		sort.Strings(keys)
 		if !slices.Equal(keys, c.configKey) {
 			t.Errorf("repro %v: config.json records %v, want %v", args, keys, c.configKey)
+		}
+	}
+}
+
+// TestFailuresRecordCaseCount: failures.json names every sweep that ran
+// with its case count, clean or not.
+func TestFailuresRecordCaseCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a 4-case table1 sweep and a 2-case pushout sweep")
+	}
+	for _, c := range []struct {
+		experiment, cases, label string
+		total                    int
+	}{
+		{"table1", "4", "table1 config I", 4},
+		{"pushout", "2", "pushout config I", 2},
+	} {
+		dir := t.TempDir()
+		args := []string{"-experiment", c.experiment, "-cases", c.cases, "-config", "I",
+			"-q", "-workers", "1", "-artifacts", dir}
+		if _, stderr, code := runRepro(t, args...); code != 0 {
+			t.Fatalf("repro %v: exit %d, stderr %q", args, code, stderr)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, "failures.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reps map[string]struct {
+			Total    int               `json:"total"`
+			Failures []json.RawMessage `json:"failures"`
+		}
+		if err := json.Unmarshal(raw, &reps); err != nil {
+			t.Fatal(err)
+		}
+		rep, ok := reps[c.label]
+		if len(reps) != 1 || !ok || rep.Total != c.total || rep.Failures == nil || len(rep.Failures) != 0 {
+			t.Errorf("repro %v: failures.json = %s, want one clean %q entry with total %d",
+				args, raw, c.label, c.total)
 		}
 	}
 }

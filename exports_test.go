@@ -80,17 +80,7 @@ func TestNoUnconsumedExports(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every use outside the object's own declaration is a consumer.
-	used := map[types.Object]bool{}
-	for id, obj := range l.info.Uses {
-		if fn, ok := obj.(*types.Func); ok {
-			obj = fn.Origin()
-		}
-		if span, ok := l.spans[obj]; ok && span[0] <= id.Pos() && id.Pos() < span[1] {
-			continue
-		}
-		used[obj] = true
-	}
+	used := l.usedOutsideDecl()
 	ifaces := l.interfaces()
 
 	unconsumed := map[string]bool{}
@@ -124,6 +114,55 @@ func TestNoUnconsumedExports(t *testing.T) {
 
 	checkAllowlist(t, unconsumed, exportAllowlist,
 		"exported identifiers under internal/ have no non-test consumer; delete them, or allowlist them with the consumer that keeps them")
+}
+
+// TestNoTestOnlyUnexported type-checks the module from source and fails
+// on every unexported function or method of the main module (perfbench/
+// excluded) that no non-test code calls: code only tests reach belongs in
+// a _test.go file. Methods that satisfy an interface are exempt, as in
+// TestNoUnconsumedExports, and so is each command's main.
+func TestNoTestOnlyUnexported(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module from source")
+	}
+	l, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := l.usedOutsideDecl()
+	ifaces := l.interfaces()
+
+	var bad []string
+	for _, p := range l.paths {
+		if p == "noisewave/perfbench" || strings.HasPrefix(p, "noisewave/perfbench/") {
+			continue
+		}
+		scope := l.pkgs[p].Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				if !obj.Exported() && !used[obj] && !(name == "main" && l.pkgs[p].Name() == "main") {
+					bad = append(bad, p+"."+name)
+				}
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if !ok || obj.IsAlias() {
+					continue
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					m := named.Method(i)
+					if !m.Exported() && !used[m] && !satisfiesInterface(named, m.Name(), ifaces) {
+						bad = append(bad, p+"."+name+"."+m.Name())
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(bad)
+	if len(bad) > 0 {
+		t.Errorf("%d unexported functions or methods have no non-test caller; move them into a _test.go file or delete them:\n\t%s",
+			len(bad), strings.Join(bad, "\n\t"))
+	}
 }
 
 // TestNoUnsetOptionFields fails on every exported field of an exported
@@ -358,6 +397,23 @@ func (l *moduleLoader) load(path string) (*types.Package, error) {
 		}
 	}
 	return pkg, nil
+}
+
+// usedOutsideDecl returns every object that non-test code uses outside
+// the object's own declaration: a function that only calls itself is not
+// used.
+func (l *moduleLoader) usedOutsideDecl() map[types.Object]bool {
+	used := map[types.Object]bool{}
+	for id, obj := range l.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		if span, ok := l.spans[obj]; ok && span[0] <= id.Pos() && id.Pos() < span[1] {
+			continue
+		}
+		used[obj] = true
+	}
+	return used
 }
 
 // interfaces indexes by method name every named interface of the checked

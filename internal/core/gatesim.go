@@ -26,15 +26,17 @@ import (
 // GateSim is the transistor-level gate evaluation backend: a receiving
 // gate chain driven by an ideal source, simulated with internal/spice. The
 // gate output is the first stage's (the paper's out_u); the later stages
-// are its load.
+// are its load. Its fields are read once, when the first replay or
+// RecordPrefix builds the chain.
 type GateSim struct {
 	Tech   device.Tech
 	Drives []float64 // inverter chain drive strengths; Drives[0] is the gate under test
 	Step   float64   // simulator step
 
 	// Telemetry, if non-nil, receives the spice engine counters of every
-	// replay this backend runs. The registry is concurrency-safe, so one
-	// registry may be shared by the per-worker GateSims of a sweep.
+	// replay this backend runs, and CompareTechniquesWith's fit timers and
+	// replay counters. The registry is concurrency-safe, so one registry
+	// may be shared by the per-worker GateSims of a sweep.
 	Telemetry *telemetry.Registry
 
 	// Inject, if non-nil, threads the deterministic fault injector into
@@ -51,52 +53,20 @@ type GateSim struct {
 	// safe for concurrent use.
 	rec spice.RecoveryReport
 
-	// The persistent replay testbench: one circuit and simulator reused
-	// across every replay this backend runs, with only the input source
-	// value and the run window changing per call (each run starts from its
-	// own DC operating point, or resumes from a RecordPrefix checkpoint that
+	// bench is the replay chain: one circuit and simulator reused across
+	// every replay this backend runs, with only the input source value and
+	// the run window changing per call (each run starts from its own DC
+	// operating point, or resumes from a RecordPrefix checkpoint that
 	// reproduces that point and lead-in bit for bit, so no state leaks
-	// between replays). It is rebuilt when any of the configuration fields
-	// above change.
-	bench    *gateBench
-	benchCfg gateBenchCfg
+	// between replays). Nil until the first replay or RecordPrefix.
+	bench *gateBench
 }
 
-// gateBench is GateSim's cached testbench.
+// gateBench is GateSim's replay chain.
 type gateBench struct {
 	sim     *spice.Simulator
 	vin     *circuit.VSource
 	outName string
-	drives  []float64 // the Drives the circuit was built from
-}
-
-func (b *gateBench) sameDrives(drives []float64) bool {
-	if len(b.drives) != len(drives) {
-		return false
-	}
-	for i, d := range drives {
-		if b.drives[i] != d {
-			return false
-		}
-	}
-	return true
-}
-
-// gateBenchCfg snapshots every GateSim field the cached testbench bakes in;
-// a mismatch at replay time forces a rebuild.
-type gateBenchCfg struct {
-	tech       device.Tech
-	step       float64
-	tele       *telemetry.Registry
-	inject     *faultinject.Injector
-	noFastPath bool
-}
-
-func (g *GateSim) cfg() gateBenchCfg {
-	return gateBenchCfg{
-		tech: g.Tech, step: g.Step,
-		tele: g.Telemetry, inject: g.Inject, noFastPath: g.NoFastPath,
-	}
 }
 
 // TakeRecovery returns the recovery-ladder activity accumulated over the
@@ -134,12 +104,11 @@ func (g *GateSim) OutputForSourceCtx(ctx context.Context, src circuit.Source, st
 	return res.Waveform(b.outName)
 }
 
-// replayBench returns the cached testbench, (re)building it when the
-// backend's configuration changed since the last replay. The simulator runs
-// with ReuseResult: the *Result is recycled per replay, which is safe
-// because OutputForSourceCtx only hands out Waveform copies.
+// replayBench returns the replay chain, building it on first use. Its
+// simulator recycles one *Result per replay, which is safe because
+// OutputForSourceCtx only hands out Waveform copies.
 func (g *GateSim) replayBench() (*gateBench, error) {
-	if g.bench != nil && g.benchCfg == g.cfg() && g.bench.sameDrives(g.Drives) {
+	if g.bench != nil {
 		return g.bench, nil
 	}
 	if len(g.Drives) == 0 {
@@ -161,18 +130,13 @@ func (g *GateSim) replayBench() (*gateBench, error) {
 		prev = out
 	}
 	sim := spice.New(ckt, spice.Options{
-		Step:        g.Step,
-		Probes:      []string{outName},
-		Telemetry:   g.Telemetry,
-		Inject:      g.Inject,
-		NoFastPath:  g.NoFastPath,
-		ReuseResult: true,
+		Step:       g.Step,
+		Probes:     []string{outName},
+		Telemetry:  g.Telemetry,
+		Inject:     g.Inject,
+		NoFastPath: g.NoFastPath,
 	})
-	g.bench = &gateBench{
-		sim: sim, vin: vin, outName: outName,
-		drives: append([]float64(nil), g.Drives...),
-	}
-	g.benchCfg = g.cfg()
+	g.bench = &gateBench{sim: sim, vin: vin, outName: outName}
 	return g.bench, nil
 }
 
@@ -180,8 +144,7 @@ func (g *GateSim) replayBench() (*gateBench, error) {
 // horizon with the input held at its current value at start. Later replays
 // over windows from start resume from the latest checkpoint before their
 // input moves, with samples bit-identical to a replay from scratch (see
-// spice.Simulator.RecordPrefix). A change to the backend's configuration
-// rebuilds the chain and drops the prefix.
+// spice.Simulator.RecordPrefix).
 func (g *GateSim) RecordPrefix(ctx context.Context, start, horizon float64) error {
 	b, err := g.replayBench()
 	if err != nil {

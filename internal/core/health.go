@@ -3,7 +3,8 @@ package core
 // Health classifies how a sweep case reached its result, from fully
 // trustworthy to excluded. The experiment drivers attach it to every case
 // record and compute statistics over healthy cases only, reporting the
-// exclusion count explicitly.
+// exclusion count explicitly. A case that failed entirely has no record:
+// it survives only as a sweep.CaseFailure in the failure report.
 type Health int
 
 const (
@@ -19,10 +20,6 @@ const (
 	// carries an estimated arrival but no reference truth, and is excluded
 	// from error statistics.
 	HealthDegraded
-	// HealthQuarantined: the case failed entirely (error, panic or
-	// timeout) and survives only as a sweep.CaseFailure in the failure
-	// report.
-	HealthQuarantined
 )
 
 // String names the status for reports.
@@ -34,8 +31,6 @@ func (h Health) String() string {
 		return "recovered"
 	case HealthDegraded:
 		return "degraded"
-	case HealthQuarantined:
-		return "quarantined"
 	}
 	return "unknown"
 }

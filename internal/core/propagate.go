@@ -52,11 +52,6 @@ type CompareOptions struct {
 	Ctx context.Context
 	// Techniques to evaluate; nil selects eqwave.All().
 	Techniques []eqwave.Technique
-	// Telemetry, if non-nil, receives per-technique fit timers
-	// ("eqwave.fit_seconds.<name>"), the replay hit/miss/extension
-	// counters and the spice engine counters of the replays (via the
-	// gate's registry, which this call temporarily sets when unset).
-	Telemetry *telemetry.Registry
 }
 
 // CompareTechniquesWith computes Γeff with every configured technique,
@@ -65,8 +60,10 @@ type CompareOptions struct {
 //
 // A technique whose Γeff is bit-identical to an earlier technique's in the
 // case reuses that replay (see replaycache.go). The Comparison reports the
-// hit/miss counts, and opts.Telemetry (when set) accumulates them across
-// cases.
+// hit/miss counts. The gate's Telemetry registry, when set, receives the
+// per-technique fit timers ("eqwave.fit_seconds.<name>"), the replay
+// hit/miss/extension counters and the replays' spice engine counters, and
+// so accumulates them across cases.
 //
 // The reference input/output pair and the noiseless pair must share the
 // same time base (the experiment drivers guarantee this by construction).
@@ -79,10 +76,6 @@ func CompareTechniquesWith(gate *GateSim, in eqwave.Input, trueOut *wave.Wavefor
 	if techs == nil {
 		techs = eqwave.All()
 	}
-	if gate.Telemetry == nil && opts.Telemetry != nil {
-		defer func() { gate.Telemetry = nil }()
-		gate.Telemetry = opts.Telemetry
-	}
 	trueArr, err := ArrivalAt(trueOut, in.Vdd)
 	if err != nil {
 		return nil, fmt.Errorf("core: reference output arrival: %w", err)
@@ -93,7 +86,7 @@ func CompareTechniquesWith(gate *GateSim, in eqwave.Input, trueOut *wave.Wavefor
 	}
 	cmp := &Comparison{TrueArrival: trueArr, TrueDelay: trueDelay}
 	cache := newReplayCache(trueOut)
-	defer cache.publish(opts.Telemetry)
+	defer cache.publish(gate.Telemetry)
 	for _, tech := range techs {
 		if ctx.Err() != nil {
 			return nil, telemetry.Canceled(ctx, "core: comparison canceled before %s", tech.Name())
@@ -102,7 +95,7 @@ func CompareTechniquesWith(gate *GateSim, in eqwave.Input, trueOut *wave.Wavefor
 		// One child span per technique: the Γeff fit and the (possibly
 		// cache-served) replay nest under it, with cache outcome as events.
 		tctx, tspan := trace.Start(ctx, "core.technique", trace.String("technique", tech.Name()))
-		stopFit := opts.Telemetry.Timer("eqwave.fit_seconds." + tech.Name()).Start()
+		stopFit := gate.Telemetry.Timer("eqwave.fit_seconds." + tech.Name()).Start()
 		_, fitSpan := trace.Start(tctx, "eqwave.fit")
 		gamma, err := tech.Equivalent(in)
 		fitSpan.End()

@@ -78,6 +78,8 @@ func TestReplayExtendsUnsettledOutput(t *testing.T) {
 	tech := device.Default130()
 	vdd := tech.Vdd
 	gate := NewInverterChainSim(tech, []float64{0.5, 64}, 1e-12)
+	reg := telemetry.New()
+	gate.Telemetry = reg
 	r := wave.RampThroughPoint(0.8*vdd/10e-12, 0.5e-9, vdd/2, 0, vdd) // 10 ps 10–90%
 	noisy := r.ToWaveform(0, 3e-9, 64)
 	trueOut := wave.FromFunc(func(tt float64) float64 {
@@ -102,9 +104,8 @@ func TestReplayExtendsUnsettledOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := telemetry.New()
 	cmp, err := CompareTechniquesWith(gate, in, trueOut, CompareOptions{
-		Techniques: []eqwave.Technique{fixedRamp{"A", r}}, Telemetry: reg,
+		Techniques: []eqwave.Technique{fixedRamp{"A", r}},
 	})
 	if err != nil {
 		t.Fatalf("CompareTechniquesWith: %v", err)

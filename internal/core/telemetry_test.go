@@ -50,20 +50,16 @@ func TestCompareTechniquesWithCancel(t *testing.T) {
 	}
 }
 
-// TestCompareTechniquesWithTelemetry: the options-struct path must leave
-// per-technique fit timers and replay counters in the registry, and must
-// reset the gate's temporarily-borrowed registry afterwards.
+// TestCompareTechniquesWithTelemetry: a comparison must leave its
+// per-technique fit timers, replay counters and replay transients in the
+// gate's registry.
 func TestCompareTechniquesWithTelemetry(t *testing.T) {
 	gate, in, trueOut, techs := compareFixture(t)
 	reg := telemetry.New()
-	cmp, err := CompareTechniquesWith(gate, in, trueOut, CompareOptions{
-		Techniques: techs, Telemetry: reg,
-	})
+	gate.Telemetry = reg
+	cmp, err := CompareTechniquesWith(gate, in, trueOut, CompareOptions{Techniques: techs})
 	if err != nil {
 		t.Fatalf("CompareTechniquesWith: %v", err)
-	}
-	if gate.Telemetry != nil {
-		t.Error("gate.Telemetry not reset after the comparison")
 	}
 	snap := reg.Snapshot()
 	for _, name := range []string{"A", "B"} {
@@ -78,7 +74,7 @@ func TestCompareTechniquesWithTelemetry(t *testing.T) {
 	if got, ok := snap.Counters["core.replay_extended"]; !ok || got != 0 {
 		t.Errorf("core.replay_extended = %d (published %v), want 0", got, ok)
 	}
-	// The replays themselves ran under the borrowed registry.
+	// The replays themselves ran under the gate's registry.
 	if got := snap.Counters["spice.transients"]; got <= 0 {
 		t.Errorf("spice.transients = %d, want > 0 (replay transients)", got)
 	}

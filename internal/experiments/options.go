@@ -13,9 +13,8 @@ import (
 
 // SweepOptions is the shared sweep-control block embedded by every sweep
 // experiment's option struct (Table1Options, PushoutOptions) and passed to
-// RunPSweep: worker-pool sizing, deterministic seeding, progress
-// reporting, cancellation and telemetry live here once instead of being
-// duplicated per experiment.
+// RunPSweep: worker-pool sizing, progress reporting, cancellation and
+// telemetry live here once instead of being duplicated per experiment.
 //
 // In a composite literal the block is set as a named field:
 //
@@ -31,9 +30,6 @@ type SweepOptions struct {
 	// them one at a time in case order). Results are aggregated in case
 	// order, so any worker count produces bit-identical statistics.
 	Workers int
-	// Seed drives any randomized case generation (e.g. the pushout
-	// Monte-Carlo alignment draws). Ignored by fully deterministic sweeps.
-	Seed int64
 	// Progress, if non-nil, is called after each completed case. Calls are
 	// serialized by the sweep engine.
 	Progress func(done, total int)
@@ -93,10 +89,8 @@ func runSweep[W, R any](so SweepOptions, n int,
 	do func(context.Context, int, W) (R, error)) ([]R, []bool, *sweep.FailureReport, error) {
 
 	return sweep.RunPartial(so.ctx(), n, sweep.Options{
-		Workers: so.Workers, Progress: so.Progress, Telemetry: so.Telemetry,
-		Tracer:    so.Tracer,
-		KeepGoing: so.KeepGoing, CaseTimeout: so.CaseTimeout,
-		Inject: so.Inject,
+		Workers: so.Workers, Progress: so.Progress, Telemetry: so.Telemetry, Tracer: so.Tracer,
+		KeepGoing: so.KeepGoing, CaseTimeout: so.CaseTimeout, Inject: so.Inject,
 	}, newWorker, do)
 }
 

@@ -86,15 +86,15 @@ func TestPushoutParallelEquivalence(t *testing.T) {
 	cfg.Step = 2e-12
 	for _, mc := range []bool{false, true} {
 		seq, err := RunPushout(cfg, PushoutOptions{
-			Cases: 8, Range: 1e-9, MonteCarlo: mc,
-			SweepOptions: SweepOptions{Seed: 7, Workers: 1},
+			Cases: 8, Range: 1e-9, MonteCarlo: mc, Seed: 7,
+			SweepOptions: SweepOptions{Workers: 1},
 		})
 		if err != nil {
 			t.Fatalf("sequential (mc=%v): %v", mc, err)
 		}
 		par, err := RunPushout(cfg, PushoutOptions{
-			Cases: 8, Range: 1e-9, MonteCarlo: mc,
-			SweepOptions: SweepOptions{Seed: 7, Workers: 3},
+			Cases: 8, Range: 1e-9, MonteCarlo: mc, Seed: 7,
+			SweepOptions: SweepOptions{Workers: 3},
 		})
 		if err != nil {
 			t.Fatalf("parallel (mc=%v): %v", mc, err)

@@ -32,8 +32,8 @@ type PushoutStats struct {
 	// Excluded counts cases quarantined by a KeepGoing sweep; the
 	// distribution covers the remaining (healthy) cases.
 	Excluded int
-	// Failures is the sweep's failure report when any case was
-	// quarantined or a worker was lost (nil otherwise).
+	// Failures is the sweep's failure report, naming each quarantined
+	// case; its Total is the sweep's case count.
 	Failures *sweep.FailureReport
 }
 
@@ -44,18 +44,19 @@ type HistBin struct {
 }
 
 // PushoutOptions configures the distribution sweep. Sweep control —
-// workers, the Monte-Carlo seed, progress, cancellation and telemetry —
-// lives in the embedded SweepOptions.
+// workers, progress, cancellation and telemetry — lives in the embedded
+// SweepOptions.
 type PushoutOptions struct {
 	Cases int
 	Range float64
 	// MonteCarlo samples aggressor alignments uniformly at random (with
-	// SweepOptions.Seed) instead of the deterministic grid — useful to
-	// check that the grid's stride decorrelation does not bias the
-	// statistics. Alignment offsets — including the Monte-Carlo draws —
-	// are precomputed in case order before dispatch, so the distribution
-	// is identical for any worker count.
+	// Seed) instead of the deterministic grid — useful to check that the
+	// grid's stride decorrelation does not bias the statistics. Alignment
+	// offsets — including the Monte-Carlo draws — are precomputed in case
+	// order before dispatch, so the distribution is identical for any
+	// worker count.
 	MonteCarlo bool
+	Seed       int64 // seeds the Monte-Carlo draws
 
 	SweepOptions
 }

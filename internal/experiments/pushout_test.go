@@ -59,7 +59,7 @@ func TestPushoutMonteCarloAgreesWithGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := RunPushout(cfg, PushoutOptions{Cases: n, Range: 1e-9, MonteCarlo: true, SweepOptions: SweepOptions{Seed: 42}})
+	mc, err := RunPushout(cfg, PushoutOptions{Cases: n, Range: 1e-9, MonteCarlo: true, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestPushoutMonteCarloAgreesWithGrid(t *testing.T) {
 			grid.P50*1e12, mc.P50*1e12)
 	}
 	// Determinism: same seed, same result.
-	mc2, err := RunPushout(cfg, PushoutOptions{Cases: n, Range: 1e-9, MonteCarlo: true, SweepOptions: SweepOptions{Seed: 42}})
+	mc2, err := RunPushout(cfg, PushoutOptions{Cases: n, Range: 1e-9, MonteCarlo: true, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

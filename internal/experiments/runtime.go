@@ -24,8 +24,8 @@ type RuntimeRow struct {
 	// measured.
 	AvgAbsErr float64
 	// Excluded counts the P sweep's cases kept out of AvgAbsErr, and
-	// Failures names each quarantined one (nil when none was), as in
-	// Table1Result.
+	// Failures is the sweep's failure report (Table1Result.Report()),
+	// naming each quarantined case.
 	Excluded int
 	Failures *sweep.FailureReport
 }
@@ -186,7 +186,7 @@ func RunPSweep(cfg xtalk.Config, ps []int, cases int, so SweepOptions) ([]Runtim
 			PerGate:   time.Duration(stats.Sum / float64(stats.Count) * float64(time.Second)),
 			AvgAbsErr: st.AvgAbs,
 			Excluded:  res.Excluded,
-			Failures:  res.Failures,
+			Failures:  res.Report(),
 		})
 	}
 	return rows, nil

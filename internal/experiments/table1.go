@@ -90,10 +90,14 @@ type Table1Result struct {
 	// statistics (degraded golden reference) plus cases quarantined by a
 	// KeepGoing sweep. Stats are computed over healthy cases only.
 	Excluded int
-	// Failures is the sweep's failure report when any case was
-	// quarantined or a worker was lost (nil otherwise).
+	// Failures is Report() if a case was quarantined or a worker lost, else nil.
 	Failures *sweep.FailureReport
+	report   *sweep.FailureReport
 }
+
+// Report returns the sweep's failure report, clean or not; its Total is
+// the sweep's case count.
+func (r *Table1Result) Report() *sweep.FailureReport { return r.report }
 
 // table1Case is the result of one alignment case: the diagnostic record
 // plus the per-technique outcomes needed for aggregation. The (potentially
@@ -188,11 +192,9 @@ func RunTable1(cfg xtalk.Config, opts Table1Options) (*Table1Result, error) {
 		bench *xtalk.Bench
 	}
 	newWorker := func(int) (*table1Worker, error) {
-		gate := core.NewInverterChainSim(cfg.Tech,
-			[]float64{cfg.ReceiverDrive, cfg.Load1Drive, cfg.Load2Drive}, cfg.Step)
-		gate.Telemetry = opts.Telemetry
-		gate.Inject = opts.Inject
-		gate.NoFastPath = opts.noFastPath
+		gate := &core.GateSim{Tech: cfg.Tech, Step: cfg.Step,
+			Drives:    []float64{cfg.ReceiverDrive, cfg.Load1Drive, cfg.Load2Drive},
+			Telemetry: opts.Telemetry, Inject: opts.Inject, NoFastPath: opts.noFastPath}
 		bench, err := xtalk.NewBench(cfg)
 		if err != nil {
 			return nil, err
@@ -239,7 +241,7 @@ func RunTable1(cfg xtalk.Config, opts Table1Options) (*Table1Result, error) {
 			Vdd: cfg.Tech.Vdd, Edge: cfg.VictimEdge, P: opts.P,
 		}
 		cmp, err := core.CompareTechniquesWith(gate, in, nOut, core.CompareOptions{
-			Ctx: ctx, Techniques: techs, Telemetry: opts.Telemetry,
+			Ctx: ctx, Techniques: techs,
 		})
 		if err != nil {
 			return table1Case{}, fmt.Errorf("experiments: case %d: %w", i, err)
@@ -280,7 +282,10 @@ func RunTable1(cfg xtalk.Config, opts Table1Options) (*Table1Result, error) {
 	// healthy cases only — degraded ones are retained in Cases (with their
 	// P2 estimate) but counted in Excluded, alongside any quarantined
 	// cases from a KeepGoing sweep.
-	res := &Table1Result{Config: cfg, Failures: report, Excluded: report.Quarantined()}
+	res := &Table1Result{Config: cfg, Excluded: report.Quarantined(), report: report}
+	if report.Quarantined() > 0 || report.WorkersLost > 0 {
+		res.Failures = report
+	}
 	agg := make([]*TechniqueStats, len(techs))
 	for j, t := range techs {
 		agg[j] = &TechniqueStats{Name: t.Name()}

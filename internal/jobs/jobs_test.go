@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"container/heap"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -627,6 +628,38 @@ func TestArtifactsWritten(t *testing.T) {
 		if _, err := os.ReadFile(filepath.Join(dir, j.ID, name)); err != nil {
 			t.Errorf("missing artifact %s: %v", name, err)
 		}
+	}
+}
+
+// TestArtifactsFailuresRecordCaseCount: a clean sweep job's failures.json
+// records the sweep's case count.
+func TestArtifactsFailuresRecordCaseCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("transistor-level sweep")
+	}
+	dir := t.TempDir()
+	m := NewManager(Options{Telemetry: telemetry.New(), ArtifactsDir: dir})
+	defer m.Close()
+	j, err := m.Submit(Config{Experiment: ExpPushout, Cases: 2, RangeS: 0.4e-9}, "t", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	if err := j.Err(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, j.ID, "failures.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reps map[string]struct {
+		Total int `json:"total"`
+	}
+	if err := json.Unmarshal(raw, &reps); err != nil {
+		t.Fatal(err)
+	}
+	if got := reps[ExpPushout].Total; got != 2 {
+		t.Errorf("failures.json = %s, want total 2 for %q", raw, ExpPushout)
 	}
 }
 

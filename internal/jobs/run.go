@@ -205,8 +205,8 @@ func (m *Manager) runTable1(ctx context.Context, j *Job, tracer *trace.Tracer) (
 		})
 	}
 	res := &Result{Experiment: ExpTable1, Table1: p, Excluded: r.Excluded}
-	res.Failures = failureRecords(r.Failures)
-	return res, r.Failures, nil
+	res.Failures = failureRecords(r.Report())
+	return res, r.Report(), nil
 }
 
 func (m *Manager) runPushout(ctx context.Context, j *Job, tracer *trace.Tracer) (*Result, *sweep.FailureReport, error) {
@@ -230,12 +230,10 @@ func (m *Manager) runPushout(ctx context.Context, j *Job, tracer *trace.Tracer) 
 	return res, r.Failures, nil
 }
 
-// failureRecords flattens a sweep failure report for JSON.
+// failureRecords flattens a sweep failure report for JSON; nil for a clean
+// sweep.
 func failureRecords(r *sweep.FailureReport) []FailureRecord {
-	if r == nil {
-		return nil
-	}
-	out := make([]FailureRecord, 0, len(r.Failures))
+	var out []FailureRecord
 	for _, f := range r.Failures {
 		out = append(out, FailureRecord{Index: f.Index, Error: f.Err.Error()})
 	}

@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // ErrNoFactorization is returned by CachedLU.SolveInto before the first
 // successful Ensure (or after one that failed).
@@ -16,8 +13,8 @@ var ErrNoFactorization = errors.New("linalg: no valid cached factorization")
 // built under (integration method/coefficients, gmin homotopy rung, …) —
 // changes. Solving against a stale factorization is the modified-Newton
 // trade: cheaper iterations that still contract to the same solution as
-// long as the cached Jacobian stays close enough, which the caller's
-// ReusePolicy watches over.
+// long as the cached Jacobian stays close enough; when to force a refactor
+// is the caller's decision.
 type CachedLU[K comparable] struct {
 	lu    *LU
 	key   K
@@ -246,76 +243,4 @@ func (c *CachedLU[K]) SolveInto(dst, b []float64) error {
 		return c.slu.SolveInto(dst, b)
 	}
 	return c.lu.SolveInto(dst, b)
-}
-
-// ReusePolicy holds the modified-Newton heuristics that decide when a
-// stale factorization must be replaced by a true refactor, and when a
-// converged iterate computed against one may be accepted without a
-// fresh-Jacobian polish iteration.
-type ReusePolicy struct {
-	// StallRatio: a non-refactored iteration whose step shrank by less
-	// than this factor versus the previous one is stalling — the stale
-	// Jacobian has stopped contracting and must be refreshed.
-	StallRatio float64
-	// MoveLimit is the cumulative iterate motion (max-norm over node
-	// voltages, summed over accepted updates) beyond which the cached
-	// Jacobian is considered out of date regardless of convergence
-	// behavior.
-	MoveLimit float64
-	// DeepFactor scales the convergence tolerance down to the "deep"
-	// tolerance: a stale-Jacobian iterate within tol·DeepFactor of its
-	// fixed point is accepted outright, because the remaining modified-
-	// Newton bias is far below anything downstream can observe.
-	DeepFactor float64
-	// ContractionCap bounds the estimated contraction rate used to
-	// extrapolate the remaining error; estimates at or above the cap are
-	// not trusted.
-	ContractionCap float64
-}
-
-// DefaultReusePolicy returns the tuning the spice engine ships with.
-func DefaultReusePolicy() ReusePolicy {
-	return ReusePolicy{StallRatio: 0.5, MoveLimit: 0.1, DeepFactor: 1e-3, ContractionCap: 0.9}
-}
-
-// Stalled reports whether a not-yet-converged iteration (step maxStep,
-// previous step prevStep) is contracting too slowly under the stale
-// Jacobian. The first iteration of a solve (prevStep = +Inf) never stalls.
-func (p ReusePolicy) Stalled(maxStep, prevStep float64) bool {
-	return maxStep > p.StallRatio*prevStep
-}
-
-// DeepConverged reports whether an iterate that met the ordinary
-// convergence test against a stale Jacobian is certified accurate enough
-// to accept without a fresh-Jacobian polish: either the step is already
-// below the deep tolerance, or the observed contraction rate ρ bounds the
-// remaining error ρ·maxStep/(1−ρ) below it.
-func (p ReusePolicy) DeepConverged(maxStep, prevStep, tol float64) bool {
-	deep := tol * p.DeepFactor
-	if maxStep < deep {
-		return true
-	}
-	if prevStep <= 0 || math.IsInf(prevStep, 0) {
-		return false
-	}
-	rho := maxStep / prevStep
-	if rho >= p.ContractionCap {
-		return false
-	}
-	return rho*maxStep/(1-rho) < deep
-}
-
-// CarriedConverged reports whether an iterate that met the ordinary
-// convergence test on the *first* iteration of a solve — where no in-solve
-// contraction estimate exists — is certified by the contraction rate rho
-// observed on earlier iterations against the same factorization. Staleness
-// is a property of the factorization, not of the solve: consecutive solves
-// against one factorization contract at nearly the same rate (and MoveLimit
-// bounds how far the iterate can drift before a refresh), so the carried
-// rate is a sound stand-in for the in-solve estimate DeepConverged uses.
-func (p ReusePolicy) CarriedConverged(maxStep, rho, tol float64) bool {
-	if !(rho > 0) || rho >= p.ContractionCap {
-		return false // unknown (NaN), non-contracting, or untrusted estimate
-	}
-	return rho*maxStep/(1-rho) < tol*p.DeepFactor
 }

@@ -156,8 +156,8 @@ type reportJSON struct {
 }
 
 // WriteFailures records the failure reports of the run's sweeps as
-// failures.json, keyed by experiment label. Nil reports (no failures) are
-// recorded as empty entries so the file enumerates every sweep that ran.
+// failures.json, keyed by experiment label, with each sweep's case count,
+// clean or not. A nil report (a run with no sweep report) records total 0.
 func (a *RunArtifacts) WriteFailures(reports map[string]*sweep.FailureReport) error {
 	out := make(map[string]reportJSON, len(reports))
 	for label, r := range reports {

@@ -36,7 +36,7 @@ func benchCircuit() *circuit.Circuit {
 // dynamic elements initialized for a trapezoidal step of size h.
 func benchSim(b *testing.B, fast bool, h float64) *Simulator {
 	b.Helper()
-	s := New(benchCircuit(), Options{Step: h, ReuseResult: true})
+	s := New(benchCircuit(), Options{Step: h})
 	s.fast = fast
 	if err := s.solveOP(0); err != nil {
 		b.Fatal(err)
@@ -107,13 +107,13 @@ func BenchmarkTransientStep(b *testing.B) {
 	}{{"fast", true}, {"slow", false}} {
 		b.Run(bc.name, func(b *testing.B) {
 			const stop = 1e-9
-			s := New(benchCircuit(), Options{Step: 1e-12, ReuseResult: true})
+			s := New(benchCircuit(), Options{Step: 1e-12})
 			s.fast = bc.fast
 			if err := s.solveOP(0); err != nil {
 				b.Fatal(err)
 			}
 			s.part.InitState(s.asm)
-			res := s.newRunResult()
+			res := s.res
 			rec := &res.Recovery
 			rec.Budget = s.opts.recoveryBudget
 			s.recovery = rec

@@ -29,11 +29,10 @@ type Simulator struct {
 	xNew []float64
 
 	// Fast-path state (see fastpath.go): the linear/nonlinear element
-	// partition, the cached LU factorization with its refactor heuristics,
-	// and the residual/step buffers of the modified-Newton iteration.
+	// partition, the cached LU factorization, and the residual/step buffers
+	// of the modified-Newton iteration. fast is !Options.NoFastPath.
 	part            *circuit.Partition
 	clu             linalg.CachedLU[luKey]
-	policy          linalg.ReusePolicy
 	fast            bool
 	ic              circuit.IntegrationCoeffs // coefficients of the step being solved
 	resid, delta    []float64
@@ -45,10 +44,11 @@ type Simulator struct {
 	spArmed         bool          // sparse refactorization armed this run
 
 	// Per-run state reused across Run calls so the steady-state transient
-	// loop allocates nothing.
+	// loop allocates nothing: every Run records into res, whose probes New
+	// resolved to probeIDs.
 	tr       transient
 	probeIDs []circuit.NodeID
-	res      *Result // previous run's result, recycled under Options.ReuseResult
+	res      *Result
 
 	// prefix is the recorded quiet prefix runs resume from (prefix.go);
 	// nil until RecordPrefix.
@@ -75,8 +75,8 @@ type Simulator struct {
 	testForceReject func(t, h float64) bool
 }
 
-// New creates a simulator and fills in the option defaults; the step and
-// each run's window are validated at Run time.
+// New creates a simulator, fills in the option defaults and resolves the
+// probes; the step and each run's window are validated at Run time.
 func New(c *circuit.Circuit, o Options) *Simulator {
 	s := &Simulator{ckt: c, opts: o.withDefaults(), asm: circuit.NewAssembler(c)}
 	n := c.Size()
@@ -84,7 +84,8 @@ func New(c *circuit.Circuit, o Options) *Simulator {
 	s.resid = make([]float64, n)
 	s.delta = make([]float64, n)
 	s.part = circuit.NewPartition(c)
-	s.policy = linalg.DefaultReusePolicy()
+	s.fast = !s.opts.NoFastPath
+	s.res = newResult(s.resolveProbes())
 	return s
 }
 
@@ -238,29 +239,10 @@ func (s *Simulator) newton(mode circuit.StampMode, gminExtra float64) error {
 	return fmt.Errorf("%w (t=%.6g)", ErrNewton, s.asm.Time)
 }
 
-// operatingPoint solves the DC operating point with the sources at their
-// t = 0 values, using a gmin-stepping homotopy for robustness. The solution
-// is left in the assembler and also returned keyed by node name.
-// Transients solve it internally; the spice tests call it to check the DC
-// solution on its own.
-func (s *Simulator) operatingPoint() (map[string]float64, error) {
-	s.fast = !s.opts.NoFastPath
-	s.stats.wallStart = time.Now()
-	defer s.flushTelemetry("spice.op_solves", "spice.op_seconds")
-	if err := s.solveOP(0); err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64, s.ckt.NumNodes())
-	for _, name := range s.ckt.NodeNames() {
-		id, _ := s.ckt.LookupNode(name)
-		out[name] = s.asm.V(id)
-	}
-	return out, nil
-}
-
-// solveOP is operatingPoint at t = start without telemetry flushing or
-// the result map; Run uses it so the DC solve's Newton iterations are
-// accounted to the enclosing transient.
+// solveOP solves the DC operating point with the sources at their values
+// at start, using a gmin-stepping homotopy for robustness, and leaves the
+// solution in the assembler. Run calls it, so the DC solve's Newton
+// iterations are accounted to the enclosing transient.
 func (s *Simulator) solveOP(start float64) error {
 	s.asm.Time = start
 	s.ic = circuit.IntegrationCoeffs{}
@@ -328,14 +310,13 @@ func resized(buf []float64, n int) []float64 {
 // samples record as NaN (caught by Result.Waveform's validation).
 const probeMissing = circuit.NodeID(-2)
 
-// resolveProbes computes the run's probe name list and caches the matching
-// node IDs in s.probeIDs (storage reused across runs).
+// resolveProbes returns the probe name list and caches the matching node
+// IDs in s.probeIDs. New calls it once.
 func (s *Simulator) resolveProbes() []string {
 	names := s.opts.Probes
 	if len(names) == 0 {
 		names = s.ckt.NodeNames()
 	}
-	s.probeIDs = s.probeIDs[:0]
 	for _, n := range names {
 		id, ok := s.ckt.LookupNode(n)
 		if !ok {
@@ -344,22 +325,6 @@ func (s *Simulator) resolveProbes() []string {
 		s.probeIDs = append(s.probeIDs, id)
 	}
 	return names
-}
-
-// newRunResult returns the Result for a starting run: a fresh one, or —
-// under Options.ReuseResult, when the probe set is unchanged — the previous
-// run's Result with its sample storage recycled.
-func (s *Simulator) newRunResult() *Result {
-	names := s.resolveProbes()
-	if s.opts.ReuseResult && s.res != nil && sameNames(s.res.names, names) {
-		s.res.reset()
-		return s.res
-	}
-	res := newResult(names)
-	if s.opts.ReuseResult {
-		s.res = res
-	}
-	return res
 }
 
 // recordSample appends the current iterate's probe voltages at time t.
@@ -404,7 +369,10 @@ func (s *Simulator) alignStep(t, h float64) (float64, bool) {
 // A Simulator may run many windows — callers that reuse one circuit across
 // cases replace only the source values between runs. Every run starts from
 // its own DC operating point, or from a prefix checkpoint that reproduces
-// it bit for bit, so no state leaks from the previous case.
+// it bit for bit, so no state leaks from the previous case. Every run
+// records into the simulator's one Result, so the returned *Result is
+// valid only until the next Run or RecordPrefix; callers copy what they
+// keep (Waveform already does).
 //
 // ctx is polled at every outer time step: once it is canceled (or its
 // deadline passes), Run stops and returns the waveforms recorded so far
@@ -421,7 +389,6 @@ func (s *Simulator) run(ctx context.Context, start, stop float64, record *prefix
 	if err := s.opts.checkWindow(start, stop); err != nil {
 		return nil, err
 	}
-	s.fast = !s.opts.NoFastPath
 	s.stats.wallStart = time.Now()
 	defer s.flushTelemetry("spice.transients", "spice.transient_seconds")
 	// The span-closing defer is registered after the telemetry flush so it
@@ -456,7 +423,8 @@ func (s *Simulator) run(ctx context.Context, start, stop float64, record *prefix
 		s.part.InitState(s.asm)
 	}
 
-	res := s.newRunResult()
+	res := s.res
+	res.reset()
 	rec := &res.Recovery
 	if s.opts.recoveryBudget > 0 {
 		rec.Budget = s.opts.recoveryBudget

@@ -4,11 +4,29 @@ import (
 	"context"
 	"math"
 	"testing"
+	"time"
 
 	"noisewave/internal/circuit"
 	"noisewave/internal/device"
 	"noisewave/internal/wave"
 )
+
+// operatingPoint solves the DC operating point with the sources at their
+// t = 0 values and returns it keyed by node name, flushing telemetry as a
+// DC solve of its own. The tests check the DC solution with it.
+func (s *Simulator) operatingPoint() (map[string]float64, error) {
+	s.stats.wallStart = time.Now()
+	defer s.flushTelemetry("spice.op_solves", "spice.op_seconds")
+	if err := s.solveOP(0); err != nil {
+		return nil, err
+	}
+	out := make(map[string]float64, s.ckt.NumNodes())
+	for _, name := range s.ckt.NodeNames() {
+		id, _ := s.ckt.LookupNode(name)
+		out[name] = s.asm.V(id)
+	}
+	return out, nil
+}
 
 // TestRCStepResponse checks the simulator against the analytic exponential
 // response of a single RC low-pass driven by a voltage step.

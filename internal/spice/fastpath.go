@@ -23,8 +23,9 @@ import (
 //     across iterations and timesteps (linalg.CachedLU) and truly
 //     refactored only when the stamp configuration changes (the luKey),
 //     when the iterate has moved too far since the factorization, or when
-//     convergence stalls (linalg.ReusePolicy). Through quiet stretches of
-//     a transient this eliminates nearly every factorization.
+//     convergence stalls (the reuse rules next to newtonFast). Through
+//     quiet stretches of a transient this eliminates nearly every
+//     factorization.
 //
 // Correctness hinges on the iteration form. The slow path solves the
 // linearized-companion system A(x_k)·x_{k+1} = B(x_k) directly; with a
@@ -36,7 +37,7 @@ import (
 //
 // whose fixed point (r = 0) is the true solution of the assembled system
 // no matter how stale the factorization is — staleness only affects the
-// convergence *rate*, which the ReusePolicy monitors. With a fresh LU the
+// convergence *rate*, which the reuse rules monitor. With a fresh LU the
 // residual step is algebraically identical to the slow path's update, so
 // the two paths agree to solver tolerance: each converged solve differs by
 // well under VTol, the transient history carries those sub-VTol gaps
@@ -201,6 +202,71 @@ func dedupSortedInt32(v []int32) []int32 {
 	return out
 }
 
+// The modified-Newton reuse rules: when a stale factorization must be
+// replaced by a true refactor, and when a converged iterate computed
+// against one may be accepted without a fresh-Jacobian polish iteration.
+const (
+	// stallRatio: a non-refactored iteration whose step shrank by less
+	// than this factor versus the previous one is stalling — the stale
+	// Jacobian has stopped contracting and must be refreshed.
+	stallRatio = 0.5
+	// moveLimit is the cumulative iterate motion (max-norm over node
+	// voltages, summed over accepted updates) beyond which the cached
+	// Jacobian is out of date regardless of convergence behavior.
+	moveLimit = 0.1
+	// deepFactor scales the convergence tolerance down to the "deep"
+	// tolerance: a stale-Jacobian iterate within tol·deepFactor of its
+	// fixed point is accepted outright, because the remaining modified-
+	// Newton bias is far below anything downstream can observe.
+	deepFactor = 1e-3
+	// contractionCap bounds the estimated contraction rate used to
+	// extrapolate the remaining error; estimates at or above the cap are
+	// not trusted.
+	contractionCap = 0.9
+)
+
+// stalled reports whether a not-yet-converged iteration (step maxStep,
+// previous step prevStep) is contracting too slowly under the stale
+// Jacobian. The first iteration of a solve (prevStep = +Inf) never stalls.
+func stalled(maxStep, prevStep float64) bool {
+	return maxStep > stallRatio*prevStep
+}
+
+// deepConverged reports whether an iterate that met the ordinary
+// convergence test against a stale Jacobian is certified accurate enough
+// to accept without a fresh-Jacobian polish: either the step is already
+// below the deep tolerance, or the observed contraction rate ρ bounds the
+// remaining error ρ·maxStep/(1−ρ) below it.
+func deepConverged(maxStep, prevStep, tol float64) bool {
+	deep := tol * deepFactor
+	if maxStep < deep {
+		return true
+	}
+	if prevStep <= 0 || math.IsInf(prevStep, 0) {
+		return false
+	}
+	rho := maxStep / prevStep
+	if rho >= contractionCap {
+		return false
+	}
+	return rho*maxStep/(1-rho) < deep
+}
+
+// carriedConverged reports whether an iterate that met the ordinary
+// convergence test on the *first* iteration of a solve — where no in-solve
+// contraction estimate exists — is certified by the contraction rate rho
+// observed on earlier iterations against the same factorization. Staleness
+// is a property of the factorization, not of the solve: consecutive solves
+// against one factorization contract at nearly the same rate (and moveLimit
+// bounds how far the iterate can drift before a refresh), so the carried
+// rate is a sound stand-in for the in-solve estimate deepConverged uses.
+func carriedConverged(maxStep, rho, tol float64) bool {
+	if !(rho > 0) || rho >= contractionCap {
+		return false // unknown (NaN), non-contracting, or untrusted estimate
+	}
+	return rho*maxStep/(1-rho) < tol*deepFactor
+}
+
 // newtonFast is the damped modified-Newton iteration of the fast path;
 // same contract as newton.
 func (s *Simulator) newtonFast(mode circuit.StampMode, gminExtra float64) error {
@@ -253,7 +319,7 @@ func (s *Simulator) newtonFast(mode circuit.StampMode, gminExtra float64) error 
 		s.stats.restamps++
 		// Residual at the current iterate: r = B − A·x.
 		s.residual(key)
-		if s.moveSinceFactor > s.policy.MoveLimit || math.IsNaN(s.moveSinceFactor) {
+		if s.moveSinceFactor > moveLimit || math.IsNaN(s.moveSinceFactor) {
 			force = true
 		}
 		refactored, err := s.clu.Ensure(s.asm.A, key, force)
@@ -296,10 +362,10 @@ func (s *Simulator) newtonFast(mode circuit.StampMode, gminExtra float64) error 
 			s.rhoEst = maxDV / prevMaxDV
 		}
 		if lambda == 1.0 && maxDV < s.opts.VTol {
-			if refactored || s.policy.DeepConverged(maxDV, prevMaxDV, s.opts.VTol) {
+			if refactored || deepConverged(maxDV, prevMaxDV, s.opts.VTol) {
 				return nil
 			}
-			if s.policy.CarriedConverged(maxDV, s.rhoEst, s.opts.VTol) {
+			if carriedConverged(maxDV, s.rhoEst, s.opts.VTol) {
 				s.stats.carriedAccepts++
 				return nil
 			}
@@ -313,7 +379,7 @@ func (s *Simulator) newtonFast(mode circuit.StampMode, gminExtra float64) error 
 			if staleConv > 2 {
 				force = true
 			}
-		} else if !refactored && s.policy.Stalled(maxDV, prevMaxDV) {
+		} else if !refactored && stalled(maxDV, prevMaxDV) {
 			force = true
 		}
 		prevMaxDV = maxDV

@@ -73,13 +73,6 @@ type Options struct {
 	// as the reference for that suite.
 	NoFastPath bool
 
-	// ReuseResult recycles the previous Run's Result storage (sample
-	// buffers, step trace) when the probe set is unchanged, so per-case
-	// simulators replayed across a sweep stop allocating per run. The
-	// returned *Result is then only valid until the next Run on this
-	// simulator; callers must copy what they keep (Waveform already does).
-	ReuseResult bool
-
 	// Adaptive enables local-truncation-error timestep control: steps
 	// shrink when the solution outruns a linear prediction and stretch
 	// (up to MaxStep) through quiescent stretches. Step then acts as the

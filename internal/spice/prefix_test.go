@@ -118,7 +118,7 @@ func TestQuietPrefixBitIdentical(t *testing.T) {
 	tech := device.Default130()
 	b := newPrefixBench(tech)
 	reg := telemetry.New()
-	o := Options{Step: prefixStep, Probes: []string{"fa", "out"}, ReuseResult: true}
+	o := Options{Step: prefixStep, Probes: []string{"fa", "out"}}
 	withReg := o
 	withReg.Telemetry = reg
 	sim := New(b.ckt, withReg)

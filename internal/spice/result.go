@@ -73,32 +73,9 @@ func (r *Result) Waveform(node string) (*wave.Waveform, error) {
 	return wave.New(append([]float64(nil), r.Time...), append([]float64(nil), v...))
 }
 
-// final returns the last recorded voltage of a node. The spice tests
-// check settled values with it.
-func (r *Result) final(node string) (float64, error) {
-	v, err := r.Voltage(node)
-	if err != nil {
-		return 0, err
-	}
-	if len(v) == 0 {
-		return 0, fmt.Errorf("spice: no samples recorded")
-	}
-	return v[len(v)-1], nil
-}
-
-// record appends one sample row by evaluating get per probe name. The
-// engine's hot path records through Simulator.recordSample (cached node
-// IDs, no closure); this remains for tests building Results directly.
-func (r *Result) record(t float64, get func(name string) float64) {
-	r.Time = append(r.Time, t)
-	for i, n := range r.names {
-		r.v[i] = append(r.v[i], get(n))
-	}
-}
-
 // reset clears the recorded samples and diagnostics keeping the storage,
-// so a simulator running under Options.ReuseResult recycles the buffers
-// across runs instead of reallocating them per case.
+// so a simulator recycles the buffers across runs instead of reallocating
+// them per case.
 func (r *Result) reset() {
 	r.Time = r.Time[:0]
 	r.trace = r.trace[:0]
@@ -106,17 +83,4 @@ func (r *Result) reset() {
 	for i := range r.v {
 		r.v[i] = r.v[i][:0]
 	}
-}
-
-// sameNames reports whether two probe name lists are identical.
-func sameNames(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -2,11 +2,34 @@ package spice
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"noisewave/internal/circuit"
 )
+
+// final returns the last recorded voltage of a node. The spice tests
+// check settled values with it.
+func (r *Result) final(node string) (float64, error) {
+	v, err := r.Voltage(node)
+	if err != nil {
+		return 0, err
+	}
+	if len(v) == 0 {
+		return 0, fmt.Errorf("spice: no samples recorded")
+	}
+	return v[len(v)-1], nil
+}
+
+// record appends one sample row by evaluating get per probe name, for
+// tests that build Results directly.
+func (r *Result) record(t float64, get func(name string) float64) {
+	r.Time = append(r.Time, t)
+	for i, n := range r.names {
+		r.v[i] = append(r.v[i], get(n))
+	}
+}
 
 func TestResultAccessors(t *testing.T) {
 	r := newResult([]string{"a", "b"})

@@ -56,10 +56,11 @@ func (f CaseFailure) String() string {
 	return fmt.Sprintf("case %d [%s, %d attempt(s)]: %v", f.Index, kind, len(f.Attempts), f.Err)
 }
 
-// FailureReport is the typed account of what went wrong in a sweep that
-// kept going: the quarantined cases (ascending index) and any workers lost
-// to unrecoverable panics. A nil *FailureReport means the sweep saw no
-// case failures.
+// FailureReport is the typed account of what went wrong in a sweep: its
+// case count, the quarantined cases (ascending index) and any workers lost
+// to unrecoverable panics. RunPartial returns one for every sweep; a clean
+// sweep's has no failures. Quarantined and Case also accept a nil report,
+// as a result that keeps only unclean reports may hold.
 type FailureReport struct {
 	// Total is the sweep's case count.
 	Total int
@@ -94,7 +95,7 @@ func (r *FailureReport) Case(i int) (CaseFailure, bool) {
 
 // String renders a compact multi-line report for terminal output.
 func (r *FailureReport) String() string {
-	if r.Quarantined() == 0 && (r == nil || r.WorkersLost == 0) {
+	if len(r.Failures) == 0 && r.WorkersLost == 0 {
 		return "no case failures"
 	}
 	var b strings.Builder

@@ -125,11 +125,11 @@ func (o Options) workerTelemetry(w int) (*telemetry.Counter, *telemetry.Histogra
 // Aggregating the completed subset in index order stays deterministic for
 // a deterministic do.
 //
-// The report is nil when no case failed and no worker was lost. With
-// Options.KeepGoing, failing cases are quarantined into the report and err
-// stays nil as long as the pool survived and the parent context stayed
-// alive; without it, the report still describes the (single) failing case
-// that aborted the sweep.
+// The report is never nil once the sweep starts (n >= 0): its Total is n,
+// and a clean sweep's names no failure. With Options.KeepGoing, failing
+// cases are quarantined into the report and err stays nil as long as the
+// pool survived and the parent context stayed alive; without it, the
+// report still describes the (single) failing case that aborted the sweep.
 func RunPartial[W, R any](ctx context.Context, n int, opts Options,
 	newWorker func(worker int) (W, error),
 	do func(ctx context.Context, i int, state W) (R, error)) (results []R, completed []bool, report *FailureReport, err error) {
@@ -139,8 +139,9 @@ func RunPartial[W, R any](ctx context.Context, n int, opts Options,
 	}
 	results = make([]R, n)
 	completed = make([]bool, n)
+	report = &FailureReport{Total: n}
 	if n == 0 {
-		return results, completed, nil, nil
+		return results, completed, report, nil
 	}
 	workers := opts.Workers
 	if workers <= 0 {
@@ -288,10 +289,8 @@ func RunPartial[W, R any](ctx context.Context, n int, opts Options,
 	}
 	wg.Wait()
 
-	if len(failures) > 0 || workersLost > 0 {
-		sortFailures(failures)
-		report = &FailureReport{Total: n, Failures: failures, WorkersLost: workersLost}
-	}
+	sortFailures(failures)
+	report.Failures, report.WorkersLost = failures, workersLost
 	// One final serialized Progress call on early exits, so displays can
 	// render the state the sweep actually stopped in. (The workers have
 	// drained; no call can race this one.)

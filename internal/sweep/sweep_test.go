@@ -185,8 +185,8 @@ func TestSequentialOracle(t *testing.T) {
 	do := func(_ context.Context, i int, _ struct{}) (int, error) { return 3*i + 1, nil }
 	for _, workers := range []int{1, 8} {
 		got, completed, report, err := RunPartial(context.Background(), n, Options{Workers: workers}, noState, do)
-		if err != nil || report != nil {
-			t.Fatalf("workers=%d: err %v, report %v", workers, err, report)
+		if err != nil || report.Total != n || len(report.Failures) != 0 || report.WorkersLost != 0 {
+			t.Fatalf("workers=%d: err %v, report %+v; want a clean report of %d cases", workers, err, report, n)
 		}
 		for i := 0; i < n; i++ {
 			want, _ := do(context.Background(), i, struct{}{})
@@ -197,11 +197,15 @@ func TestSequentialOracle(t *testing.T) {
 	}
 }
 
-// TestZeroCases: an empty sweep returns an empty, non-nil result.
+// TestZeroCases: an empty sweep returns an empty, non-nil result and a
+// clean report of zero cases.
 func TestZeroCases(t *testing.T) {
-	got, _, _, err := RunPartial(context.Background(), 0, Options{}, noState,
+	got, _, report, err := RunPartial(context.Background(), 0, Options{}, noState,
 		func(_ context.Context, i int, _ struct{}) (int, error) { return i, nil })
 	if err != nil || got == nil || len(got) != 0 {
 		t.Fatalf("RunPartial(0 cases) = %v, %v; want empty slice, nil error", got, err)
+	}
+	if report == nil || report.Total != 0 || len(report.Failures) != 0 {
+		t.Fatalf("RunPartial(0 cases) report %+v, want a clean report of 0 cases", report)
 	}
 }

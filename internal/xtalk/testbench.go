@@ -271,12 +271,11 @@ func NewBench(cfg Config) (*Bench, error) {
 		return nil, err
 	}
 	sim := spice.New(ckt, spice.Options{
-		Step:        cfg.Step,
-		Probes:      []string{NodeVictimFar, NodeGateOut},
-		Telemetry:   cfg.Telemetry,
-		Inject:      cfg.Inject,
-		NoFastPath:  cfg.NoFastPath,
-		ReuseResult: true,
+		Step:       cfg.Step,
+		Probes:     []string{NodeVictimFar, NodeGateOut},
+		Telemetry:  cfg.Telemetry,
+		Inject:     cfg.Inject,
+		NoFastPath: cfg.NoFastPath,
 	})
 	return &Bench{cfg: cfg, vsrc: vsrc, asrc: asrc, sim: sim}, nil
 }

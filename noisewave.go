@@ -74,9 +74,9 @@ var (
 // Telemetry is the concurrency-safe metrics registry observed by the whole
 // pipeline: spice engine counters, replay-cache outcomes, per-technique
 // fit timers, sweep worker throughput and per-experiment wall timers. Pass
-// one registry through the options structs (CompareTechniquesOpts,
-// SweepOptions, RunOptions); a nil registry disables collection at zero
-// cost.
+// one registry through GateSim.Telemetry (a comparison's fits, replays and
+// replay transients) and the options structs (SweepOptions, RunOptions); a
+// nil registry disables collection at zero cost.
 type Telemetry = telemetry.Registry
 
 // NewTelemetry returns an empty metrics registry.
@@ -178,7 +178,7 @@ type Comparison = core.Comparison
 type TechniqueResult = core.TechniqueResult
 
 // CompareTechniquesOpts configures CompareTechniquesWith: cancellation
-// context, technique set (nil = all six) and optional telemetry registry.
+// context and technique set (nil = all six); metrics go to gate.Telemetry.
 type CompareTechniquesOpts = core.CompareOptions
 
 // CompareTechniquesWith runs the selected techniques on one noisy case and
@@ -261,7 +261,7 @@ const (
 type MultiDriverError = sta.MultiDriverError
 
 // SweepOptions is the sweep-control block shared by the sweep drivers
-// (embedded in Table1Options and PushoutOptions): worker-pool size, seed,
+// (embedded in Table1Options and PushoutOptions): worker-pool size,
 // progress callback, cancellation context and telemetry.
 type SweepOptions = experiments.SweepOptions
 
